@@ -154,17 +154,24 @@ def _parse_cluster(obj: dict, accuracy_table: dst.AccuracyTable) -> sim.ClusterC
     _require_keys(obj, allowed, set(), "cluster")
     ctl_obj = obj.get("controller", {})
     _require_keys(ctl_obj, {"idle_window_ms", "min_students", "max_students"}, set(), "cluster.controller")
-    controller = sim.ControllerConfig(
-        max_students=ctl_obj.get("max_students", len(accuracy_table)),
-        accuracy_table=accuracy_table,
-        min_students=ctl_obj.get("min_students", 1),
-        idle_window_ms=ctl_obj.get("idle_window_ms", 120_000.0),
-    )
     kwargs = {k: v for k, v in obj.items() if k != "controller"}
     try:
+        controller = sim.ControllerConfig(
+            max_students=ctl_obj.get("max_students", len(accuracy_table)),
+            accuracy_table=accuracy_table,
+            min_students=ctl_obj.get("min_students", 1),
+            idle_window_ms=ctl_obj.get("idle_window_ms", 120_000.0),
+        )
         return sim.ClusterConfig(controller=controller, **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad cluster config: {exc}") from exc
+
+
+def _poisson_requests(spec: sim.PoissonSpec, seed: int, max_len: int, ctx: str) -> list[sim.Request]:
+    try:
+        return sim.generate_workload(spec, seed, max_len=max_len)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {ctx}: {exc}") from exc
 
 
 def _parse_workload(obj: dict, seed: int, max_len: int) -> list[sim.Request]:
@@ -177,7 +184,7 @@ def _parse_workload(obj: dict, seed: int, max_len: int) -> list[sim.Request]:
             duration_ms=obj.get("duration_ms", 10_000.0),
             length_weights=tuple(obj["length_weights"]) if obj.get("length_weights") else None,
         )
-        return sim.generate_workload(spec, fork_seed(seed, "workload"), max_len=max_len)
+        return _poisson_requests(spec, fork_seed(seed, "workload"), max_len, "workload")
     if kind == "trace":
         if "path" not in obj:
             raise ConfigError("trace workload requires 'path'")
@@ -194,7 +201,8 @@ def _parse_workload(obj: dict, seed: int, max_len: int) -> list[sim.Request]:
         for i, phase in enumerate(obj.get("phases", [])):
             _require_keys(phase, {"rps", "duration_ms"}, {"rps", "duration_ms"}, f"workload.phases[{i}]")
             spec = sim.PoissonSpec(rps=phase["rps"], duration_ms=phase["duration_ms"])
-            part = sim.generate_workload(spec, fork_seed(seed, f"workload-phase-{i}"), max_len=max_len)
+            part = _poisson_requests(spec, fork_seed(seed, f"workload-phase-{i}"), max_len,
+                                     f"workload.phases[{i}]")
             requests.extend(
                 sim.Request(0, r.arrival_ms + offset, r.length_tokens) for r in part
             )
@@ -326,7 +334,7 @@ def cmd_simulate(config_path: str, seed_override: int | None, out_override: str 
     cluster = _parse_cluster(config.get("cluster", {}), table)
     workload = _parse_workload(config["workload"], seed, cluster.max_len)
 
-    metrics = sim.run_simulation(cluster, workload, factors, seed)
+    metrics = sim.run_simulation(cluster, workload, factors)
     sim.write_metrics_json(metrics, out_dir / "metrics.json")
     sim.write_latency_csv(metrics.per_request, out_dir / "latencies.csv")
     _write_manifest(out_dir, config, [out_dir / "metrics.json", out_dir / "latencies.csv"], started)

@@ -11,6 +11,16 @@ a waiting queue and full-length padding, for ablation runs.
 
 The simulated clock is real-valued milliseconds; ties break by event
 insertion order, so identical inputs give identical outputs.
+
+Each event touches only the nodes whose state it can change: its own node
+(none for a heartbeat), every node with deferred requests waiting to retry
+and, in waiting-queue mode, every node with a non-empty buffer, since its
+head can become dispatchable by time alone. Touched nodes are visited in
+ascending index, which fixes the order completion events enter the heap.
+All nodes are swept only when the student count k changes, because every
+buffer's capacity changes with it. The controller reads aggregate counters
+kept exact wherever a buffer or a busy count changes, so the cost of an
+event does not grow with the node count.
 """
 
 from __future__ import annotations
@@ -196,22 +206,6 @@ class LengthAwareBuffer:
 
     def head(self) -> BufferElement | None:
         return self.fifo[0] if self.fifo else None
-
-
-def bin_of(length: int, cfg) -> int:
-    """Length bin for a request under the cluster's binning, clipping long samples."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    length = min(length, cfg.max_len)
-    return (length + cfg.bin_width - 1) // cfg.bin_width - 1
-
-
-def buffer_push(buf: LengthAwareBuffer, req: Request, now_ms: float = 0.0) -> str:
-    return buf.push(req, now_ms)
-
-
-def buffer_pop(buf: LengthAwareBuffer) -> BufferElement:
-    return buf.pop()
 
 
 # -- allocation and configuration ----------------------------------------------
@@ -409,18 +403,12 @@ def write_latency_csv(records: list[CompletionRecord], path) -> None:
 
 
 class _Node:
-    def __init__(self, cfg: ClusterConfig, k: int):
-        self.buffer = LengthAwareBuffer(
-            cfg.num_bins, cfg.bin_width, cfg.max_merge,
-            capacity=group_count(k, cfg.gpus_per_node, cfg.replicas_per_gpu),
-            pad_to_max=cfg.pad_to_max,
-        )
+    def __init__(self, index: int, buffer: LengthAwareBuffer):
+        self.index = index
+        self.buffer = buffer
         self.retry: deque[Request] = deque()
         self.busy = 0
         self.empty_since: float | None = 0.0
-
-    def target_groups(self, cfg: ClusterConfig, k: int) -> int:
-        return group_count(k, cfg.gpus_per_node, cfg.replicas_per_gpu)
 
 
 _ARRIVAL, _COMPLETION, _TIMER, _HEARTBEAT = "arrival", "completion", "timer", "heartbeat"
@@ -430,14 +418,24 @@ HEARTBEAT_MS = 100.0
 class Simulation:
     """Event loop state; use run_simulation unless you need to poke internals."""
 
-    def __init__(self, cluster: ClusterConfig, workload: list[Request], factors: ServiceFactors, seed: int = 0):
+    def __init__(self, cluster: ClusterConfig, workload: list[Request], factors: ServiceFactors):
         if factors.model.t_unit is None:
             raise RuntimeError("perf model must be calibrated before simulation")
         self.cfg = cluster
         self.factors = factors
-        self.seed = seed  # reserved: all randomness lives in workload generation
         self.k = cluster.group_size
-        self.nodes = [_Node(cluster, self.k) for _ in range(cluster.nodes)]
+        self.groups = group_count(self.k, cluster.gpus_per_node, cluster.replicas_per_gpu)
+        self.nodes = [
+            _Node(i, LengthAwareBuffer(cluster.num_bins, cluster.bin_width, cluster.max_merge,
+                                       capacity=self.groups, pad_to_max=cluster.pad_to_max))
+            for i in range(cluster.nodes)
+        ]
+        # aggregate counters, exact at every event; see _check_invariants
+        self.full_buffers = 0
+        self.nonempty: set[int] = set()   # indices of nodes with a non-empty buffer
+        self.retrying: set[int] = set()   # indices of nodes with deferred requests
+        self.busy_groups = 0
+        self.last_empty = 0.0             # latest time any node's empty_since was set
         self.events: list[tuple[float, int, str, object]] = []
         self._seq = 0
         self.records: list[CompletionRecord] = []
@@ -465,47 +463,63 @@ class Simulation:
 
     def _set_k(self, new_k: int, now: float) -> None:
         self.k = new_k
+        self.groups = group_count(new_k, self.cfg.gpus_per_node, self.cfg.replicas_per_gpu)
         for node in self.nodes:
-            node.buffer.capacity = node.target_groups(self.cfg, new_k)
+            node.buffer.capacity = self.groups
+        self.full_buffers = sum(len(node.buffer) >= self.groups for node in self.nodes)
         self.k_timeline.append((now, new_k))
         self.acc_timeline.append((now, self.cfg.controller.accuracy_table.val_accuracy(new_k)))
 
     def _head_dispatchable(self, node: _Node, now: float) -> bool:
-        el = node.buffer.head()
-        if el is None:
+        fifo = node.buffer.fifo
+        if not fifo:
             return False
-        if self.cfg.batch_timeout_ms is None:
+        timeout = self.cfg.batch_timeout_ms
+        if timeout is None:
             return True
-        return el.size >= self.cfg.max_merge or now - el.created_ms >= self.cfg.batch_timeout_ms - 1e-9
+        el = fifo[0]
+        return el.size >= self.cfg.max_merge or now - el.created_ms >= timeout - 1e-9
 
     def _dispatch(self, node: _Node, now: float) -> None:
-        while node.busy < node.target_groups(self.cfg, self.k) and self._head_dispatchable(node, now):
-            el = node.buffer.pop()
+        buf = node.buffer
+        while node.busy < self.groups and self._head_dispatchable(node, now):
+            el = buf.pop()
+            left = len(buf)
+            if left == 0:
+                self.nonempty.discard(node.index)
+            if left + 1 == buf.capacity:
+                self.full_buffers -= 1
             self.element_waits.append(now - el.created_ms)
             node.busy += 1
+            self.busy_groups += 1
             dt = service_time(el, self.k, self.cfg, self.factors, active_groups=node.busy)
             self._push_event(now + dt, _COMPLETION, (node, el))
 
-    def _try_push(self, node: _Node, req: Request, now: float) -> bool:
-        result = node.buffer.push(req, now)
-        if result == REJECTED:
-            return False
-        if result == APPENDED and self.cfg.batch_timeout_ms is not None:
-            self._push_event(now + self.cfg.batch_timeout_ms, _TIMER, None)
-        return True
+    def _try_push(self, node: _Node, req: Request, now: float) -> str:
+        buf = node.buffer
+        result = buf.push(req, now)
+        if result == APPENDED:
+            size = len(buf)
+            if size == 1:
+                self.nonempty.add(node.index)
+            if size == buf.capacity:
+                self.full_buffers += 1
+            if self.cfg.batch_timeout_ms is not None:
+                self._push_event(now + self.cfg.batch_timeout_ms, _TIMER, node)
+        return result
 
     def controller_tick(self, now: float) -> str:
         ctl = self.cfg.controller
-        any_full = any(n.buffer.is_full() for n in self.nodes)
-        if all(n.buffer.is_empty() and n.empty_since is not None for n in self.nodes):
-            idle_ms = now - max(n.empty_since for n in self.nodes)
-        else:
-            idle_ms = None
-        idle_students = sum(max(0, n.target_groups(self.cfg, self.k) - n.busy) for n in self.nodes) * self.k
-        occupied_students = sum(n.busy for n in self.nodes) * self.k
+        # a buffer empties only at a boundary's end, where empty_since is set, so
+        # when every buffer is empty each empty_since is set and last_empty is their max
+        idle_ms = None if self.nonempty else now - self.last_empty
+        idle_students = 0
+        if idle_ms is not None and idle_ms >= ctl.idle_window_ms and self.k < ctl.max_students:
+            # every other ADD_ONE condition holds; only now is the sweep worth it
+            idle_students = sum(max(0, self.groups - n.busy) for n in self.nodes) * self.k
         action = decide_controller_action(
-            self.k, ctl.min_students, ctl.max_students, any_full, idle_ms,
-            idle_students, occupied_students, ctl.idle_window_ms,
+            self.k, ctl.min_students, ctl.max_students, self.full_buffers > 0, idle_ms,
+            idle_students, self.busy_groups * self.k, ctl.idle_window_ms,
         )
         if action == DROP_ONE:
             self._set_k(self.k - 1, now)
@@ -514,39 +528,80 @@ class Simulation:
             for node in self.nodes:  # a fresh idle window must elapse before the next add
                 if node.empty_since is not None:
                     node.empty_since = now
+            self.last_empty = now
         return action
 
-    def _boundary(self, now: float) -> None:
+    def _boundary(self, now: float, own: _Node | None) -> None:
+        if self.retrying or self.cfg.batch_timeout_ms is not None:
+            touched = set(self.retrying)
+            if self.cfg.batch_timeout_ms is not None:
+                touched |= self.nonempty
+            if own is not None:
+                touched.add(own.index)
+            nodes = [self.nodes[i] for i in sorted(touched)]
+        else:
+            nodes = () if own is None else (own,)
         # retries first, preserving arrival order ahead of newer rejects
-        for node in self.nodes:
-            while node.retry and self._try_push(node, node.retry[0], now):
-                node.retry.popleft()
+        for node in nodes:
+            retry = node.retry
+            while retry and self._try_push(node, retry[0], now) != REJECTED:
+                retry.popleft()
+            if not retry:
+                self.retrying.discard(node.index)
+        k = self.k
         self.controller_tick(now)
-        for node in self.nodes:
+        if self.k != k:  # every buffer's capacity and group count changed
+            nodes = self.nodes
+        for node in nodes:
             self._dispatch(node, now)
-            if node.buffer.is_empty():
-                if node.empty_since is None:
-                    node.empty_since = now
-            else:
+            if node.buffer.fifo:
                 node.empty_since = None
+            elif node.empty_since is None:
+                node.empty_since = self.last_empty = now
 
     def run(self) -> SimMetrics:
         while self.events:
             now, _, kind, payload = heapq.heappop(self.events)
+            node = None
             if kind == _ARRIVAL:
                 node_id, req = payload
                 node = self.nodes[node_id]
-                if node.retry or not self._try_push(node, req, now):
+                if node.retry or self._try_push(node, req, now) == REJECTED:
                     # a full buffer defers the request to the next event boundary
                     self.rejected_pushes += 1
                     node.retry.append(req)
+                    self.retrying.add(node_id)
             elif kind == _COMPLETION:
                 node, el = payload
                 node.busy -= 1
+                self.busy_groups -= 1
                 for req in el.requests:
                     self.records.append(CompletionRecord(req.id, req.arrival_ms, now, req.length_tokens))
-            self._boundary(now)
+            elif kind == _TIMER:
+                node = payload
+            self._boundary(now, node)
+        self._check_invariants()
         return self._metrics()
+
+    def _check_invariants(self) -> None:
+        """Raise RuntimeError naming every end-of-run invariant that does not hold."""
+        nodes = self.nodes
+        stamps = [n.empty_since for n in nodes]
+        broken = [name for name, holds in (
+            ("completed == generated", len(self.records) == self.generated),
+            ("no group is busy", all(n.busy == 0 for n in nodes)),
+            ("every buffer is empty", all(not n.buffer.fifo for n in nodes)),
+            ("every retry queue is empty", all(not n.retry for n in nodes)),
+            ("full_buffers == recount", self.full_buffers == sum(n.buffer.is_full() for n in nodes)),
+            ("nonempty == recount", self.nonempty == {n.index for n in nodes if n.buffer.fifo}),
+            ("retrying == recount", self.retrying == {n.index for n in nodes if n.retry}),
+            ("busy_groups == recount", self.busy_groups == sum(n.busy for n in nodes)),
+            ("last_empty == max(empty_since)", None not in stamps and self.last_empty == max(stamps)),
+            ("groups == group_count(k)", self.groups == group_count(
+                self.k, self.cfg.gpus_per_node, self.cfg.replicas_per_gpu)),
+        ) if not holds]
+        if broken:
+            raise RuntimeError("simulation invariant broken: " + ", ".join(broken))
 
     def _metrics(self) -> SimMetrics:
         lats = [r.latency_ms for r in self.records]
@@ -571,11 +626,6 @@ class Simulation:
         )
 
 
-def controller_tick(sim: Simulation, now_ms: float) -> str:
-    return sim.controller_tick(now_ms)
-
-
-def run_simulation(cluster: ClusterConfig, workload: list[Request], factors: ServiceFactors,
-                   seed: int = 0) -> SimMetrics:
+def run_simulation(cluster: ClusterConfig, workload: list[Request], factors: ServiceFactors) -> SimMetrics:
     """Run the event loop to completion and return the metrics."""
-    return Simulation(cluster, workload, factors, seed).run()
+    return Simulation(cluster, workload, factors).run()

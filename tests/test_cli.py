@@ -214,6 +214,21 @@ def test_simulate_bad_trace_exits_config(tmp_path):
     assert cli.main(["simulate", "--config", cfg]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("section, value", [
+    ("cluster", {"controller": {"min_students": 0}}),
+    ("workload", {"kind": "poisson", "rps": 0}),
+    ("workload", {"kind": "phases", "phases": [{"rps": 0, "duration_ms": 100.0}]}),
+])
+def test_simulate_invalid_values_exit_config(tmp_path, capsys, section, value):
+    cfg_path = simulate_config(tmp_path, out_name="invalid")
+    cfg = json.loads(Path(cfg_path).read_text())
+    cfg[section] = value
+    Path(cfg_path).write_text(json.dumps(cfg))
+    assert cli.main(["simulate", "--config", cfg_path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
 # -- report ---------------------------------------------------------------------------
 
 

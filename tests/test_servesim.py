@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -93,20 +94,24 @@ def test_trace_malformed_line_reports_line_number(tmp_path):
 # -- binning -------------------------------------------------------------------
 
 
+def cluster_buffer(cfg):
+    return sim.LengthAwareBuffer(cfg.num_bins, cfg.bin_width, cfg.max_merge, capacity=1)
+
+
 def test_bin_of_boundaries():
-    cfg = make_cluster()
-    assert sim.bin_of(1, cfg) == 0
-    assert sim.bin_of(8, cfg) == 0
-    assert sim.bin_of(9, cfg) == 1
-    assert sim.bin_of(128, cfg) == 15
-    assert sim.bin_of(500, cfg) == 15  # clipped
+    buf = cluster_buffer(make_cluster())
+    assert buf.bin_of(1) == 0
+    assert buf.bin_of(8) == 0
+    assert buf.bin_of(9) == 1
+    assert buf.bin_of(128) == 15
+    assert buf.bin_of(500) == 15  # clipped
     with pytest.raises(ValueError):
-        sim.bin_of(0, cfg)
+        buf.bin_of(0)
 
 
 def test_bin_of_length_30_pads_to_32():
     cfg = make_cluster()
-    b = sim.bin_of(30, cfg)
+    b = cluster_buffer(cfg).bin_of(30)
     assert b == 3
     assert (b + 1) * cfg.bin_width == 32
 
@@ -124,7 +129,7 @@ def req(rid, length, t=0.0):
 
 def test_push_into_empty_appends():
     buf = new_buffer()
-    assert sim.buffer_push(buf, req(0, 30)) == sim.APPENDED
+    assert buf.push(req(0, 30)) == sim.APPENDED
     assert len(buf) == 1
 
 
@@ -149,7 +154,7 @@ def test_pop_is_fifo():
     buf = new_buffer()
     buf.push(req(0, 20))   # bin 2
     buf.push(req(1, 45))   # bin 5
-    popped = sim.buffer_pop(buf)
+    popped = buf.pop()
     assert popped.bin == 2
     assert [r.id for r in popped.requests] == [0]
 
@@ -157,7 +162,7 @@ def test_pop_is_fifo():
 def test_pop_then_same_bin_push_creates_new_element():
     buf = new_buffer()
     buf.push(req(0, 20))
-    sim.buffer_pop(buf)
+    buf.pop()
     assert buf.push(req(1, 20)) == sim.APPENDED
     assert len(buf) == 1
 
@@ -368,10 +373,12 @@ def test_controller_tick_surface_applies_drop():
     cluster = make_cluster(replicas_per_gpu=1, gpus_per_node=3, group_size=3, controller=ctl)
     simulation = sim.Simulation(cluster, [], calibrated_factors())
     node = simulation.nodes[0]
-    node.busy = node.target_groups(cluster, 3)  # == 1 group, all busy
-    assert node.buffer.push(req(0, 20), 0.0) == sim.APPENDED
+    simulation._try_push(node, req(0, 90), 0.0)
+    simulation._dispatch(node, 0.0)
+    assert node.busy == simulation.groups == 1  # the node's one group is busy
+    assert simulation._try_push(node, req(1, 20), 0.0) == sim.APPENDED
     assert node.buffer.is_full()
-    assert sim.controller_tick(simulation, 1.0) == sim.DROP_ONE
+    assert simulation.controller_tick(1.0) == sim.DROP_ONE
     assert simulation.k == 2
     assert node.buffer.capacity == sim.group_count(2, 3, 1)
     assert simulation.k_timeline[-1] == (1.0, 2)
@@ -523,3 +530,75 @@ def test_nearest_rank_percentile():
     assert sim.nearest_rank_percentile(values, 95.0) == 10.0
     assert sim.nearest_rank_percentile(values, 50.0) == 5.0
     assert sim.nearest_rank_percentile([7.0], 95.0) == 7.0
+
+
+# -- event-loop work and pinned outputs ------------------------------------------------
+
+# sha256 prefixes of (per-request completion times, k timeline, rejected pushes),
+# recorded with the simulator that swept every node on every event
+PINNED_OUTPUTS = {
+    (1, None, False): "a47491d0d78c2bc2",
+    (1, None, True): "d3167485d93e3c4a",
+    (1, 2.0, False): "ee9d79b223bdb1c3",
+    (1, 2.0, True): "cc3ffd6707897495",
+    (3, None, False): "1e1f2d8c550c6f2b",
+    (3, None, True): "bbd5987235c0bd02",
+    (3, 2.0, False): "0abf80c3070960c4",
+    (3, 2.0, True): "3993419af35041ee",
+    (8, None, False): "34e982953bbdd798",
+    (8, None, True): "190f5d34f7dbc50d",
+    (8, 2.0, False): "f49bcf151ceae05c",
+    (8, 2.0, True): "0cdb1bdd00a6e599",
+}
+
+
+@pytest.mark.parametrize("nodes, batch_timeout_ms, overload", list(PINNED_OUTPUTS))
+def test_outputs_match_pinned_hashes(nodes, batch_timeout_ms, overload):
+    # burst, lull, burst: a 20 ms idle window lets the controller drop and add
+    # students; over load defers pushes
+    ctl = sim.ControllerConfig(max_students=3, accuracy_table=flat_table(), min_students=1,
+                               idle_window_ms=20.0)
+    cluster = make_cluster(controller=ctl, nodes=nodes, replicas_per_gpu=1,
+                           batch_timeout_ms=batch_timeout_ms)
+    rps = (12_000.0 if overload else 1_200.0) * nodes
+    workload, offset = [], 0.0
+    for i, (phase_rps, duration) in enumerate([(rps, 50.0), (rps / 20, 100.0), (rps, 30.0)]):
+        spec = sim.PoissonSpec(rps=phase_rps, duration_ms=duration)
+        for r in sim.generate_workload(spec, seed=10 * nodes + i):
+            workload.append(sim.Request(len(workload), r.arrival_ms + offset, r.length_tokens))
+        offset += duration
+    m = sim.run_simulation(cluster, workload, calibrated_factors())
+    blob = json.dumps([[(r.request_id, r.completion_ms) for r in m.per_request],
+                       m.student_number_timeline, m.rejected_pushes])
+    digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
+    assert digest == PINNED_OUTPUTS[(nodes, batch_timeout_ms, overload)]
+
+
+def test_each_event_visits_at_most_one_node(monkeypatch):
+    ctl = sim.ControllerConfig(max_students=3, accuracy_table=flat_table(), min_students=3)
+    cluster = make_cluster(controller=ctl, nodes=32)
+    workload = sim.generate_workload(sim.PoissonSpec(rps=32 * 200.0, duration_ms=300.0), seed=9)
+    counts = {"events": 0, "visits": 0}
+    dispatch, tick = sim.Simulation._dispatch, sim.Simulation.controller_tick
+
+    def counting_dispatch(self, node, now):
+        counts["visits"] += 1
+        dispatch(self, node, now)
+
+    def counting_tick(self, now):
+        counts["events"] += 1
+        return tick(self, now)
+
+    monkeypatch.setattr(sim.Simulation, "_dispatch", counting_dispatch)
+    monkeypatch.setattr(sim.Simulation, "controller_tick", counting_tick)
+    metrics = sim.run_simulation(cluster, workload, calibrated_factors())
+    assert metrics.rejected_pushes == 0 and len(metrics.student_number_timeline) == 1
+    assert 0 < counts["visits"] <= counts["events"]
+
+
+def test_broken_counter_fails_end_of_run_check():
+    workload = sim.generate_workload(sim.PoissonSpec(rps=500.0, duration_ms=200.0), seed=11)
+    simulation = sim.Simulation(make_cluster(nodes=2), workload, calibrated_factors())
+    simulation.busy_groups += 1
+    with pytest.raises(RuntimeError, match="busy_groups == recount"):
+        simulation.run()
