@@ -211,6 +211,20 @@ def _parse_workload(obj: dict, seed: int, max_len: int) -> list[sim.Request]:
     raise ConfigError(f"unknown workload kind '{kind}'")
 
 
+def _load_checkpoint(load, path):
+    """Run one checkpoint loader; malformed content is a config error, not a traceback."""
+    try:
+        return load(path)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"bad checkpoint {path}: {exc}") from exc
+
+
+def _check_input_width(model, splits, path) -> None:
+    if model.input_proj.in_dim != splits.train.inputs.shape[1]:
+        raise ConfigError(f"checkpoint {path} takes inputs of width {model.input_proj.in_dim}, "
+                          f"the task has width {splits.train.inputs.shape[1]}")
+
+
 # -- commands --------------------------------------------------------------------
 
 
@@ -231,9 +245,10 @@ def cmd_distill(config_path: str, seed_override: int | None, out_override: str |
     student_depth = config.get("student_depth", 2)
 
     if tcfg["checkpoint"]:
-        teacher = nn.load_model(tcfg["checkpoint"])
+        teacher = _load_checkpoint(nn.load_model, tcfg["checkpoint"])
         if not isinstance(teacher, nn.TeacherModel):
             raise ConfigError("teacher checkpoint does not contain a teacher model")
+        _check_input_width(teacher, splits, tcfg["checkpoint"])
     else:
         teacher = nn.TeacherModel.build(
             d_in=splits.train.inputs.shape[1], rep_dim=tcfg["rep_dim"],
@@ -283,10 +298,20 @@ def cmd_prune(config_path: str, seed_override: int | None, out_override: str | N
         raise ConfigError(f"missing distill checkpoints under {distill_dir}")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    teacher = nn.load_model(teacher_path)
-    state = dst.load_ensemble(ensemble_path)
+    teacher = _load_checkpoint(nn.load_model, teacher_path)
+    if not isinstance(teacher, nn.TeacherModel):
+        raise ConfigError(f"{teacher_path} does not contain a teacher model")
+    state = _load_checkpoint(dst.load_ensemble, ensemble_path)
+    if len(state) == 0:
+        raise ConfigError(f"{ensemble_path} holds no students")
     splits = _parse_task(config.get("task", {"kind": "gaussian"}), seed)
     cfg = _parse_distill_cfg(config.get("distill", {}), seed)
+    _check_input_width(teacher, splits, teacher_path)
+    for student in state.students:
+        _check_input_width(student, splits, ensemble_path)
+        if student.rep_dim != teacher.rep_dim:
+            raise ConfigError(f"{ensemble_path} holds students of width {student.rep_dim}, "
+                              f"the teacher's representation has width {teacher.rep_dim}")
 
     state, table, best_k = dst.adaptive_pruning(teacher, state, splits, cfg)
 

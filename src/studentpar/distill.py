@@ -453,10 +453,23 @@ def soft_cross_entropy(student_logits, teacher_logits, temperature: float = 1.0)
 
 
 class _PruningParams:
-    """Classifier plus every student, exposed as one parameter dict."""
+    """Classifier plus every student in one flat parameter buffer.
+
+    Construction moves the classifier's parameters, then each student's, into
+    consecutive slices of ``flat`` (a student's own ``flat`` becomes its
+    slice), so one optimizer step updates them all. The order matches the
+    gradient layout of ``accumulate_prefix_gradients``.
+    """
 
     def __init__(self, state: EnsembleState):
         self.state = state
+        clf = state.classifier
+        start = clf.weight.size + clf.bias.size
+        self.flat = np.empty(start + sum(s.flat.size for s in state.students))
+        nn._home([clf], self.flat[:start])
+        for student in state.students:
+            student.move_to(self.flat[start:start + student.flat.size])
+            start += student.flat.size
 
     def parameters(self) -> dict[str, np.ndarray]:
         params = {f"classifier.{k}": v for k, v in {
@@ -468,6 +481,15 @@ class _PruningParams:
         return params
 
 
+def _pruning_layout(state: EnsembleState) -> list[tuple]:
+    """Gradient layout over the classifier and then every student, in ensemble order."""
+    clf = state.classifier
+    layout = nn._layout({"weight": clf.weight, "bias": clf.bias}, prefix="classifier.")
+    for j, student in enumerate(state.students):
+        layout += nn._layout(student.parameters(), layout[-1][2], f"students.{j}.")
+    return layout
+
+
 def accumulate_prefix_gradients(
     state: EnsembleState,
     xb: np.ndarray,
@@ -477,8 +499,8 @@ def accumulate_prefix_gradients(
     """One batch of the pruning objective: sum over k of soft CE on prefix k.
 
     Every student runs forward once; gradients from each prefix loss are
-    accumulated into one tape covering the classifier and all students,
-    which equals the gradient of the summed loss.
+    added, prefix by prefix, into one flat tape covering the classifier and
+    all students, which equals the gradient of the summed loss.
     """
     m = len(state)
     clf = state.classifier
@@ -486,7 +508,12 @@ def accumulate_prefix_gradients(
     for student in state.students:
         f, _ = student.forward(xb)
         finals.append(f)
-    tape = nn.TapeGradients.zeros_like(_PruningParams(state).parameters())
+    layout = _pruning_layout(state)
+    grad = np.zeros(layout[-1][2])
+    clf_bias, clf_stop = clf.weight.size, clf.weight.size + clf.bias.size
+    bounds = [clf_stop]
+    for student in state.students:
+        bounds.append(bounds[-1] + student.flat.size)
     total = 0.0
     n = len(xb)
     rep = np.zeros_like(finals[0])
@@ -498,11 +525,12 @@ def accumulate_prefix_gradients(
         s_soft = _softmax(logits / temperature)
         d_logits = (s_soft - t_soft) / (temperature * n)
         d_rep, dw, db = clf.backward(d_logits)
-        tape.add({"classifier.weight": dw, "classifier.bias": db})
+        grad[:clf_bias] += dw.reshape(-1)
+        grad[clf_bias:clf_stop] += db
         for j in range(k):
             student_tape = state.students[j].backward(state.multipliers[j] * d_rep, None)
-            tape.add({f"students.{j}.{name}": g for name, g in student_tape.grads.items()})
-    return tape, total
+            grad[bounds[j]:bounds[j + 1]] += student_tape.flat
+    return nn.TapeGradients.over(grad, layout), total
 
 
 def prefix_accuracy(state: EnsembleState, data: Dataset, k: int) -> float:
@@ -594,11 +622,16 @@ def ensemble_to_dict(state: EnsembleState, mode: str = "binary") -> dict:
 
 
 def ensemble_from_dict(d: dict) -> EnsembleState:
-    if d.get("schema") != "ensemble-checkpoint-v1":
+    if not isinstance(d, dict) or d.get("schema") != "ensemble-checkpoint-v1":
         raise ValueError("not an ensemble checkpoint")
     students = [nn.model_from_dict(s) for s in d["students"]]
+    if not all(isinstance(s, nn.StudentModel) for s in students):
+        raise ValueError("ensemble checkpoint holds a model that is not a student")
+    multipliers = [float(a) for a in d["multipliers"]]
+    if not np.isfinite(multipliers).all():
+        raise ValueError("ensemble checkpoint holds non-finite multipliers")
     classifier = None if d["classifier"] is None else nn._layer_from_dict(d["classifier"], d["mode"])
-    return EnsembleState(students, d["multipliers"], classifier)
+    return EnsembleState(students, multipliers, classifier)
 
 
 def save_ensemble(state: EnsembleState, path, mode: str = "binary") -> None:
@@ -636,7 +669,7 @@ def train_teacher(
     n_classes = teacher.head.out_dim
     onehot = np.eye(n_classes)[splits.train.labels]
     losses = []
-    best_val, best_params = -1.0, None
+    best_val, best_flat = -1.0, None
     for _epoch in range(epochs):
         perm = rng.permutation(n)
         total = 0.0
@@ -654,10 +687,9 @@ def train_teacher(
         val_acc = teacher_accuracy(teacher, splits.validation)
         if val_acc > best_val:
             best_val = val_acc
-            best_params = {k: v.copy() for k, v in teacher.parameters().items()}
-    if best_params is not None:
-        for name, arr in teacher.parameters().items():
-            arr[...] = best_params[name]
+            best_flat = teacher.flat.copy()
+    if best_flat is not None:
+        teacher.flat[...] = best_flat
     return losses
 
 

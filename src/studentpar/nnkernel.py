@@ -3,7 +3,11 @@
 Float64 throughout, deterministic given identical parameter and input
 bytes. Expresses exactly two architectures: a deep residual teacher and a
 shallow student whose mid-layer representation is tapped for distillation.
-Parameters live in plain numpy arrays; gradients are exact reverse-mode.
+Each model keeps all of its parameters in one contiguous float64 buffer,
+``model.flat``; every layer's weight and bias are views into it, and
+``parameters()`` names those views. Gradients are exact reverse-mode and land
+in one flat buffer laid out the same way, so an optimizer step is one
+finiteness check and one vector update.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import base64
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,9 +34,10 @@ def _glorot_uniform(out_dim: int, in_dim: int, rng: np.random.Generator) -> np.n
 class DenseLayer:
     """Affine map plus elementwise activation: act(W x + b).
 
-    ``forward`` caches input and pre-activation so ``backward`` can run any
+    ``forward`` caches its input and output so ``backward`` can run any
     number of times against the same forward pass (gradients accumulate on
-    the caller's side).
+    the caller's side). Inside a model, ``weight`` and ``bias`` are views
+    into the model's flat buffer and ``span`` holds their offsets in it.
     """
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray, activation: str = TANH):
@@ -48,8 +54,9 @@ class DenseLayer:
         self.weight = weight
         self.bias = bias
         self.activation = activation
+        self.span: tuple[int, int, int] | None = None  # weight start, bias start, bias stop
         self._x: np.ndarray | None = None
-        self._z: np.ndarray | None = None
+        self._a: np.ndarray | None = None
 
     @classmethod
     def init(cls, out_dim: int, in_dim: int, activation: str, rng: np.random.Generator) -> "DenseLayer":
@@ -70,9 +77,10 @@ class DenseLayer:
             x = x[None, :]
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(f"input width {x.shape} does not match layer in_dim {self.in_dim}")
-        z = x @ self.weight.T + self.bias
-        self._x, self._z = x, z
-        out = np.tanh(z) if self.activation == TANH else z
+        out = x @ self.weight.T + self.bias
+        if self.activation == TANH:
+            out = np.tanh(out)
+        self._x, self._a = x, out
         return out[0] if squeeze else out
 
     def backward(self, d_out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -83,11 +91,11 @@ class DenseLayer:
         if d_out.ndim == 1:
             d_out = d_out[None, :]
         if self.activation == TANH:
-            dz = d_out * (1.0 - np.tanh(self._z) ** 2)
+            dz = d_out * (1.0 - self._a ** 2)
         else:
             dz = d_out
         dw = dz.T @ self._x
-        db = dz.sum(axis=0)
+        db = np.add.reduce(dz, axis=0)
         dx = dz @ self.weight
         return dx, dw, db
 
@@ -95,42 +103,64 @@ class DenseLayer:
         return DenseLayer(self.weight.copy(), self.bias.copy(), self.activation)
 
 
-class TapeGradients:
-    """Per-parameter gradient arrays, shape-congruent with a model.
+def _home(layers: list[DenseLayer], flat: np.ndarray | None = None) -> np.ndarray:
+    """Copy each layer's weight then bias, in order, into ``flat`` (a new buffer
+    by default) and point the layer at those views."""
+    if flat is None:
+        flat = np.empty(sum(layer.weight.size + layer.bias.size for layer in layers))
+    start = 0
+    for layer in layers:
+        w_stop = start + layer.weight.size
+        stop = w_stop + layer.bias.size
+        flat[start:w_stop] = layer.weight.reshape(-1)
+        flat[w_stop:stop] = layer.bias
+        layer.weight = flat[start:w_stop].reshape(layer.weight.shape)
+        layer.bias = flat[w_stop:stop]
+        layer.span = (start, w_stop, stop)
+        start = stop
+    return flat
 
-    Additive: ``add`` accumulates another tape or a name->array dict, which
-    is what multi-loss training loops need.
+
+def _layout(params: dict[str, np.ndarray], start: int = 0, prefix: str = "") -> list[tuple]:
+    """(name, start, stop, shape) of each parameter, packed in order from ``start``."""
+    out = []
+    for name, arr in params.items():
+        out.append((prefix + name, start, start + arr.size, arr.shape))
+        start += arr.size
+    return out
+
+
+def _put(grad: np.ndarray, layer: DenseLayer, dw: np.ndarray, db: np.ndarray) -> None:
+    w_start, b_start, stop = layer.span
+    grad[w_start:b_start] = dw.reshape(-1)
+    grad[b_start:stop] = db
+
+
+class TapeGradients:
+    """Gradients in one flat float64 buffer, laid out like a model's parameters.
+
+    ``layout`` lists (name, start, stop, shape) per parameter and ``grads``
+    maps each name to its view into ``flat``.
     """
 
     def __init__(self, grads: dict[str, np.ndarray]):
-        self.grads = grads
+        """Pack name -> array gradients into a fresh flat buffer."""
+        self.layout = _layout(grads)
+        self.flat = np.concatenate([np.asarray(arr, dtype=np.float64).reshape(-1) for arr in grads.values()])
 
     @classmethod
-    def zeros_like(cls, params: dict[str, np.ndarray]) -> "TapeGradients":
-        return cls({name: np.zeros_like(arr) for name, arr in params.items()})
+    def over(cls, flat: np.ndarray, layout: list[tuple]) -> "TapeGradients":
+        """Wrap an existing flat gradient buffer, without copying it."""
+        tape = cls.__new__(cls)
+        tape.flat, tape.layout = flat, layout
+        return tape
 
-    def add(self, other: "TapeGradients | dict[str, np.ndarray]") -> "TapeGradients":
-        items = other.grads if isinstance(other, TapeGradients) else other
-        for name, arr in items.items():
-            if name not in self.grads:
-                raise ValueError(f"unknown parameter {name!r} in gradient tape")
-            if self.grads[name].shape != arr.shape:
-                raise ValueError(f"gradient shape mismatch for {name!r}")
-            self.grads[name] += arr
-        return self
-
-    def scaled(self, factor: float) -> "TapeGradients":
-        return TapeGradients({name: arr * factor for name, arr in self.grads.items()})
+    @cached_property
+    def grads(self) -> dict[str, np.ndarray]:
+        return {name: self.flat[start:stop].reshape(shape) for name, start, stop, shape in self.layout}
 
     def zero_(self) -> None:
-        for arr in self.grads.values():
-            arr[...] = 0.0
-
-    def all_finite(self) -> bool:
-        return all(np.isfinite(arr).all() for arr in self.grads.values())
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.grads[name]
+        self.flat[...] = 0.0
 
 
 class _ResidualBlock:
@@ -152,7 +182,8 @@ class TeacherModel:
 
     The chain h_i = h_{i-1} + F_i(h_{i-1}) accumulates refinements on top of
     the projected input; the final representation is the stream after the
-    last block, and the head maps it to class logits.
+    last block, and the head maps it to class logits. Construction copies
+    every layer's parameters into the model's flat buffer.
     """
 
     def __init__(self, input_proj: DenseLayer, blocks: list[_ResidualBlock], head: DenseLayer):
@@ -160,6 +191,9 @@ class TeacherModel:
         self.blocks = blocks
         self.head = head
         self._block_acts: list[np.ndarray] | None = None
+        layers = [input_proj, *(l for b in blocks for l in (b.expand, b.project)), head]
+        self.flat = _home(layers)
+        self.layout = _layout(self.parameters())
 
     @classmethod
     def build(
@@ -208,35 +242,29 @@ class TeacherModel:
     def backward(self, d_final_rep: np.ndarray | None, d_logits: np.ndarray | None = None) -> TapeGradients:
         if self._block_acts is None:
             raise RuntimeError("backward called before forward")
-        grads: dict[str, np.ndarray] = {}
+        grad = np.empty_like(self.flat)
         rep = self._block_acts[-1] if self.blocks else None
         if d_final_rep is None:
             g = None
         else:
-            g = np.atleast_2d(np.asarray(d_final_rep, dtype=np.float64)).copy()
+            g = np.atleast_2d(np.asarray(d_final_rep, dtype=np.float64))
         if d_logits is not None:
             d_rep_head, dw, db = self.head.backward(d_logits)
-            grads["head.weight"] = dw
-            grads["head.bias"] = db
+            _put(grad, self.head, dw, db)
             g = d_rep_head if g is None else g + d_rep_head
         else:
-            grads["head.weight"] = np.zeros_like(self.head.weight)
-            grads["head.bias"] = np.zeros_like(self.head.bias)
+            grad[self.head.span[0]:self.head.span[2]] = 0.0
         if g is None:
             g = np.zeros_like(rep) if rep is not None else np.zeros((1, self.rep_dim))
-        for i in reversed(range(len(self.blocks))):
-            block = self.blocks[i]
-            d_f, dw_p, db_p = block.project.backward(g)
-            d_h, dw_e, db_e = block.expand.backward(d_f)
-            grads[f"blocks.{i}.project.weight"] = dw_p
-            grads[f"blocks.{i}.project.bias"] = db_p
-            grads[f"blocks.{i}.expand.weight"] = dw_e
-            grads[f"blocks.{i}.expand.bias"] = db_e
+        for block in reversed(self.blocks):
+            d_f, dw, db = block.project.backward(g)
+            _put(grad, block.project, dw, db)
+            d_h, dw, db = block.expand.backward(d_f)
+            _put(grad, block.expand, dw, db)
             g = g + d_h  # residual path
         _, dw, db = self.input_proj.backward(g)
-        grads["input_proj.weight"] = dw
-        grads["input_proj.bias"] = db
-        return TapeGradients(grads)
+        _put(grad, self.input_proj, dw, db)
+        return TapeGradients.over(grad, self.layout)
 
     def parameters(self) -> dict[str, np.ndarray]:
         params = {"input_proj.weight": self.input_proj.weight, "input_proj.bias": self.input_proj.bias}
@@ -266,12 +294,18 @@ class StudentModel:
             raise ValueError("student needs at least 2 layers")
         self.input_proj = input_proj
         self.layers = layers
+        self.flat = _home([input_proj, *layers])
+        self.layout = _layout(self.parameters())
 
     @classmethod
     def build(cls, d_in: int, rep_dim: int, depth: int, rng: np.random.Generator) -> "StudentModel":
         input_proj = DenseLayer.init(rep_dim, d_in, TANH, rng)
         layers = [DenseLayer.init(rep_dim, rep_dim, TANH, rng) for _ in range(depth)]
         return cls(input_proj, layers)
+
+    def move_to(self, flat: np.ndarray) -> None:
+        """Copy the parameters into ``flat`` (a new buffer, or a slice of a larger one) and view them there."""
+        self.flat = _home([self.input_proj, *self.layers], flat)
 
     @property
     def depth(self) -> int:
@@ -291,10 +325,10 @@ class StudentModel:
         x = np.asarray(x, dtype=np.float64)
         squeeze = x.ndim == 1
         h = self.input_proj.forward(x[None, :] if squeeze else x)
-        mid = None
+        mid, mid_index = None, self.mid_index
         for i, layer in enumerate(self.layers, start=1):
             h = layer.forward(h)
-            if i == self.mid_index:
+            if i == mid_index:
                 mid = h
         if squeeze:
             return h[0], mid[0]
@@ -303,22 +337,21 @@ class StudentModel:
     def backward(self, d_final_rep: np.ndarray | None, d_mid_rep: np.ndarray | None = None) -> TapeGradients:
         if self.layers[-1]._x is None:
             raise RuntimeError("backward called before forward")
-        grads: dict[str, np.ndarray] = {}
+        grad = np.empty_like(self.flat)
         if d_final_rep is None:
             g = np.zeros((self.layers[-1]._x.shape[0], self.rep_dim))
         else:
-            g = np.atleast_2d(np.asarray(d_final_rep, dtype=np.float64)).copy()
+            g = np.atleast_2d(np.asarray(d_final_rep, dtype=np.float64))
+        mid_index = self.mid_index
         for i in reversed(range(1, self.depth + 1)):
-            if i == self.mid_index and d_mid_rep is not None:
+            if i == mid_index and d_mid_rep is not None:
                 g = g + np.atleast_2d(np.asarray(d_mid_rep, dtype=np.float64))
             layer = self.layers[i - 1]
             g, dw, db = layer.backward(g)
-            grads[f"layers.{i - 1}.weight"] = dw
-            grads[f"layers.{i - 1}.bias"] = db
+            _put(grad, layer, dw, db)
         _, dw, db = self.input_proj.backward(g)
-        grads["input_proj.weight"] = dw
-        grads["input_proj.bias"] = db
-        return TapeGradients(grads)
+        _put(grad, self.input_proj, dw, db)
+        return TapeGradients.over(grad, self.layout)
 
     def parameters(self) -> dict[str, np.ndarray]:
         params = {"input_proj.weight": self.input_proj.weight, "input_proj.bias": self.input_proj.bias}
@@ -347,21 +380,18 @@ def student_forward(s: StudentModel, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     return s.forward(x)
 
 
-def backward(model, *output_grads) -> TapeGradients:
-    return model.backward(*output_grads)
-
-
 SGD = "sgd"
 ADAM = "adam"
 
 
 @dataclass
 class Optimizer:
-    """SGD or Adam over a model's parameter dict.
+    """SGD or Adam over a model's flat parameter buffer.
 
-    ``step`` validates the tape (rejecting non-finite gradients before any
-    parameter is touched), applies the update in place, then clears the
-    tape.
+    ``step`` validates the tape (rejecting non-finite gradients, by name,
+    before any parameter is touched), applies one elementwise update to
+    ``model.flat`` in place, then clears the tape. Adam's moments are flat
+    buffers shaped like the parameters.
     """
 
     kind: str = ADAM
@@ -369,8 +399,8 @@ class Optimizer:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    _m: dict = field(default_factory=dict, repr=False)
-    _v: dict = field(default_factory=dict, repr=False)
+    _m: np.ndarray | None = field(default=None, repr=False)
+    _v: np.ndarray | None = field(default=None, repr=False)
     _t: int = field(default=0, repr=False)
 
     def __post_init__(self):
@@ -380,37 +410,27 @@ class Optimizer:
             raise ValueError("learning_rate must be positive")
 
     def step(self, model, grads: TapeGradients) -> None:
-        params = model.parameters() if hasattr(model, "parameters") else model
-        for name, arr in params.items():
-            g = grads.grads.get(name)
-            if g is None:
-                raise ValueError(f"missing gradient for parameter {name!r}")
-            if g.shape != arr.shape:
-                raise ValueError(f"gradient shape mismatch for {name!r}")
-            if not np.isfinite(g).all():
-                raise ValueError(f"non-finite gradient for {name!r}; parameters left unchanged")
+        params, g = model.flat, grads.flat
+        if g.shape != params.shape:
+            raise ValueError(f"gradient holds {g.size} values for {params.size} parameters")
+        if not np.isfinite(g).all():
+            name = next(name for name, start, stop, _ in grads.layout if not np.isfinite(g[start:stop]).all())
+            raise ValueError(f"non-finite gradient for {name!r}; parameters left unchanged")
         if self.kind == SGD:
-            for name, arr in params.items():
-                arr -= self.learning_rate * grads.grads[name]
+            params -= self.learning_rate * g
         else:
+            if self._m is None:
+                self._m, self._v = np.zeros_like(params), np.zeros_like(params)
             self._t += 1
-            b1, b2 = self.beta1, self.beta2
-            for name, arr in params.items():
-                g = grads.grads[name]
-                m = self._m.setdefault(name, np.zeros_like(arr))
-                v = self._v.setdefault(name, np.zeros_like(arr))
-                m *= b1
-                m += (1 - b1) * g
-                v *= b2
-                v += (1 - b2) * g * g
-                m_hat = m / (1 - b1**self._t)
-                v_hat = v / (1 - b2**self._t)
-                arr -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            b1, b2, m, v = self.beta1, self.beta2, self._m, self._v
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            m_hat = m / (1 - b1**self._t)
+            v_hat = v / (1 - b2**self._t)
+            params -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
         grads.zero_()
-
-
-def optimizer_step(opt: Optimizer, model, grads: TapeGradients) -> None:
-    opt.step(model, grads)
 
 
 @dataclass
@@ -500,6 +520,8 @@ def _layer_to_dict(layer: DenseLayer, mode: str) -> dict:
 
 def _layer_from_dict(d: dict, mode: str) -> DenseLayer:
     shape = (d["out_dim"], d["in_dim"])
+    if not all(type(n) is int and n > 0 for n in shape):
+        raise ValueError(f"layer dimensions must be positive integers, got {shape}")
     weight = _decode_array(d["weight"], shape, mode)
     bias = _decode_array(d["bias"], (d["out_dim"],), mode)
     return DenseLayer(weight, bias, d["activation"])
@@ -532,9 +554,12 @@ def model_to_dict(model: TeacherModel | StudentModel, mode: str = "binary") -> d
 
 
 def model_from_dict(d: dict) -> TeacherModel | StudentModel:
-    if d.get("schema") != _SCHEMA:
-        raise ValueError(f"not a model checkpoint (schema {d.get('schema')!r})")
+    schema = d.get("schema") if isinstance(d, dict) else None
+    if schema != _SCHEMA:
+        raise ValueError(f"not a model checkpoint (schema {schema!r})")
     mode = d["mode"]
+    if mode not in ("binary", "json"):
+        raise ValueError(f"unknown checkpoint mode {mode!r}")
     if d["kind"] == "teacher":
         blocks = [
             _ResidualBlock(_layer_from_dict(b["expand"], mode), _layer_from_dict(b["project"], mode))

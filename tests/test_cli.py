@@ -1,6 +1,8 @@
+import base64
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from studentpar import cli
@@ -171,6 +173,87 @@ def test_prune_missing_checkpoints_exits_config(tmp_path):
         "distill_dir": str(tmp_path / "nonexistent"),
     })
     assert cli.main(["prune", "--config", cfg]) == cli.EXIT_CONFIG
+
+
+@pytest.fixture(scope="module")
+def distilled(tmp_path_factory):
+    root = tmp_path_factory.mktemp("distilled")
+    assert cli.main(["distill", "--config", small_distill_config(root)]) == cli.EXIT_OK
+    return root / "distill_out"
+
+
+def b64_floats(*values):
+    return base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def truncate_weight(layer):
+    layer["weight"] = layer["weight"][:-3]
+
+
+# each corruption edits the parsed teacher.json (t) and ensemble.json (e) in place
+CHECKPOINT_CORRUPTIONS = {
+    "teacher-bad-schema": lambda t, e: t.update(schema="nope"),
+    "teacher-truncated-base64": lambda t, e: truncate_weight(t["input_proj"]),
+    "teacher-byte-count": lambda t, e: t["head"].update(bias=b64_floats(1.0)),
+    "teacher-nan": lambda t, e: t["head"].update(bias=b64_floats(*[float("nan")] * t["head"]["out_dim"])),
+    "teacher-missing-key": lambda t, e: t.pop("head"),
+    "teacher-bad-dims": lambda t, e: t["head"].update(out_dim=-1),
+    "teacher-bad-mode": lambda t, e: t.update(mode="nope"),
+    "teacher-is-a-student": lambda t, e: (t.clear(), t.update(e["students"][0])),
+    "teacher-blocks-not-a-list": lambda t, e: t.update(blocks=7),
+    "ensemble-bad-schema": lambda t, e: e.update(schema="nope"),
+    "ensemble-truncated-base64": lambda t, e: truncate_weight(e["students"][0]["layers"][0]),
+    "ensemble-nan-multiplier": lambda t, e: e["multipliers"].__setitem__(0, float("nan")),
+    "ensemble-missing-key": lambda t, e: e.pop("multipliers"),
+    "ensemble-holds-a-teacher": lambda t, e: e["students"].__setitem__(0, dict(t)),
+    "ensemble-empty": lambda t, e: e.update(students=[], multipliers=[]),
+}
+
+
+@pytest.mark.parametrize("corruption", list(CHECKPOINT_CORRUPTIONS))
+def test_prune_corrupt_checkpoint_exits_config(tmp_path, capsys, distilled, corruption):
+    teacher = json.loads((distilled / "teacher.json").read_text())
+    ensemble = json.loads((distilled / "ensemble.json").read_text())
+    CHECKPOINT_CORRUPTIONS[corruption](teacher, ensemble)
+    bad = tmp_path / "bad_distill"
+    bad.mkdir()
+    (bad / "teacher.json").write_text(json.dumps(teacher))
+    (bad / "ensemble.json").write_text(json.dumps(ensemble))
+    cfg = write_config(tmp_path, "prune.json", {
+        "mode": "prune", "seed": 5, "out_dir": str(tmp_path / "prune_out"), "distill_dir": str(bad),
+        "task": {"kind": "gaussian", "n_classes": 2, "d_in": 4, "n_train": 96,
+                 "n_val": 48, "n_test": 48, "class_sep": 2.5},
+        "distill": {"pruning_epochs": 1},
+    })
+    assert cli.main(["prune", "--config", cfg]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
+def test_prune_task_width_mismatch_exits_config(tmp_path, capsys, distilled):
+    cfg = write_config(tmp_path, "prune.json", {
+        "mode": "prune", "seed": 5, "out_dir": str(tmp_path / "prune_out"),
+        "distill_dir": str(distilled), "task": {"kind": "gaussian", "d_in": 5},
+    })
+    assert cli.main(["prune", "--config", cfg]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "width" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("corruption", ["teacher-truncated-base64", "teacher-bad-schema",
+                                        "teacher-is-a-student"])
+def test_distill_corrupt_teacher_checkpoint_exits_config(tmp_path, capsys, distilled, corruption):
+    teacher = json.loads((distilled / "teacher.json").read_text())
+    ensemble = json.loads((distilled / "ensemble.json").read_text())
+    CHECKPOINT_CORRUPTIONS[corruption](teacher, ensemble)
+    (tmp_path / "teacher.json").write_text(json.dumps(teacher))
+    cfg_path = small_distill_config(tmp_path)
+    cfg = json.loads(Path(cfg_path).read_text())
+    cfg["teacher"] = {"checkpoint": str(tmp_path / "teacher.json")}
+    Path(cfg_path).write_text(json.dumps(cfg))
+    assert cli.main(["distill", "--config", cfg_path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
 
 
 # -- simulate -------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -551,6 +554,43 @@ def test_accumulated_gradients_match_summed_loss_finite_differences():
     assert checked > 20
 
 
+def test_pruning_params_share_one_buffer_with_the_models():
+    teacher, splits, cfg, state = small_trained_state(seed=2, max_students=2)
+    state.classifier = nn.DenseLayer.init(2, teacher.rep_dim, nn.IDENTITY, make_rng(52))
+    before = state.rep(splits.validation.inputs)
+    params = dst._PruningParams(state)
+    np.testing.assert_array_equal(state.rep(splits.validation.inputs), before)
+    views = params.parameters()
+    np.testing.assert_array_equal(np.concatenate([a.reshape(-1) for a in views.values()]), params.flat)
+    for student in state.students:
+        assert np.shares_memory(student.flat, params.flat)
+        for arr in student.parameters().values():
+            assert np.shares_memory(arr, student.flat)
+    params.flat[...] = 0.0
+    assert not state.rep(splits.validation.inputs).any()
+
+
+def test_nan_student_gradient_names_the_parameter_and_changes_nothing():
+    teacher, splits, cfg, state = small_trained_state(seed=2, max_students=2)
+    assert len(state) == 2
+    state.classifier = nn.DenseLayer.init(2, teacher.rep_dim, nn.IDENTITY, make_rng(53))
+    params = dst._PruningParams(state)
+    opt = nn.Optimizer(kind=nn.ADAM, learning_rate=cfg.learning_rate)
+    xb = splits.train.inputs[:8]
+    t_logits = teacher.forward(xb)[1]
+    tape, _ = dst.accumulate_prefix_gradients(state, xb, t_logits, temperature=1.0)
+    opt.step(params, tape)  # moments are nonzero from here on
+    tape, _ = dst.accumulate_prefix_gradients(state, xb, t_logits, temperature=1.0)
+    tape.grads["students.1.layers.0.weight"][1, 2] = np.nan
+    buffers = [params.flat, opt._m, opt._v, tape.flat, *(s.flat for s in state.students)]
+    snapshot = [b.copy() for b in buffers]
+    with pytest.raises(ValueError, match=r"'students\.1\.layers\.0\.weight'"):
+        opt.step(params, tape)
+    for buf, saved in zip(buffers, snapshot):
+        np.testing.assert_array_equal(buf, saved)
+    assert opt._t == 1
+
+
 def test_best_k_tie_breaks_to_smaller():
     rows = [(1, 0.9, 0.9), (2, 0.9, 0.91), (3, 0.89, 0.9)]
     # re-implement the pick the way adaptive_pruning does, on a frozen table
@@ -617,3 +657,42 @@ def test_ensemble_round_trip(tmp_path):
     x = splits.validation.inputs[:5]
     np.testing.assert_array_equal(loaded.rep(x), state.rep(x))
     np.testing.assert_array_equal(loaded.classifier.weight, state.classifier.weight)
+
+
+# -- pinned training outputs -------------------------------------------------------------
+
+# sha256 prefixes of each artifact of the toy pipeline below, recorded before the
+# kernel moved to flat parameter buffers; any change in float summation order or
+# in the optimizer's arithmetic shows up here
+PINNED_TRAINING = {
+    nn.ADAM: {"teacher": "f975af0bcd87ffc5", "ensemble": "c3c71df2d8a308ef",
+              "records": "0877c1891020d1ff", "table": "f9c0087d14f5d17b"},
+    nn.SGD: {"teacher": "69728be5462d2ca1", "ensemble": "297120b02c4516b6",
+             "records": "5946accd48cdf740", "table": "d877f5d95726b7a6"},
+}
+
+
+@pytest.mark.parametrize("teacher_optimizer", list(PINNED_TRAINING))
+def test_training_outputs_match_pinned_hashes(tmp_path, teacher_optimizer):
+    splits = tiny_task(seed=7)
+    teacher = tiny_teacher(seed=7)
+    losses = dst.train_teacher(teacher, splits, epochs=6, learning_rate=3e-3, seed=7,
+                               optimizer_kind=teacher_optimizer)
+    cfg = fast_cfg(seed=7, max_students=3, epochs_per_student=8, pruning_epochs=4,
+                   min_improvement=-1.0)
+    state, records = dst.sequential_training(teacher, splits, cfg)
+    state, table, best_k = dst.adaptive_pruning(teacher, state, splits, cfg)
+    nn.save_model(teacher, tmp_path / "teacher.json")
+    dst.save_ensemble(state, tmp_path / "ensemble.json")
+
+    def digest(blob: bytes) -> str:
+        return hashlib.sha256(blob).hexdigest()[:16]
+
+    got = {
+        "teacher": digest((tmp_path / "teacher.json").read_bytes()),
+        "ensemble": digest((tmp_path / "ensemble.json").read_bytes()),
+        "records": digest(json.dumps([dataclasses.asdict(r) for r in records]).encode()),
+        "table": digest(json.dumps([table.rows, best_k, losses]).encode()),
+    }
+    assert len(state) == 3
+    assert got == PINNED_TRAINING[teacher_optimizer]

@@ -163,7 +163,7 @@ def test_backward_zero_upstream_gives_zero_grads():
     s = nn.StudentModel.build(4, 6, 2, rng)
     x = rng.normal(size=(3, 4))
     f, m = s.forward(x)
-    tape = nn.backward(s, np.zeros_like(f), np.zeros_like(m))
+    tape = s.backward(np.zeros_like(f), np.zeros_like(m))
     assert all(np.all(g == 0) for g in tape.grads.values())
 
 
@@ -276,7 +276,7 @@ def test_finite_diff_rejects_nonfinite_loss():
 
 class ScalarModel:
     def __init__(self, w0):
-        self.w = np.array([w0])
+        self.w = self.flat = np.array([w0])
 
     def parameters(self):
         return {"w": self.w}
@@ -319,6 +319,96 @@ def test_step_clears_the_tape():
     tape = nn.TapeGradients({"w": np.array([2.0])})
     opt.step(m, tape)
     assert tape.grads["w"][0] == 0.0
+
+
+def reference_adam(params, grad_steps, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam written out one parameter array at a time."""
+    params = {name: arr.copy() for name, arr in params.items()}
+    m = {name: np.zeros_like(arr) for name, arr in params.items()}
+    v = {name: np.zeros_like(arr) for name, arr in params.items()}
+    for t, grads in enumerate(grad_steps, start=1):
+        for name in params:
+            g = grads[name]
+            m[name] = b1 * m[name] + (1 - b1) * g
+            v[name] = b2 * v[name] + (1 - b2) * g * g
+            m_hat = m[name] / (1 - b1**t)
+            v_hat = v[name] / (1 - b2**t)
+            params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return params
+
+
+def test_flat_adam_matches_per_parameter_reference_bitwise():
+    rng = make_rng(21)
+    t = nn.TeacherModel.build(5, 6, 8, 3, 2, rng)
+    start = {name: arr.copy() for name, arr in t.parameters().items()}
+    grad_steps = [
+        {name: rng.normal(scale=10.0 ** rng.integers(-4, 2), size=arr.shape) for name, arr in start.items()}
+        for _ in range(50)
+    ]
+    opt = nn.Optimizer(kind=nn.ADAM, learning_rate=3e-3)
+    for grads in grad_steps:
+        opt.step(t, nn.TapeGradients(grads))
+    expected = reference_adam(start, grad_steps, lr=3e-3)
+    for name, arr in t.parameters().items():
+        np.testing.assert_array_equal(arr, expected[name], err_msg=name)
+
+
+def assert_parameters_view_flat(model):
+    params = model.parameters()
+    assert model.flat.ndim == 1 and model.flat.dtype == np.float64
+    assert sum(arr.size for arr in params.values()) == model.flat.size
+    np.testing.assert_array_equal(np.concatenate([arr.reshape(-1) for arr in params.values()]), model.flat)
+    x = make_rng(22).normal(size=(3, model.input_proj.in_dim))
+    before = model.forward(x)[0].copy()
+    for i, (name, arr) in enumerate(params.items()):
+        assert np.shares_memory(arr, model.flat), name
+        arr[...] = i  # writes through to the buffer
+    np.testing.assert_array_equal(
+        model.flat, np.concatenate([np.full(arr.size, i) for i, arr in enumerate(params.values())]))
+    assert not np.array_equal(model.forward(x)[0], before)
+
+
+def teacher_and_student(seed):
+    rng = make_rng(seed)
+    return nn.TeacherModel.build(4, 6, 8, 2, 3, rng), nn.StudentModel.build(4, 6, 3, rng)
+
+
+def loaded_copies(tmp_path, mode):
+    loaded = []
+    for i, model in enumerate(teacher_and_student(23)):
+        nn.save_model(model, tmp_path / f"{i}.json", mode=mode)
+        loaded.append(nn.load_model(tmp_path / f"{i}.json"))
+    return loaded
+
+
+@pytest.mark.parametrize("origin", ["build", "copy", "load-binary", "load-json", "round-trip"])
+def test_parameters_are_views_of_one_flat_buffer(tmp_path, origin):
+    if origin == "build":
+        models = teacher_and_student(24)
+    elif origin == "copy":
+        models = [m.copy() for m in teacher_and_student(24)]
+    elif origin == "load-binary":
+        models = loaded_copies(tmp_path, "binary")
+    elif origin == "load-json":
+        models = loaded_copies(tmp_path, "json")
+    else:
+        first = loaded_copies(tmp_path, "binary")
+        models = []
+        for i, model in enumerate(first):
+            nn.save_model(model, tmp_path / f"again-{i}.json")
+            models.append(nn.load_model(tmp_path / f"again-{i}.json"))
+    for model in models:
+        assert_parameters_view_flat(model)
+
+
+def test_copy_owns_a_separate_buffer():
+    t, s = teacher_and_student(25)
+    for model in (t, s):
+        twin = model.copy()
+        np.testing.assert_array_equal(twin.flat, model.flat)
+        twin.flat[...] = 0.0
+        assert not np.shares_memory(twin.flat, model.flat)
+        assert np.any(model.flat != 0.0)
 
 
 # -- determinism and checkpoints -------------------------------------------------
