@@ -11,10 +11,13 @@ Exit codes: 0 success, 2 user or config error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
+import os
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -392,6 +395,32 @@ def cmd_perf(config_path: str, seed_override: int | None, out_override: str | No
     return EXIT_OK
 
 
+def _run_names(metric_paths: list[str]) -> list[str]:
+    """One distinct name per metrics file: its stem (or, for ``metrics.json``, its
+    directory), with parent directories prepended while names collide; the
+    same file given twice gets ``#2``, ``#3``, ... on its repeats."""
+    parts = []
+    for path in metric_paths:
+        p = Path(os.path.abspath(path))
+        dirs = [d for d in p.parent.parts if d != p.anchor]
+        parts.append((dirs if p.stem == "metrics" else [*dirs, p.stem]) or [p.stem])
+    depth = [1] * len(parts)
+    while True:
+        names = ["/".join(ps[-d:]) for ps, d in zip(parts, depth)]
+        grow = [i for i, name in enumerate(names) if depth[i] < len(parts[i]) and any(
+            other == name and ps != parts[i] for other, ps in zip(names, parts))]
+        if not grow:
+            break
+        for i in grow:
+            depth[i] += 1
+    seen = Counter()
+    for i, name in enumerate(names):
+        seen[name] += 1
+        if seen[name] > 1:
+            names[i] = f"{name}#{seen[name]}"
+    return names
+
+
 def cmd_report(metric_paths: list[str], out_override: str | None) -> int:
     started = time.monotonic()
     if not metric_paths:
@@ -409,31 +438,32 @@ def cmd_report(metric_paths: list[str], out_override: str | None) -> int:
         missing = required - data.keys()
         if missing:
             raise ConfigError(f"{path}: metrics schema mismatch, missing {sorted(missing)}")
-        runs.append((p.stem if p.stem != "metrics" else p.parent.name, data))
+        runs.append(data)
+    names = _run_names(metric_paths)
 
-    by_avg = sorted(
-        (name for name, d in runs if d["avg_latency_ms"] is not None),
-        key=lambda name: next(d["avg_latency_ms"] for n, d in runs if n == name),
-    )
-    ranks = {name: i + 1 for i, name in enumerate(by_avg)}
+    by_avg = sorted((i for i, d in enumerate(runs) if d["avg_latency_ms"] is not None),
+                    key=lambda i: runs[i]["avg_latency_ms"])
+    ranks = {i: rank for rank, i in enumerate(by_avg, start=1)}
 
-    comparison = out_dir / "comparison.csv"
-    with open(comparison, "w", encoding="utf-8", newline="") as fh:
-        fh.write("run,avg_latency_ms,p95_latency_ms,throughput_per_gpu,completed,rank_avg_latency\n")
-        for name, d in runs:
-            def fmt(x):
-                return "" if x is None else f"{x:.6f}"
-            fh.write(f"{name},{fmt(d['avg_latency_ms'])},{fmt(d['p95_latency_ms'])},"
-                     f"{fmt(d['throughput_per_gpu'])},{d['completed']},{ranks.get(name, '')}\n")
+    def fmt(x):
+        return "" if x is None else f"{x:.6f}"
 
-    long_csv = out_dir / "long.csv"
-    with open(long_csv, "w", encoding="utf-8", newline="") as fh:
-        fh.write("time_ms,series,value\n")
-        for name, d in runs:
+    with open(out_dir / "comparison.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["run", "avg_latency_ms", "p95_latency_ms", "throughput_per_gpu", "completed",
+                         "rank_avg_latency"])
+        for i, (name, d) in enumerate(zip(names, runs)):
+            writer.writerow([name, fmt(d["avg_latency_ms"]), fmt(d["p95_latency_ms"]),
+                             fmt(d["throughput_per_gpu"]), d["completed"], ranks.get(i, "")])
+
+    with open(out_dir / "long.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["time_ms", "series", "value"])
+        for name, d in zip(names, runs):
             for t, k in d["student_number_timeline"]:
-                fh.write(f"{t:.6f},{name}/student_number,{k}\n")
+                writer.writerow([f"{t:.6f}", f"{name}/student_number", k])
             for t, a in d["accuracy_timeline"]:
-                fh.write(f"{t:.6f},{name}/accuracy,{a:.6f}\n")
+                writer.writerow([f"{t:.6f}", f"{name}/accuracy", f"{a:.6f}"])
     return EXIT_OK
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,6 +103,13 @@ class DistillConfig:
         a, b = self.subsample_top_pct, self.subsample_rand_pct
         if not (0 <= a <= 100 and 0 <= b <= 100 and a + b <= 100):
             raise ValueError("subsample percentages must satisfy 0 <= a, b and a + b <= 100")
+        for name, low in (("max_students", 1), ("epochs_per_student", 1), ("batch_size", 1),
+                          ("pruning_epochs", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate!r}")
 
 
 @dataclass
@@ -176,10 +184,6 @@ class EnsembleState:
             final, _ = student.forward(x)
             out = alpha * final if out is None else out + alpha * final
         return out
-
-
-def ensemble_rep(state: EnsembleState, x: np.ndarray, k: int) -> np.ndarray:
-    return state.rep(x, k)
 
 
 # -- losses ------------------------------------------------------------------
@@ -495,41 +499,39 @@ def accumulate_prefix_gradients(
     xb: np.ndarray,
     teacher_logits: np.ndarray,
     temperature: float,
+    layout: list[tuple] | None = None,
 ) -> tuple[nn.TapeGradients, float]:
     """One batch of the pruning objective: sum over k of soft CE on prefix k.
 
-    Every student runs forward once; gradients from each prefix loss are
-    added, prefix by prefix, into one flat tape covering the classifier and
-    all students, which equals the gradient of the summed loss.
+    Every student runs forward once, one cumulative sum builds all M prefix
+    representations, and the classifier runs forward and backward once over
+    them stacked, which sums its per-prefix gradients. Student j feeds every
+    prefix k >= j, and backward is linear in its upstream gradient, so each
+    student back-propagates once, with alpha_j times the suffix sum over
+    k >= j of the prefix representations' gradients. The tape covers the
+    classifier and then every student (``layout``, built from the state
+    when not given).
     """
-    m = len(state)
+    m, n = len(state), len(xb)
     clf = state.classifier
-    finals = []
-    for student in state.students:
-        f, _ = student.forward(xb)
-        finals.append(f)
-    layout = _pruning_layout(state)
-    grad = np.zeros(layout[-1][2])
-    clf_bias, clf_stop = clf.weight.size, clf.weight.size + clf.bias.size
-    bounds = [clf_stop]
-    for student in state.students:
-        bounds.append(bounds[-1] + student.flat.size)
-    total = 0.0
-    n = len(xb)
-    rep = np.zeros_like(finals[0])
-    t_soft = _softmax(np.asarray(teacher_logits) / temperature)
-    for k in range(1, m + 1):
-        rep = rep + state.multipliers[k - 1] * finals[k - 1]
-        logits = clf.forward(rep)
-        total += soft_cross_entropy(logits, teacher_logits, temperature)
-        s_soft = _softmax(logits / temperature)
-        d_logits = (s_soft - t_soft) / (temperature * n)
-        d_rep, dw, db = clf.backward(d_logits)
-        grad[:clf_bias] += dw.reshape(-1)
-        grad[clf_bias:clf_stop] += db
-        for j in range(k):
-            student_tape = state.students[j].backward(state.multipliers[j] * d_rep, None)
-            grad[bounds[j]:bounds[j + 1]] += student_tape.flat
+    layout = _pruning_layout(state) if layout is None else layout
+    alphas = np.asarray(state.multipliers)[:, None, None]
+    finals = np.stack([student.forward(xb)[0] for student in state.students])
+    reps = np.cumsum(alphas * finals, axis=0).reshape(m * n, -1)  # same additions as rep + alpha * f
+    logits = clf.forward(reps)
+    t_logits = np.tile(np.asarray(teacher_logits, dtype=np.float64), (m, 1))
+    total = m * soft_cross_entropy(logits, t_logits, temperature)
+    d_logits = (_softmax(logits / temperature) - _softmax(t_logits / temperature)) / (temperature * n)
+    d_reps, dw, db = clf.backward(d_logits)
+    suffix = np.cumsum(d_reps.reshape(m, n, -1)[::-1], axis=0)[::-1]
+    grad = np.empty(layout[-1][2])
+    start = clf.weight.size
+    grad[:start] = dw.reshape(-1)
+    grad[start:start + db.size] = db
+    start += db.size
+    for alpha, student, d_rep in zip(state.multipliers, state.students, suffix):
+        grad[start:start + student.flat.size] = student.backward(alpha * d_rep, None).flat
+        start += student.flat.size
     return nn.TapeGradients.over(grad, layout), total
 
 
@@ -564,13 +566,14 @@ def adaptive_pruning(
     _, t_logits_train = teacher.forward(splits.train.inputs)
     opt = nn.Optimizer(kind=nn.ADAM, learning_rate=cfg.learning_rate)
     params = _PruningParams(state)
+    layout = _pruning_layout(state)
     n = len(splits.train)
     for _epoch in range(cfg.pruning_epochs):
         perm = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
             tape, loss = accumulate_prefix_gradients(
-                state, splits.train.inputs[idx], t_logits_train[idx], cfg.soft_ce_temperature
+                state, splits.train.inputs[idx], t_logits_train[idx], cfg.soft_ce_temperature, layout
             )
             if not np.isfinite(loss):
                 raise FloatingPointError("pruning loss diverged")

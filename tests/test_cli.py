@@ -1,4 +1,5 @@
 import base64
+import csv
 import json
 from pathlib import Path
 
@@ -256,6 +257,26 @@ def test_distill_corrupt_teacher_checkpoint_exits_config(tmp_path, capsys, disti
     assert "config error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("mode", ["distill", "prune"])
+@pytest.mark.parametrize("knob, value", [
+    ("batch_size", 0), ("batch_size", 1.5), ("learning_rate", -1), ("learning_rate", 0),
+    ("max_students", 0), ("epochs_per_student", 0), ("pruning_epochs", -1),
+])
+def test_invalid_distill_knobs_exit_config(tmp_path, capsys, distilled, mode, knob, value):
+    if mode == "distill":
+        cfg_path = small_distill_config(tmp_path)
+        cfg = json.loads(Path(cfg_path).read_text())
+    else:
+        cfg_path = str(tmp_path / "prune.json")
+        cfg = {"mode": "prune", "seed": 5, "out_dir": str(tmp_path / "prune_out"),
+               "distill_dir": str(distilled), "distill": {"pruning_epochs": 1}}
+    cfg["distill"][knob] = value
+    Path(cfg_path).write_text(json.dumps(cfg))
+    assert cli.main([mode, "--config", cfg_path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and knob in err and "Traceback" not in err
+
+
 # -- simulate -------------------------------------------------------------------------
 
 
@@ -370,3 +391,45 @@ def test_report_schema_mismatch_exits_config(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"avg_latency_ms": 1.0}))
     assert cli.main(["report", str(bad)]) == cli.EXIT_CONFIG
+
+
+def read_csv(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_report_names_colliding_runs_by_their_parent_dirs(tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b" / "a").mkdir(parents=True)
+    fake_metrics(tmp_path / "a" / "metrics.json", avg=3.0)
+    fake_metrics(tmp_path / "b" / "a" / "metrics.json", avg=2.0)
+    fake_metrics(tmp_path / "c.json", avg=2.5)
+    out = tmp_path / "rep"
+    paths = [tmp_path / "a" / "metrics.json", tmp_path / "b" / "a" / "metrics.json", tmp_path / "c.json"]
+    assert cli.main(["report", *map(str, paths), "--out", str(out)]) == cli.EXIT_OK
+    rows = read_csv(out / "comparison.csv")[1:]
+    assert [(r[0], r[5]) for r in rows] == [(f"{tmp_path.name}/a", "3"), ("b/a", "1"), ("c", "2")]
+    series = {r[1] for r in read_csv(out / "long.csv")[1:]}
+    assert series == {f"{name}/{s}" for name in (f"{tmp_path.name}/a", "b/a", "c")
+                      for s in ("student_number", "accuracy")}
+
+
+def test_report_same_file_twice_gets_distinct_names_and_ranks(tmp_path):
+    m = tmp_path / "x.json"
+    fake_metrics(m, avg=3.0)
+    out = tmp_path / "rep"
+    assert cli.main(["report", str(m), str(m), "--out", str(out)]) == cli.EXIT_OK
+    rows = read_csv(out / "comparison.csv")[1:]
+    assert [(r[0], r[5]) for r in rows] == [("x", "1"), ("x#2", "2")]
+
+
+def test_report_escapes_names_with_commas_and_quotes(tmp_path):
+    m = tmp_path / 'run,one "fast".json'
+    fake_metrics(m, avg=2.5, completed=7)
+    out = tmp_path / "rep"
+    assert cli.main(["report", str(m), "--out", str(out)]) == cli.EXIT_OK
+    rows = read_csv(out / "comparison.csv")
+    assert rows[1] == ['run,one "fast"', "2.500000", "3.000000", "400.000000", "7", "1"]
+    long_rows = read_csv(out / "long.csv")
+    assert long_rows[1] == ["0.000000", 'run,one "fast"/student_number', "3"]
+    assert long_rows[2] == ["0.000000", 'run,one "fast"/accuracy', "0.950000"]

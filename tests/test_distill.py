@@ -56,20 +56,20 @@ def fast_cfg(**overrides):
     return dst.DistillConfig(**base)
 
 
-# -- ensemble_rep ----------------------------------------------------------------
+# -- EnsembleState.rep -----------------------------------------------------------
 
 
 def test_ensemble_rep_single_student_is_identity_multiplier():
     s = constant_student(3, 2, [1.0, 0.0])
     state = dst.EnsembleState([s], [1.0])
-    np.testing.assert_array_equal(dst.ensemble_rep(state, np.zeros(3), 1), [1.0, 0.0])
+    np.testing.assert_array_equal(state.rep(np.zeros(3), 1), [1.0, 0.0])
 
 
 def test_ensemble_rep_two_students_weighted_sum():
     s0 = constant_student(3, 2, [1.0, 0.0])
     s1 = constant_student(3, 2, [0.0, 2.0])
     state = dst.EnsembleState([s0, s1], [1.0, 0.5])
-    np.testing.assert_allclose(dst.ensemble_rep(state, np.zeros(3), 2), [1.0, 1.0])
+    np.testing.assert_allclose(state.rep(np.zeros(3), 2), [1.0, 1.0])
 
 
 def test_ensemble_rep_matches_scalar_loop_oracle():
@@ -127,6 +127,21 @@ def test_loss_width_mismatch():
         dst.boost_loss([1, 0], [0, 0, 0], [1, 0])
     with pytest.raises(ValueError):
         dst.stack_loss([1, 0], [0.0])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("batch_size", 0), ("batch_size", 2.5), ("batch_size", True), ("max_students", 0),
+    ("epochs_per_student", -1), ("pruning_epochs", -1), ("pruning_epochs", 1.0),
+    ("learning_rate", 0.0), ("learning_rate", -1.0), ("learning_rate", math.nan),
+    ("learning_rate", math.inf),
+])
+def test_distill_config_rejects_bad_training_knobs(field, value):
+    with pytest.raises(ValueError, match=field):
+        dst.DistillConfig(**{field: value})
+
+
+def test_distill_config_accepts_zero_pruning_epochs():
+    assert dst.DistillConfig(pruning_epochs=0, max_students=1, batch_size=1).pruning_epochs == 0
 
 
 # -- line search and boosting step -------------------------------------------------
@@ -554,6 +569,79 @@ def test_accumulated_gradients_match_summed_loss_finite_differences():
     assert checked > 20
 
 
+def quadratic_prefix_gradients(state, xb, teacher_logits, temperature):
+    """Reference: per prefix k, a classifier round trip, then a backward of every student j <= k."""
+    clf = state.classifier
+    finals = [student.forward(xb)[0] for student in state.students]
+    grads = {"classifier.weight": np.zeros_like(clf.weight), "classifier.bias": np.zeros_like(clf.bias)}
+    for j, student in enumerate(state.students):
+        for name, arr in student.parameters().items():
+            grads[f"students.{j}.{name}"] = np.zeros_like(arr)
+    total, rep = 0.0, np.zeros_like(finals[0])
+    t_soft = dst._softmax(teacher_logits / temperature)
+    for k in range(1, len(state) + 1):
+        rep = rep + state.multipliers[k - 1] * finals[k - 1]
+        logits = clf.forward(rep)
+        total += dst.soft_cross_entropy(logits, teacher_logits, temperature)
+        d_logits = (dst._softmax(logits / temperature) - t_soft) / (temperature * len(xb))
+        d_rep, dw, db = clf.backward(d_logits)
+        grads["classifier.weight"] += dw
+        grads["classifier.bias"] += db
+        for j in range(k):
+            tape = state.students[j].backward(state.multipliers[j] * d_rep, None)
+            for name, g in tape.grads.items():
+                grads[f"students.{j}.{name}"] += g
+    return grads, total
+
+
+def random_pruning_state(m, seed, d_in=5, rep_dim=6, n_classes=3):
+    rng = make_rng(seed)
+    students = [nn.StudentModel.build(d_in, rep_dim, 2, rng) for _ in range(m)]
+    state = dst.EnsembleState(students, [1.0, *rng.uniform(-1.5, 1.5, size=m - 1)])
+    state.classifier = nn.DenseLayer.init(n_classes, rep_dim, nn.IDENTITY, rng)
+    return state, rng.normal(size=(32, d_in)), 3.0 * rng.normal(size=(32, n_classes))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+@pytest.mark.parametrize("temperature", [1.0, 2.0])
+def test_prefix_gradients_match_quadratic_reference(m, temperature):
+    state, xb, t_logits = random_pruning_state(m, seed=70 + m)
+    assert m == 1 or any(a not in (0.0, 1.0) for a in state.multipliers[1:])
+    tape, loss = dst.accumulate_prefix_gradients(state, xb, t_logits, temperature)
+    expected, expected_loss = quadratic_prefix_gradients(state, xb, t_logits, temperature)
+    assert [name for name, *_ in tape.layout] == list(expected)
+    for name, ref in expected.items():
+        np.testing.assert_allclose(tape.grads[name], ref, rtol=1e-12, atol=1e-14, err_msg=name)
+    assert loss == pytest.approx(expected_loss, rel=1e-12, abs=0)
+    layout = dst._pruning_layout(state)
+    again, again_loss = dst.accumulate_prefix_gradients(state, xb, t_logits, temperature, layout)
+    np.testing.assert_array_equal(again.flat, tape.flat)
+    assert again_loss == loss and again.layout is layout
+
+
+def test_prefix_gradients_back_propagate_each_student_once(monkeypatch):
+    m = 8
+    state, xb, t_logits = random_pruning_state(m, seed=80)
+    calls = []
+    backward = nn.StudentModel.backward
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return backward(self, *args, **kwargs)
+
+    monkeypatch.setattr(nn.StudentModel, "backward", counting)
+    dst.accumulate_prefix_gradients(state, xb, t_logits, temperature=2.0)
+    assert len(calls) == m
+    assert [id(s) for s in calls] == [id(s) for s in state.students]
+
+
+def test_prefix_gradients_reject_non_finite_logits():
+    state, xb, t_logits = random_pruning_state(3, seed=81)
+    t_logits[4, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        dst.accumulate_prefix_gradients(state, xb, t_logits, temperature=1.0)
+
+
 def test_pruning_params_share_one_buffer_with_the_models():
     teacher, splits, cfg, state = small_trained_state(seed=2, max_students=2)
     state.classifier = nn.DenseLayer.init(2, teacher.rep_dim, nn.IDENTITY, make_rng(52))
@@ -663,11 +751,14 @@ def test_ensemble_round_trip(tmp_path):
 
 # sha256 prefixes of each artifact of the toy pipeline below, recorded before the
 # kernel moved to flat parameter buffers; any change in float summation order or
-# in the optimizer's arithmetic shows up here
+# in the optimizer's arithmetic shows up here. The two "ensemble" hashes were
+# re-pinned when the pruning pass began summing prefix gradients over suffixes
+# (same gradient, different float summation order; was c3c71df2d8a308ef for
+# Adam and 297120b02c4516b6 for SGD).
 PINNED_TRAINING = {
-    nn.ADAM: {"teacher": "f975af0bcd87ffc5", "ensemble": "c3c71df2d8a308ef",
+    nn.ADAM: {"teacher": "f975af0bcd87ffc5", "ensemble": "a05ba023611dbd9d",
               "records": "0877c1891020d1ff", "table": "f9c0087d14f5d17b"},
-    nn.SGD: {"teacher": "69728be5462d2ca1", "ensemble": "297120b02c4516b6",
+    nn.SGD: {"teacher": "69728be5462d2ca1", "ensemble": "b242c4ef449df6bf",
              "records": "5946accd48cdf740", "table": "d877f5d95726b7a6"},
 }
 
