@@ -5,7 +5,11 @@ keys abort), writes machine-readable outputs plus a manifest with content
 hashes, and is bit-reproducible for a fixed seed apart from the manifest's
 wall-clock field.
 
-Exit codes: 0 success, 2 user or config error, 3 numeric failure.
+Exit codes: 0 success, 2 user or config error, 3 numeric failure. Each
+mode first parses and loads all of its input inside ``_bad_input``, where
+any malformed value becomes a config error; training, simulation and
+writing outputs come after that phase, so a numeric failure there still
+exits 3 and a fault in the program still shows its traceback.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import os
 import sys
 import time
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -37,7 +42,18 @@ class ConfigError(Exception):
     pass
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], ctx: str) -> None:
+@contextmanager
+def _bad_input():
+    """The parse-and-load phase of a mode: any malformed input in it is a config error."""
+    try:
+        yield
+    except (ValueError, TypeError, KeyError, AttributeError, IndexError, ZeroDivisionError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _require_keys(obj, allowed: set[str], required: set[str], ctx: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{ctx} must be a JSON object, got {json.dumps(obj)[:60]}")
     for key in obj:
         if key not in allowed:
             raise ConfigError(f"unknown key '{key}' in {ctx}")
@@ -46,138 +62,113 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], ctx: str) ->
             raise ConfigError(f"missing key '{key}' in {ctx}")
 
 
-def _load_config(path: str) -> dict:
-    p = Path(path)
+def _present(obj: dict, *keys: str) -> dict:
+    """The named keys that ``obj`` sets, so that unset ones take the callee's defaults."""
+    return {k: obj[k] for k in keys if k in obj}
+
+
+def _open_run(config_path: str, mode: str, keys: set[str], required: set[str],
+              seed_override: int | None, out_override: str | None):
+    """Start the clock, load and check the config, pick the seed, create the output directory."""
+    started = time.monotonic()
+    p = Path(config_path)
     if not p.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        return json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raise ConfigError(f"config file not found: {config_path}")
+    config = json.loads(p.read_text(encoding="utf-8"))
+    _require_keys(config, {"mode", "seed", "out_dir", *keys}, {"mode", "out_dir", *required}, "config")
+    if config["mode"] != mode:
+        raise ConfigError(f"config mode is '{config['mode']}', expected '{mode}'")
+    seed = seed_override if seed_override is not None else config.get("seed")
+    out_dir = Path(out_override or config["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return config, seed, out_dir, started
 
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(out_dir: Path, config: dict, outputs: list[Path], started: float) -> None:
-    manifest = {
-        "version": __version__,
-        "config": config,
-        "duration_ms": (time.monotonic() - started) * 1000.0,
-        "outputs": {p.name: _sha256(p) for p in sorted(outputs)},
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
-
-
 def _json_dump(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=1) + "\n", encoding="utf-8")
 
 
-# -- config parsing ------------------------------------------------------------
+def _write_manifest(out_dir: Path, config, outputs: list[Path], started: float) -> None:
+    _json_dump(out_dir / "manifest.json", {
+        "version": __version__,
+        "config": config,
+        "duration_ms": (time.monotonic() - started) * 1000.0,
+        "outputs": {p.name: _sha256(p) for p in sorted(outputs)},
+    })
 
 
-def _parse_task(obj: dict, seed: int) -> dst.DataSplits:
+def _write_csv(path: Path, rows: list[list]) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+# -- config parsing (each runs inside a mode's parse phase) ----------------------
+
+
+def _parse_task(obj, seed: int) -> dst.DataSplits:
     allowed = {"kind", "n_classes", "d_in", "n_train", "n_val", "n_test", "class_sep"}
     _require_keys(obj, allowed, {"kind"}, "task")
     if obj["kind"] != "gaussian":
         raise ConfigError(f"unknown task kind '{obj['kind']}'")
-    return dst.make_gaussian_task(
-        n_classes=obj.get("n_classes", 2),
-        d_in=obj.get("d_in", 8),
-        n_train=obj.get("n_train", 256),
-        n_val=obj.get("n_val", 128),
-        n_test=obj.get("n_test", 256),
-        class_sep=obj.get("class_sep", 2.0),
-        seed=fork_seed(seed, "task"),
-    )
+    return dst.make_gaussian_task(seed=fork_seed(seed, "task"),
+                                  **{k: v for k, v in obj.items() if k != "kind"})
 
 
-def _parse_distill_cfg(obj: dict, seed: int) -> dst.DistillConfig:
+def _parse_distill_cfg(obj, seed: int) -> dst.DistillConfig:
     allowed = {
         "lambda_stack", "subsample_top_pct", "subsample_rand_pct", "max_students",
         "epochs_per_student", "soft_ce_temperature", "overfit_patience",
         "batch_size", "learning_rate", "pruning_epochs", "min_improvement",
     }
     _require_keys(obj, allowed, set(), "distill")
-    try:
-        return dst.DistillConfig(seed=seed, **obj)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad distill config: {exc}") from exc
+    return dst.DistillConfig(seed=seed, **obj)
 
 
-def _parse_teacher_cfg(obj: dict) -> dict:
-    allowed = {"depth", "rep_dim", "hidden_dim", "epochs", "learning_rate", "optimizer", "checkpoint"}
-    _require_keys(obj, allowed, set(), "teacher")
-    if obj.get("optimizer", "adam") not in ("adam", "sgd"):
-        raise ConfigError(f"unknown optimizer '{obj['optimizer']}' in teacher")
-    return {
-        "depth": obj.get("depth", 12),
-        "rep_dim": obj.get("rep_dim", 16),
-        "hidden_dim": obj.get("hidden_dim", 32),
-        "epochs": obj.get("epochs", 300),
-        "learning_rate": obj.get("learning_rate", 1e-3),
-        "optimizer": obj.get("optimizer", "adam"),
-        "checkpoint": obj.get("checkpoint"),
-    }
+def _calibrated(cal: dict, reference: pm.PerfFactors) -> pm.PerfModel:
+    model = pm.PerfModel()
+    model.calibrate(reference, cal.get("observed_latency_ms", pm.REFERENCE_OBSERVED_LATENCY_MS))
+    return model
 
 
-def _parse_factors(obj: dict) -> sim.ServiceFactors:
+def _parse_factors(obj) -> sim.ServiceFactors:
     allowed = {"depth", "width_per_student", "capacity_per_gpu", "pcie_tokens_per_ms",
                "gather_ms", "calibration"}
     _require_keys(obj, allowed, set(), "factors")
-    model = pm.PerfModel()
     cal = obj.get("calibration", {})
     _require_keys(cal, {"observed_latency_ms", "gpus", "arrival_rps"}, set(), "factors.calibration")
-    reference = pm.baseline_reference(
-        gpus=cal.get("gpus", 4), arrival_rps=cal.get("arrival_rps", 2000.0)
-    )
-    reference = replace(
-        reference,
-        capacity=obj.get("capacity_per_gpu", pm.DEFAULT_CAPACITY),
-        pcie_tokens_per_ms=obj.get("pcie_tokens_per_ms", pm.DEFAULT_PCIE_TOKENS_PER_MS),
-    )
-    try:
-        model.calibrate(reference, cal.get("observed_latency_ms", pm.REFERENCE_OBSERVED_LATENCY_MS))
-    except ValueError as exc:
-        raise ConfigError(f"infeasible calibration: {exc}") from exc
-    return sim.ServiceFactors(
-        model=model,
-        depth=obj.get("depth", 2),
-        width_per_student=obj.get("width_per_student", 256),
-        capacity=obj.get("capacity_per_gpu", pm.DEFAULT_CAPACITY),
-        pcie_tokens_per_ms=obj.get("pcie_tokens_per_ms", pm.DEFAULT_PCIE_TOKENS_PER_MS),
-        gather_ms=obj.get("gather_ms", pm.DEFAULT_GATHER_MS),
-    )
+    kwargs = {"capacity" if k == "capacity_per_gpu" else k: v for k, v in obj.items() if k != "calibration"}
+    reference = replace(pm.baseline_reference(**_present(cal, "gpus", "arrival_rps")),
+                        **_present(kwargs, "capacity", "pcie_tokens_per_ms"))
+    return sim.ServiceFactors(model=_calibrated(cal, reference), **kwargs)
 
 
-def _parse_cluster(obj: dict, accuracy_table: dst.AccuracyTable) -> sim.ClusterConfig:
+def _parse_accuracy_table(obj) -> dst.AccuracyTable:
+    _require_keys(obj, {"kind", "path", "students", "base", "step"}, {"kind"}, "accuracy_table")
+    if obj["kind"] == "csv":
+        return dst.load_accuracy_table(Path(obj["path"]))
+    if obj["kind"] == "flat":
+        base, step = obj.get("base", 0.93), obj.get("step", 0.01)
+        return dst.AccuracyTable([(k, min(1.0, base + step * (k - 1)), min(1.0, base + step * (k - 1)))
+                                  for k in range(1, obj.get("students", 3) + 1)])
+    raise ConfigError(f"unknown accuracy_table kind '{obj['kind']}'")
+
+
+def _parse_cluster(obj, accuracy_table: dst.AccuracyTable) -> sim.ClusterConfig:
     allowed = {"nodes", "gpus_per_node", "group_size", "replicas_per_gpu", "bin_width",
-               "num_bins", "max_len", "max_merge", "pad_to_max", "batch_timeout_ms", "controller"}
+               "num_bins", "max_merge", "pad_to_max", "batch_timeout_ms", "controller"}
     _require_keys(obj, allowed, set(), "cluster")
-    ctl_obj = obj.get("controller", {})
-    _require_keys(ctl_obj, {"idle_window_ms", "min_students", "max_students"}, set(), "cluster.controller")
-    kwargs = {k: v for k, v in obj.items() if k != "controller"}
-    try:
-        controller = sim.ControllerConfig(
-            max_students=ctl_obj.get("max_students", len(accuracy_table)),
-            accuracy_table=accuracy_table,
-            min_students=ctl_obj.get("min_students", 1),
-            idle_window_ms=ctl_obj.get("idle_window_ms", 120_000.0),
-        )
-        return sim.ClusterConfig(controller=controller, **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad cluster config: {exc}") from exc
+    ctl = obj.get("controller", {})
+    _require_keys(ctl, {"idle_window_ms", "min_students", "max_students"}, set(), "cluster.controller")
+    controller = sim.ControllerConfig(accuracy_table=accuracy_table,
+                                      **{"max_students": len(accuracy_table), **ctl})
+    return sim.ClusterConfig(controller=controller, **{k: v for k, v in obj.items() if k != "controller"})
 
 
-def _poisson_requests(spec: sim.PoissonSpec, seed: int, max_len: int, ctx: str) -> list[sim.Request]:
-    try:
-        return sim.generate_workload(spec, seed, max_len=max_len)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {ctx}: {exc}") from exc
-
-
-def _parse_workload(obj: dict, seed: int, max_len: int) -> list[sim.Request]:
+def _parse_workload(obj, seed: int, max_len: int) -> list[sim.Request]:
     allowed = {"kind", "rps", "duration_ms", "length_weights", "path", "scale", "phases"}
     _require_keys(obj, allowed, {"kind"}, "workload")
     kind = obj["kind"]
@@ -187,25 +178,19 @@ def _parse_workload(obj: dict, seed: int, max_len: int) -> list[sim.Request]:
             duration_ms=obj.get("duration_ms", 10_000.0),
             length_weights=tuple(obj["length_weights"]) if obj.get("length_weights") else None,
         )
-        return _poisson_requests(spec, fork_seed(seed, "workload"), max_len, "workload")
+        return sim.generate_workload(spec, fork_seed(seed, "workload"), max_len=max_len)
     if kind == "trace":
         if "path" not in obj:
             raise ConfigError("trace workload requires 'path'")
-        try:
-            return sim.generate_workload(
-                sim.TraceFile(obj["path"], obj.get("scale", 1.0)),
-                fork_seed(seed, "workload"), max_len=max_len,
-            )
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"bad trace: {exc}") from exc
+        return sim.generate_workload(sim.TraceFile(Path(obj["path"]), **_present(obj, "scale")),
+                                     fork_seed(seed, "workload"), max_len=max_len)
     if kind == "phases":
         requests: list[sim.Request] = []
         offset = 0.0
         for i, phase in enumerate(obj.get("phases", [])):
             _require_keys(phase, {"rps", "duration_ms"}, {"rps", "duration_ms"}, f"workload.phases[{i}]")
             spec = sim.PoissonSpec(rps=phase["rps"], duration_ms=phase["duration_ms"])
-            part = _poisson_requests(spec, fork_seed(seed, f"workload-phase-{i}"), max_len,
-                                     f"workload.phases[{i}]")
+            part = sim.generate_workload(spec, fork_seed(seed, f"workload-phase-{i}"), max_len=max_len)
             requests.extend(
                 sim.Request(0, r.arrival_ms + offset, r.length_tokens) for r in part
             )
@@ -214,56 +199,49 @@ def _parse_workload(obj: dict, seed: int, max_len: int) -> list[sim.Request]:
     raise ConfigError(f"unknown workload kind '{kind}'")
 
 
-def _load_checkpoint(load, path):
-    """Run one checkpoint loader; malformed content is a config error, not a traceback."""
-    try:
-        return load(path)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"bad checkpoint {path}: {exc}") from exc
-
-
 def _check_input_width(model, splits, path) -> None:
     if model.input_proj.in_dim != splits.train.inputs.shape[1]:
         raise ConfigError(f"checkpoint {path} takes inputs of width {model.input_proj.in_dim}, "
                           f"the task has width {splits.train.inputs.shape[1]}")
 
 
-# -- commands --------------------------------------------------------------------
+# -- commands: a parse phase under _bad_input, then a run phase ----------------------
 
 
 def cmd_distill(config_path: str, seed_override: int | None, out_override: str | None) -> int:
-    started = time.monotonic()
-    config = _load_config(config_path)
-    _require_keys(config, {"mode", "seed", "out_dir", "task", "teacher", "distill", "student_depth"},
-                  {"mode", "seed", "out_dir"}, "config")
-    if config["mode"] != "distill":
-        raise ConfigError(f"config mode is '{config['mode']}', expected 'distill'")
-    seed = seed_override if seed_override is not None else config["seed"]
-    out_dir = Path(out_override or config["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _bad_input():
+        config, seed, out_dir, started = _open_run(
+            config_path, "distill", {"task", "teacher", "distill", "student_depth"}, {"seed"},
+            seed_override, out_override)
+        splits = _parse_task(config.get("task", {"kind": "gaussian"}), seed)
+        tobj = config.get("teacher", {})
+        _require_keys(tobj, {"depth", "rep_dim", "hidden_dim", "epochs", "learning_rate", "optimizer",
+                             "checkpoint"}, set(), "teacher")
+        dst.check_counts(tobj, {"depth": 1, "rep_dim": 1, "hidden_dim": 1, "epochs": 1})
+        dst.check_positive(tobj, ("learning_rate",))
+        optimizer = tobj.get("optimizer", nn.ADAM)
+        if optimizer not in (nn.ADAM, nn.SGD):
+            raise ConfigError(f"unknown optimizer '{optimizer}' in teacher")
+        checkpoint = tobj.get("checkpoint")
+        if checkpoint:
+            teacher = nn.load_model(Path(checkpoint))
+            if not isinstance(teacher, nn.TeacherModel):
+                raise ConfigError("teacher checkpoint does not contain a teacher model")
+            _check_input_width(teacher, splits, checkpoint)
+        else:
+            teacher = nn.TeacherModel.build(
+                d_in=splits.train.inputs.shape[1], rep_dim=tobj.get("rep_dim", 16),
+                hidden_dim=tobj.get("hidden_dim", 32), depth=tobj.get("depth", 12),
+                n_classes=int(splits.train.labels.max()) + 1,
+                rng=dst.rng_for(seed, "teacher-init"),
+            )
+        cfg = _parse_distill_cfg(config.get("distill", {}), seed)
+        dst.check_counts(config, {"student_depth": 2})
 
-    splits = _parse_task(config.get("task", {"kind": "gaussian"}), seed)
-    tcfg = _parse_teacher_cfg(config.get("teacher", {}))
-    cfg = _parse_distill_cfg(config.get("distill", {}), seed)
-    student_depth = config.get("student_depth", 2)
-
-    if tcfg["checkpoint"]:
-        teacher = _load_checkpoint(nn.load_model, tcfg["checkpoint"])
-        if not isinstance(teacher, nn.TeacherModel):
-            raise ConfigError("teacher checkpoint does not contain a teacher model")
-        _check_input_width(teacher, splits, tcfg["checkpoint"])
-    else:
-        teacher = nn.TeacherModel.build(
-            d_in=splits.train.inputs.shape[1], rep_dim=tcfg["rep_dim"],
-            hidden_dim=tcfg["hidden_dim"], depth=tcfg["depth"],
-            n_classes=int(splits.train.labels.max()) + 1,
-            rng=dst.rng_for(seed, "teacher-init"),
-        )
-        dst.train_teacher(teacher, splits, epochs=tcfg["epochs"],
-                          learning_rate=tcfg["learning_rate"], seed=seed,
-                          optimizer_kind=tcfg["optimizer"])
-
-    state, records = dst.sequential_training(teacher, splits, cfg, student_depth=student_depth)
+    if not checkpoint:
+        dst.train_teacher(teacher, splits, seed=seed, **_present(tobj, "epochs", "learning_rate"),
+                          optimizer_kind=optimizer)
+    state, records = dst.sequential_training(teacher, splits, cfg, **_present(config, "student_depth"))
 
     nn.save_model(teacher, out_dir / "teacher.json")
     dst.save_ensemble(state, out_dir / "ensemble.json")
@@ -286,35 +264,29 @@ def cmd_distill(config_path: str, seed_override: int | None, out_override: str |
 
 
 def cmd_prune(config_path: str, seed_override: int | None, out_override: str | None) -> int:
-    started = time.monotonic()
-    config = _load_config(config_path)
-    _require_keys(config, {"mode", "seed", "out_dir", "distill_dir", "task", "distill"},
-                  {"mode", "seed", "out_dir", "distill_dir"}, "config")
-    if config["mode"] != "prune":
-        raise ConfigError(f"config mode is '{config['mode']}', expected 'prune'")
-    seed = seed_override if seed_override is not None else config["seed"]
-    out_dir = Path(out_override or config["out_dir"])
-    distill_dir = Path(config["distill_dir"])
-    teacher_path = distill_dir / "teacher.json"
-    ensemble_path = distill_dir / "ensemble.json"
-    if not teacher_path.is_file() or not ensemble_path.is_file():
-        raise ConfigError(f"missing distill checkpoints under {distill_dir}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    teacher = _load_checkpoint(nn.load_model, teacher_path)
-    if not isinstance(teacher, nn.TeacherModel):
-        raise ConfigError(f"{teacher_path} does not contain a teacher model")
-    state = _load_checkpoint(dst.load_ensemble, ensemble_path)
-    if len(state) == 0:
-        raise ConfigError(f"{ensemble_path} holds no students")
-    splits = _parse_task(config.get("task", {"kind": "gaussian"}), seed)
-    cfg = _parse_distill_cfg(config.get("distill", {}), seed)
-    _check_input_width(teacher, splits, teacher_path)
-    for student in state.students:
-        _check_input_width(student, splits, ensemble_path)
-        if student.rep_dim != teacher.rep_dim:
-            raise ConfigError(f"{ensemble_path} holds students of width {student.rep_dim}, "
-                              f"the teacher's representation has width {teacher.rep_dim}")
+    with _bad_input():
+        config, seed, out_dir, started = _open_run(
+            config_path, "prune", {"distill_dir", "task", "distill"}, {"seed", "distill_dir"},
+            seed_override, out_override)
+        distill_dir = Path(config["distill_dir"])
+        teacher_path = distill_dir / "teacher.json"
+        ensemble_path = distill_dir / "ensemble.json"
+        if not teacher_path.is_file() or not ensemble_path.is_file():
+            raise ConfigError(f"missing distill checkpoints under {distill_dir}")
+        teacher = nn.load_model(teacher_path)
+        if not isinstance(teacher, nn.TeacherModel):
+            raise ConfigError(f"{teacher_path} does not contain a teacher model")
+        state = dst.load_ensemble(ensemble_path)
+        if len(state) == 0:
+            raise ConfigError(f"{ensemble_path} holds no students")
+        splits = _parse_task(config.get("task", {"kind": "gaussian"}), seed)
+        cfg = _parse_distill_cfg(config.get("distill", {}), seed)
+        _check_input_width(teacher, splits, teacher_path)
+        for student in state.students:
+            _check_input_width(student, splits, ensemble_path)
+            if student.rep_dim != teacher.rep_dim:
+                raise ConfigError(f"{ensemble_path} holds students of width {student.rep_dim}, "
+                                  f"the teacher's representation has width {teacher.rep_dim}")
 
     state, table, best_k = dst.adaptive_pruning(teacher, state, splits, cfg)
 
@@ -333,34 +305,14 @@ def cmd_prune(config_path: str, seed_override: int | None, out_override: str | N
 
 
 def cmd_simulate(config_path: str, seed_override: int | None, out_override: str | None) -> int:
-    started = time.monotonic()
-    config = _load_config(config_path)
-    _require_keys(config, {"mode", "seed", "out_dir", "accuracy_table", "cluster", "factors", "workload"},
-                  {"mode", "seed", "out_dir", "workload"}, "config")
-    if config["mode"] != "simulate":
-        raise ConfigError(f"config mode is '{config['mode']}', expected 'simulate'")
-    seed = seed_override if seed_override is not None else config["seed"]
-    out_dir = Path(out_override or config["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    acc_obj = config.get("accuracy_table", {"kind": "flat", "students": 3})
-    _require_keys(acc_obj, {"kind", "path", "students", "base", "step"}, {"kind"}, "accuracy_table")
-    if acc_obj["kind"] == "csv":
-        try:
-            table = dst.load_accuracy_table(acc_obj["path"])
-        except (OSError, ValueError, KeyError) as exc:
-            raise ConfigError(f"bad accuracy table: {exc}") from exc
-    elif acc_obj["kind"] == "flat":
-        m = acc_obj.get("students", 3)
-        base, step = acc_obj.get("base", 0.93), acc_obj.get("step", 0.01)
-        table = dst.AccuracyTable([(k, min(1.0, base + step * (k - 1)),
-                                    min(1.0, base + step * (k - 1))) for k in range(1, m + 1)])
-    else:
-        raise ConfigError(f"unknown accuracy_table kind '{acc_obj['kind']}'")
-
-    factors = _parse_factors(config.get("factors", {}))
-    cluster = _parse_cluster(config.get("cluster", {}), table)
-    workload = _parse_workload(config["workload"], seed, cluster.max_len)
+    with _bad_input():
+        config, seed, out_dir, started = _open_run(
+            config_path, "simulate", {"accuracy_table", "cluster", "factors", "workload"},
+            {"seed", "workload"}, seed_override, out_override)
+        table = _parse_accuracy_table(config.get("accuracy_table", {"kind": "flat", "students": 3}))
+        factors = _parse_factors(config.get("factors", {}))
+        cluster = _parse_cluster(config.get("cluster", {}), table)
+        workload = _parse_workload(config["workload"], seed, cluster.max_len)
 
     metrics = sim.run_simulation(cluster, workload, factors)
     sim.write_metrics_json(metrics, out_dir / "metrics.json")
@@ -370,26 +322,15 @@ def cmd_simulate(config_path: str, seed_override: int | None, out_override: str 
 
 
 def cmd_perf(config_path: str, seed_override: int | None, out_override: str | None) -> int:
-    started = time.monotonic()
-    config = _load_config(config_path)
-    _require_keys(config, {"mode", "seed", "out_dir", "calibration", "gpus"},
-                  {"mode", "out_dir"}, "config")
-    if config["mode"] != "perf":
-        raise ConfigError(f"config mode is '{config['mode']}', expected 'perf'")
-    out_dir = Path(out_override or config["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _bad_input():
+        config, _, out_dir, started = _open_run(config_path, "perf", {"calibration", "gpus"}, set(),
+                                                seed_override, out_override)
+        cal = config.get("calibration", {})
+        _require_keys(cal, {"observed_latency_ms", "arrival_rps"}, set(), "calibration")
+        setting = {**_present(config, "gpus"), **_present(cal, "arrival_rps")}
+        model = _calibrated(cal, pm.baseline_reference(**setting))
 
-    cal = config.get("calibration", {})
-    _require_keys(cal, {"observed_latency_ms", "arrival_rps"}, set(), "calibration")
-    gpus = config.get("gpus", 4)
-    arrival_rps = cal.get("arrival_rps", 2000.0)
-    model = pm.PerfModel()
-    try:
-        model.calibrate(pm.baseline_reference(gpus, arrival_rps),
-                        cal.get("observed_latency_ms", pm.REFERENCE_OBSERVED_LATENCY_MS))
-    except ValueError as exc:
-        raise ConfigError(f"infeasible calibration: {exc}") from exc
-    rows = model.factor_table(pm.reference_factor_rows(gpus, arrival_rps))
+    rows = model.factor_table(pm.reference_factor_rows(**setting))
     pm.write_factor_table_csv(rows, out_dir / "factors.csv")
     _write_manifest(out_dir, config, [out_dir / "factors.csv"], started)
     return EXIT_OK
@@ -423,47 +364,46 @@ def _run_names(metric_paths: list[str]) -> list[str]:
 
 def cmd_report(metric_paths: list[str], out_override: str | None) -> int:
     started = time.monotonic()
-    if not metric_paths:
-        raise ConfigError("report needs at least one metrics file")
-    out_dir = Path(out_override or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    runs = []
-    for path in metric_paths:
-        p = Path(path)
-        if not p.is_file():
-            raise ConfigError(f"metrics file not found: {path}")
-        data = json.loads(p.read_text(encoding="utf-8"))
-        required = {"avg_latency_ms", "p95_latency_ms", "throughput_per_gpu", "completed",
-                    "student_number_timeline", "accuracy_timeline"}
-        missing = required - data.keys()
-        if missing:
-            raise ConfigError(f"{path}: metrics schema mismatch, missing {sorted(missing)}")
-        runs.append(data)
-    names = _run_names(metric_paths)
+    with _bad_input():
+        if not metric_paths:
+            raise ConfigError("report needs at least one metrics file")
+        out_dir = Path(out_override or ".")
+        out_dir.mkdir(parents=True, exist_ok=True)
+        runs = []
+        for path in metric_paths:
+            p = Path(path)
+            if not p.is_file():
+                raise ConfigError(f"metrics file not found: {path}")
+            data = json.loads(p.read_text(encoding="utf-8"))
+            required = {"avg_latency_ms", "p95_latency_ms", "throughput_per_gpu", "completed",
+                        "student_number_timeline", "accuracy_timeline"}
+            missing = required - data.keys()
+            if missing:
+                raise ConfigError(f"{path}: metrics schema mismatch, missing {sorted(missing)}")
+            runs.append(data)
+        names = _run_names(metric_paths)
 
-    by_avg = sorted((i for i, d in enumerate(runs) if d["avg_latency_ms"] is not None),
-                    key=lambda i: runs[i]["avg_latency_ms"])
-    ranks = {i: rank for rank, i in enumerate(by_avg, start=1)}
+        by_avg = sorted((i for i, d in enumerate(runs) if d["avg_latency_ms"] is not None),
+                        key=lambda i: runs[i]["avg_latency_ms"])
+        ranks = {i: rank for rank, i in enumerate(by_avg, start=1)}
 
-    def fmt(x):
-        return "" if x is None else f"{x:.6f}"
+        def fmt(x):
+            return "" if x is None else f"{x:.6f}"
 
-    with open(out_dir / "comparison.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["run", "avg_latency_ms", "p95_latency_ms", "throughput_per_gpu", "completed",
-                         "rank_avg_latency"])
-        for i, (name, d) in enumerate(zip(names, runs)):
-            writer.writerow([name, fmt(d["avg_latency_ms"]), fmt(d["p95_latency_ms"]),
-                             fmt(d["throughput_per_gpu"]), d["completed"], ranks.get(i, "")])
-
-    with open(out_dir / "long.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["time_ms", "series", "value"])
+        comparison = [["run", "avg_latency_ms", "p95_latency_ms", "throughput_per_gpu", "completed",
+                       "rank_avg_latency"]]
+        comparison += [[name, fmt(d["avg_latency_ms"]), fmt(d["p95_latency_ms"]),
+                        fmt(d["throughput_per_gpu"]), d["completed"], ranks.get(i, "")]
+                       for i, (name, d) in enumerate(zip(names, runs))]
+        long = [["time_ms", "series", "value"]]
         for name, d in zip(names, runs):
-            for t, k in d["student_number_timeline"]:
-                writer.writerow([f"{t:.6f}", f"{name}/student_number", k])
-            for t, a in d["accuracy_timeline"]:
-                writer.writerow([f"{t:.6f}", f"{name}/accuracy", f"{a:.6f}"])
+            long += [[f"{t:.6f}", f"{name}/student_number", k] for t, k in d["student_number_timeline"]]
+            long += [[f"{t:.6f}", f"{name}/accuracy", f"{a:.6f}"] for t, a in d["accuracy_timeline"]]
+
+    _write_csv(out_dir / "comparison.csv", comparison)
+    _write_csv(out_dir / "long.csv", long)
+    _write_manifest(out_dir, {"mode": "report", "metrics": metric_paths},
+                    [out_dir / "comparison.csv", out_dir / "long.csv"], started)
     return EXIT_OK
 
 
@@ -482,26 +422,21 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "distill":
-            return cmd_distill(args.config, args.seed, args.out)
-        if args.command == "prune":
-            return cmd_prune(args.config, args.seed, args.out)
-        if args.command == "simulate":
-            return cmd_simulate(args.config, args.seed, args.out)
-        if args.command == "perf":
-            return cmd_perf(args.config, args.seed, args.out)
         if args.command == "report":
             return cmd_report(args.metrics, args.out)
+        # looked up at call time, so wrappers installed on this module are honoured
+        command = {"distill": cmd_distill, "prune": cmd_prune, "simulate": cmd_simulate,
+                   "perf": cmd_perf}[args.command]
+        return command(args.config, args.seed, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FloatingPointError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -49,6 +49,32 @@ class DataSplits:
     test: Dataset
 
 
+def _named_values(source, names) -> dict:
+    """``source`` if it is a dict, else the named attributes of the object ``source``.
+    Not ``vars(source)``: on CPython 3.11 that slows every later attribute read."""
+    return source if isinstance(source, dict) else {name: getattr(source, name) for name in names}
+
+
+def check_counts(source, lows: dict[str, int]) -> None:
+    """Raise ValueError unless each value named in ``lows`` that ``source`` holds
+    is an integer (not a bool) at or above its lower bound."""
+    values = _named_values(source, lows)
+    for name, low in lows.items():
+        value = values.get(name, low)
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_positive(source, names) -> None:
+    """Raise ValueError unless each named value that ``source`` holds is a finite number > 0."""
+    values = _named_values(source, names)
+    for name in names:
+        value = values.get(name, 1.0)
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+                math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def make_gaussian_task(
     n_classes: int = 2,
     d_in: int = 8,
@@ -64,6 +90,7 @@ def make_gaussian_task(
     with unit-variance noise, so overlap (and therefore the accuracy
     ceiling) is controlled by class_sep.
     """
+    check_counts(locals(), {"d_in": 1, "n_train": 1, "n_val": 1, "n_test": 1})
     if not 2 <= n_classes <= 8:
         raise ValueError("n_classes must be in [2, 8]")
     rng = rng_for(seed, "gaussian-task")
@@ -101,15 +128,13 @@ class DistillConfig:
         if self.soft_ce_temperature <= 0:
             raise ValueError("soft_ce_temperature must be positive")
         a, b = self.subsample_top_pct, self.subsample_rand_pct
-        if not (0 <= a <= 100 and 0 <= b <= 100 and a + b <= 100):
-            raise ValueError("subsample percentages must satisfy 0 <= a, b and a + b <= 100")
-        for name, low in (("max_students", 1), ("epochs_per_student", 1), ("batch_size", 1),
-                          ("pruning_epochs", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate!r}")
+        if not (0 <= a <= 100 and 0 <= b <= 100 and 0 < a + b <= 100):
+            raise ValueError("subsample percentages must satisfy 0 <= a, b and 0 < a + b <= 100")
+        check_counts(self, {"max_students": 1, "epochs_per_student": 1, "batch_size": 1,
+                                  "pruning_epochs": 0, "overfit_patience": 1})
+        check_positive(self, ("learning_rate",))
+        if not math.isfinite(self.min_improvement):
+            raise ValueError(f"min_improvement must be finite, got {self.min_improvement!r}")
 
 
 @dataclass
@@ -121,7 +146,6 @@ class ConvergenceRecord:
     inner_product: float
     step_size: float
     halted: bool
-    lipschitz: float = 1.0
 
 
 @dataclass

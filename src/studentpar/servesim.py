@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distill import AccuracyTable
-from .perfmodel import PerfFactors, PerfModel
+from .distill import AccuracyTable, check_counts, check_positive
+from .perfmodel import DEFAULT_CAPACITY, DEFAULT_GATHER_MS, DEFAULT_PCIE_TOKENS_PER_MS, PerfFactors, PerfModel
 from .seeding import rng_for
 
 
@@ -164,9 +164,6 @@ class LengthAwareBuffer:
     def __len__(self) -> int:
         return len(self.fifo)
 
-    def is_empty(self) -> bool:
-        return not self.fifo
-
     def is_full(self) -> bool:
         return len(self.fifo) >= self.capacity
 
@@ -236,8 +233,11 @@ class ControllerConfig:
     idle_window_ms: float = 120_000.0  # sustained-idle window before adding a student back
 
     def __post_init__(self):
+        check_counts(self, {"min_students": 1, "max_students": 1})
         if not 1 <= self.min_students <= self.max_students:
             raise ValueError("need 1 <= min_students <= max_students")
+        if not self.idle_window_ms >= 0:
+            raise ValueError(f"idle_window_ms must be >= 0, got {self.idle_window_ms!r}")
         if len(self.accuracy_table) < self.max_students:
             raise ValueError("accuracy_table must cover 1..max_students")
 
@@ -251,19 +251,22 @@ class ClusterConfig:
     replicas_per_gpu: int = 3     # simulated MPS slots per GPU
     bin_width: int = 8
     num_bins: int = 16
-    max_len: int = 128
     max_merge: int = 4
     pad_to_max: bool = False           # baseline ablation: pad every sample to max_len
     batch_timeout_ms: float | None = None  # baseline ablation: waiting-queue dispatch
 
     def __post_init__(self):
-        if min(self.nodes, self.gpus_per_node, self.group_size, self.replicas_per_gpu,
-               self.bin_width, self.num_bins, self.max_len, self.max_merge) < 1:
-            raise ValueError("all cluster counts must be >= 1")
-        if self.num_bins * self.bin_width != self.max_len:
-            raise ValueError("num_bins * bin_width must equal max_len")
+        check_counts(self, dict.fromkeys(("nodes", "gpus_per_node", "group_size", "replicas_per_gpu",
+                                                "bin_width", "num_bins", "max_merge"), 1))
         if not self.controller.min_students <= self.group_size <= self.controller.max_students:
             raise ValueError("group_size must lie within the controller's [min, max] range")
+        if self.batch_timeout_ms is not None and not self.batch_timeout_ms >= 0:
+            raise ValueError(f"batch_timeout_ms must be >= 0, got {self.batch_timeout_ms!r}")
+
+    @property
+    def max_len(self) -> int:
+        """Longest sample length in tokens; longer samples are clipped."""
+        return self.num_bins * self.bin_width
 
 
 @dataclass
@@ -271,11 +274,17 @@ class ServiceFactors:
     """Calibrated performance model plus the per-student factor constants."""
 
     model: PerfModel
-    depth: int
-    width_per_student: int
-    capacity: float
-    pcie_tokens_per_ms: float
-    gather_ms: float = 0.2
+    depth: int = 2
+    width_per_student: int = 256
+    capacity: float = DEFAULT_CAPACITY
+    pcie_tokens_per_ms: float = DEFAULT_PCIE_TOKENS_PER_MS
+    gather_ms: float = DEFAULT_GATHER_MS
+
+    def __post_init__(self):
+        check_counts(self, {"depth": 1, "width_per_student": 1})
+        check_positive(self, ("capacity", "pcie_tokens_per_ms"))
+        if not self.gather_ms >= 0:
+            raise ValueError(f"gather_ms must be >= 0, got {self.gather_ms!r}")
 
 
 def service_time(element: BufferElement, k_students: int, cfg: ClusterConfig,
@@ -446,14 +455,10 @@ class Simulation:
         self.acc_timeline: list[tuple[float, float]] = [
             (0.0, cluster.controller.accuracy_table.val_accuracy(self.k))
         ]
+        self.last_event_ms = 0.0  # time of the latest event that is not a heartbeat
         for i, req in enumerate(workload):
             self._push_event(req.arrival_ms, _ARRIVAL, (i % cluster.nodes, req))
-        horizon = (max((r.arrival_ms for r in workload), default=0.0)
-                   + cluster.controller.idle_window_ms + 5 * HEARTBEAT_MS)
-        t = 0.0
-        while t <= horizon:
-            self._push_event(t, _HEARTBEAT, None)
-            t += HEARTBEAT_MS
+        self._push_event(0.0, _HEARTBEAT, None)
 
     def _push_event(self, t: float, kind: str, payload) -> None:
         heapq.heappush(self.events, (t, self._seq, kind, payload))
@@ -563,6 +568,15 @@ class Simulation:
         while self.events:
             now, _, kind, payload = heapq.heappop(self.events)
             node = None
+            if kind == _HEARTBEAT:
+                # one heartbeat is pending at a time; beats go on while other events
+                # remain, then for an idle window plus five beats after the last of them
+                nxt = now + HEARTBEAT_MS
+                if self.events or nxt <= (self.last_event_ms + self.cfg.controller.idle_window_ms
+                                          + 5 * HEARTBEAT_MS):
+                    self._push_event(nxt, _HEARTBEAT, None)
+            else:
+                self.last_event_ms = now
             if kind == _ARRIVAL:
                 node_id, req = payload
                 node = self.nodes[node_id]

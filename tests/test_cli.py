@@ -1,10 +1,16 @@
 import base64
+import contextlib
 import csv
+import io
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from studentpar import cli
 
@@ -433,3 +439,195 @@ def test_report_escapes_names_with_commas_and_quotes(tmp_path):
     long_rows = read_csv(out / "long.csv")
     assert long_rows[1] == ["0.000000", 'run,one "fast"/student_number', "3"]
     assert long_rows[2] == ["0.000000", 'run,one "fast"/accuracy', "0.950000"]
+
+
+def test_report_writes_manifest(tmp_path):
+    m = tmp_path / "only.json"
+    fake_metrics(m, avg=2.5)
+    out = tmp_path / "rep"
+    assert cli.main(["report", str(m), "--out", str(out)]) == cli.EXIT_OK
+    manifest = read_manifest(out)
+    assert manifest["config"] == {"mode": "report", "metrics": [str(m)]}
+    assert set(manifest["outputs"]) == {"comparison.csv", "long.csv"}
+    assert manifest["duration_ms"] >= 0.0
+
+
+# -- one contract for bad input: exit 2, "config error", no traceback -------------------
+
+
+def toy_payloads(tmp_path):
+    """One stock-shaped toy config per mode."""
+    return {
+        "distill": json.loads(Path(small_distill_config(tmp_path)).read_text()),
+        "simulate": json.loads(Path(simulate_config(tmp_path)).read_text()),
+        "perf": {"mode": "perf", "out_dir": str(tmp_path / "perf_out"), "gpus": 4,
+                 "calibration": {"observed_latency_ms": 11.6, "arrival_rps": 2000}},
+    }
+
+
+BAD_INPUTS = [
+    ("distill", ("task", "n_classes"), 9),
+    ("distill", ("task", "n_train"), "x"),
+    ("distill", ("task", "n_train"), 0),
+    ("distill", ("task", "class_sep"), "a"),
+    ("distill", ("teacher", "depth"), "a"),
+    ("distill", ("teacher", "rep_dim"), 0),
+    ("distill", ("teacher", "learning_rate"), -1),
+    ("distill", ("teacher", "hidden_dim"), 1.5),
+    ("distill", ("teacher", "epochs"), "x"),
+    ("distill", ("student_depth",), 1),
+    ("distill", ("student_depth",), "x"),
+    ("distill", ("teacher",), 3),
+    ("distill", ("distill",), None),
+    ("simulate", ("factors", "depth"), 0),
+    ("simulate", ("factors", "width_per_student"), "x"),
+    ("simulate", ("factors", "gather_ms"), -1),
+    ("simulate", ("factors", "capacity_per_gpu"), 0),
+    ("simulate", ("factors", "pcie_tokens_per_ms"), 0),
+    ("simulate", ("factors", "calibration"), []),
+    ("simulate", ("accuracy_table", "students"), "x"),
+    ("simulate", ("cluster",), []),
+    ("perf", ("gpus",), "x"),
+    ("perf", ("calibration", "arrival_rps"), "x"),
+    ("perf", ("calibration",), []),
+    # checked in the parse phase too, not first met mid-run
+    ("simulate", ("cluster", "nodes"), 1.5),
+    ("simulate", ("cluster", "controller"), {"idle_window_ms": "x"}),
+    ("simulate", ("cluster", "batch_timeout_ms"), -1),
+    ("distill", ("distill",), {"subsample_top_pct": 0, "subsample_rand_pct": 0}),
+    ("distill", ("distill",), {"overfit_patience": "x"}),
+    ("distill", ("distill",), {"min_improvement": None}),
+]
+
+
+def assert_config_error(argv, capsys):
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("mode, path, value", BAD_INPUTS,
+                         ids=[f"{m}-{'.'.join(p)}={v!r}" for m, p, v in BAD_INPUTS])
+def test_bad_input_exits_config(tmp_path, capsys, mode, path, value):
+    cfg = toy_payloads(tmp_path)[mode]
+    section = cfg
+    for key in path[:-1]:
+        section = section[key]
+    was_object = isinstance(section.get(path[-1]), dict)
+    section[path[-1]] = value
+    err = assert_config_error([mode, "--config", write_config(tmp_path, "bad.json", cfg)], capsys)
+    if was_object and not isinstance(value, dict):
+        assert f"{'.'.join(path)} must be a JSON object" in err
+
+
+@pytest.mark.parametrize("payload", [[1, 2], {
+    "avg_latency_ms": "fast", "p95_latency_ms": 1.0, "throughput_per_gpu": 1.0, "completed": 1,
+    "student_number_timeline": [], "accuracy_timeline": []}], ids=["list", "string-latency"])
+def test_report_malformed_metrics_exits_config(tmp_path, capsys, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert_config_error(["report", str(bad), "--out", str(tmp_path / "rep")], capsys)
+
+
+def test_controller_readds_students_after_a_late_draining_backlog(tmp_path):
+    """The backlog of a 15k rps burst drains long after the last arrival; the
+    controller must still see the idle system afterwards and add students back."""
+    for seed in range(3):
+        cfg = json.loads(Path(simulate_config(tmp_path, out_name=f"late{seed}")).read_text())
+        cfg["seed"] = seed
+        cfg["cluster"] = {"nodes": 1, "gpus_per_node": 4, "group_size": 3, "replicas_per_gpu": 1,
+                          "batch_timeout_ms": 2,
+                          "controller": {"min_students": 1, "max_students": 3, "idle_window_ms": 20}}
+        cfg["factors"] = {"depth": 2, "width_per_student": 256, "pcie_tokens_per_ms": 400}
+        cfg["workload"] = {"kind": "phases", "phases": [{"rps": 15000, "duration_ms": 100},
+                                                        {"rps": 750, "duration_ms": 150},
+                                                        {"rps": 15000, "duration_ms": 60}]}
+        assert cli.main(["simulate", "--config", write_config(tmp_path, "late.json", cfg)]) == cli.EXIT_OK
+        out = tmp_path / f"late{seed}"
+        rows = read_csv(out / "latencies.csv")[1:]
+        last_arrival = max(float(r[1]) for r in rows)
+        last_completion = max(float(r[2]) for r in rows)
+        assert last_completion > last_arrival + 20 + 500  # drains after the old heartbeat horizon
+        timeline = json.loads((out / "metrics.json").read_text())["student_number_timeline"]
+        assert [k for _, k in timeline[:3]] == [3, 2, 1]
+        assert timeline[-1][1] == 3
+
+
+# -- fuzz: mutated toy configs never end in a traceback -------------------------------------
+
+MUTANT_VALUES = [None, "x", [], {}, -1, 0, 1.5, True]
+
+
+def fuzz_payloads(root, distilled):
+    """Tiny configs for the four config modes; each runs in well under a second."""
+    task = {"kind": "gaussian", "n_classes": 2, "d_in": 4, "n_train": 24, "n_val": 12, "n_test": 12,
+            "class_sep": 2.5}
+    distill = {"lambda_stack": 1.0, "subsample_top_pct": 20, "subsample_rand_pct": 20,
+               "max_students": 2, "epochs_per_student": 2, "soft_ce_temperature": 2.0,
+               "overfit_patience": 1, "batch_size": 16, "learning_rate": 0.01, "pruning_epochs": 1,
+               "min_improvement": 1e-9}
+    return {
+        "distill": {"mode": "distill", "seed": 1, "out_dir": str(root / "d"), "task": task,
+                    "teacher": {"depth": 1, "rep_dim": 4, "hidden_dim": 4, "epochs": 2,
+                                "learning_rate": 0.01, "optimizer": "adam"},
+                    "distill": distill, "student_depth": 2},
+        "prune": {"mode": "prune", "seed": 1, "out_dir": str(root / "p"), "distill_dir": str(distilled),
+                  "task": task, "distill": distill},
+        "simulate": {
+            "mode": "simulate", "seed": 1, "out_dir": str(root / "s"),
+            "accuracy_table": {"kind": "flat", "students": 3, "base": 0.9, "step": 0.01},
+            "cluster": {"nodes": 2, "gpus_per_node": 2, "group_size": 2, "replicas_per_gpu": 2,
+                        "bin_width": 8, "num_bins": 16, "max_merge": 2, "pad_to_max": False,
+                        "batch_timeout_ms": 1.0,
+                        "controller": {"min_students": 1, "max_students": 3, "idle_window_ms": 50}},
+            "factors": {"depth": 2, "width_per_student": 64, "capacity_per_gpu": 1.5e7,
+                        "pcie_tokens_per_ms": 400, "gather_ms": 0.2,
+                        "calibration": {"observed_latency_ms": 11.6, "gpus": 4, "arrival_rps": 2000}},
+            "workload": {"kind": "phases", "phases": [{"rps": 500, "duration_ms": 100},
+                                                      {"rps": 2000, "duration_ms": 50}]},
+        },
+        "perf": {"mode": "perf", "seed": 1, "out_dir": str(root / "f"), "gpus": 4,
+                 "calibration": {"observed_latency_ms": 11.6, "arrival_rps": 2000}},
+    }
+
+
+def paths_of(node, prefix=()):
+    """Every key or index path into a JSON value, parents before children."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from paths_of(child, prefix + (key,))
+
+
+def run_in(directory, argv):
+    cwd = os.getcwd()
+    os.chdir(directory)  # a mutated out_dir may be relative
+    try:
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            return cli.main(argv), err.getvalue()
+    finally:
+        os.chdir(cwd)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mode=st.sampled_from(["distill", "prune", "simulate", "perf"]), data=st.data())
+def test_fuzzed_configs_exit_cleanly(distilled, mode, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        cfg = fuzz_payloads(root, distilled)[mode]
+        path = data.draw(st.sampled_from(list(paths_of(cfg))), label="path")
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        op = data.draw(st.sampled_from(["drop", "unknown", "replace"]), label="op")
+        if op == "drop":
+            del parent[path[-1]]
+        elif op == "unknown" and isinstance(parent, dict):
+            parent["not_a_key"] = 1
+        else:
+            parent[path[-1]] = data.draw(st.sampled_from(MUTANT_VALUES), label="value")
+        (root / "cfg.json").write_text(json.dumps(cfg))
+        code, err = run_in(root, [mode, "--config", str(root / "cfg.json")])
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERIC), err
+    assert "Traceback" not in err

@@ -754,12 +754,15 @@ def test_ensemble_round_trip(tmp_path):
 # in the optimizer's arithmetic shows up here. The two "ensemble" hashes were
 # re-pinned when the pruning pass began summing prefix gradients over suffixes
 # (same gradient, different float summation order; was c3c71df2d8a308ef for
-# Adam and 297120b02c4516b6 for SGD).
+# Adam and 297120b02c4516b6 for SGD). The two "records" hashes were re-pinned
+# when ConvergenceRecord lost its constant lipschitz field; each equals the old
+# records with that one key removed (was 0877c1891020d1ff for Adam and
+# 5946accd48cdf740 for SGD).
 PINNED_TRAINING = {
     nn.ADAM: {"teacher": "f975af0bcd87ffc5", "ensemble": "a05ba023611dbd9d",
-              "records": "0877c1891020d1ff", "table": "f9c0087d14f5d17b"},
+              "records": "4f0e1bf0facec962", "table": "f9c0087d14f5d17b"},
     nn.SGD: {"teacher": "69728be5462d2ca1", "ensemble": "b242c4ef449df6bf",
-             "records": "5946accd48cdf740", "table": "d877f5d95726b7a6"},
+             "records": "9c6eb3deec4bb3ee", "table": "d877f5d95726b7a6"},
 }
 
 
