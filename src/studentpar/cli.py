@@ -78,6 +78,9 @@ def _open_run(config_path: str, mode: str, keys: set[str], required: set[str],
     _require_keys(config, {"mode", "seed", "out_dir", *keys}, {"mode", "out_dir", *required}, "config")
     if config["mode"] != mode:
         raise ConfigError(f"config mode is '{config['mode']}', expected '{mode}'")
+    dst.check_counts(config, {"seed": 0})
+    if seed_override is not None:
+        dst.check_counts({"seed": seed_override}, {"seed": 0})
     seed = seed_override if seed_override is not None else config.get("seed")
     out_dir = Path(out_override or config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -118,14 +121,16 @@ def _parse_task(obj, seed: int) -> dst.DataSplits:
                                   **{k: v for k, v in obj.items() if k != "kind"})
 
 
-def _parse_distill_cfg(obj, seed: int) -> dst.DistillConfig:
+def _parse_distill_cfg(obj, seed: int, n_train: int) -> dst.DistillConfig:
     allowed = {
         "lambda_stack", "subsample_top_pct", "subsample_rand_pct", "max_students",
         "epochs_per_student", "soft_ce_temperature", "overfit_patience",
         "batch_size", "learning_rate", "pruning_epochs", "min_improvement",
     }
     _require_keys(obj, allowed, set(), "distill")
-    return dst.DistillConfig(seed=seed, **obj)
+    cfg = dst.DistillConfig(seed=seed, **obj)
+    dst.subsample_sizes(n_train, cfg.subsample_top_pct, cfg.subsample_rand_pct)
+    return cfg
 
 
 def _calibrated(cal: dict, reference: pm.PerfFactors) -> pm.PerfModel:
@@ -168,34 +173,34 @@ def _parse_cluster(obj, accuracy_table: dst.AccuracyTable) -> sim.ClusterConfig:
     return sim.ClusterConfig(controller=controller, **{k: v for k, v in obj.items() if k != "controller"})
 
 
-def _parse_workload(obj, seed: int, max_len: int) -> list[sim.Request]:
+def _parse_workload(obj, seed: int, cluster: sim.ClusterConfig) -> list[sim.Request]:
     allowed = {"kind", "rps", "duration_ms", "length_weights", "path", "scale", "phases"}
     _require_keys(obj, allowed, {"kind"}, "workload")
     kind = obj["kind"]
+    bins = {"max_len": cluster.max_len, "bin_width": cluster.bin_width}
     if kind == "poisson":
         spec = sim.PoissonSpec(
             rps=obj.get("rps", 100.0),
             duration_ms=obj.get("duration_ms", 10_000.0),
             length_weights=tuple(obj["length_weights"]) if obj.get("length_weights") else None,
         )
-        return sim.generate_workload(spec, fork_seed(seed, "workload"), max_len=max_len)
+        return sim.generate_workload(spec, fork_seed(seed, "workload"), **bins)
     if kind == "trace":
         if "path" not in obj:
             raise ConfigError("trace workload requires 'path'")
         return sim.generate_workload(sim.TraceFile(Path(obj["path"]), **_present(obj, "scale")),
-                                     fork_seed(seed, "workload"), max_len=max_len)
+                                     fork_seed(seed, "workload"))
     if kind == "phases":
         requests: list[sim.Request] = []
         offset = 0.0
         for i, phase in enumerate(obj.get("phases", [])):
             _require_keys(phase, {"rps", "duration_ms"}, {"rps", "duration_ms"}, f"workload.phases[{i}]")
             spec = sim.PoissonSpec(rps=phase["rps"], duration_ms=phase["duration_ms"])
-            part = sim.generate_workload(spec, fork_seed(seed, f"workload-phase-{i}"), max_len=max_len)
-            requests.extend(
-                sim.Request(0, r.arrival_ms + offset, r.length_tokens) for r in part
-            )
+            part = sim.generate_workload(spec, fork_seed(seed, f"workload-phase-{i}"), **bins)
+            for r in part:
+                requests.append(sim.Request(len(requests), r.arrival_ms + offset, r.length_tokens))
             offset += phase["duration_ms"]
-        return [sim.Request(i, r.arrival_ms, r.length_tokens) for i, r in enumerate(requests)]
+        return requests
     raise ConfigError(f"unknown workload kind '{kind}'")
 
 
@@ -235,7 +240,7 @@ def cmd_distill(config_path: str, seed_override: int | None, out_override: str |
                 n_classes=int(splits.train.labels.max()) + 1,
                 rng=dst.rng_for(seed, "teacher-init"),
             )
-        cfg = _parse_distill_cfg(config.get("distill", {}), seed)
+        cfg = _parse_distill_cfg(config.get("distill", {}), seed, len(splits.train))
         dst.check_counts(config, {"student_depth": 2})
 
     if not checkpoint:
@@ -280,7 +285,7 @@ def cmd_prune(config_path: str, seed_override: int | None, out_override: str | N
         if len(state) == 0:
             raise ConfigError(f"{ensemble_path} holds no students")
         splits = _parse_task(config.get("task", {"kind": "gaussian"}), seed)
-        cfg = _parse_distill_cfg(config.get("distill", {}), seed)
+        cfg = _parse_distill_cfg(config.get("distill", {}), seed, len(splits.train))
         _check_input_width(teacher, splits, teacher_path)
         for student in state.students:
             _check_input_width(student, splits, ensemble_path)
@@ -312,7 +317,7 @@ def cmd_simulate(config_path: str, seed_override: int | None, out_override: str 
         table = _parse_accuracy_table(config.get("accuracy_table", {"kind": "flat", "students": 3}))
         factors = _parse_factors(config.get("factors", {}))
         cluster = _parse_cluster(config.get("cluster", {}), table)
-        workload = _parse_workload(config["workload"], seed, cluster.max_len)
+        workload = _parse_workload(config["workload"], seed, cluster)
 
     metrics = sim.run_simulation(cluster, workload, factors)
     sim.write_metrics_json(metrics, out_dir / "metrics.json")

@@ -281,6 +281,17 @@ def halting_probe(t_reps, prev_reps, s_reps) -> tuple[float, float, bool]:
     return num / den, num, num <= 0.0
 
 
+def subsample_sizes(n: int, a: float, b: float) -> tuple[int, int]:
+    """ceil(a% n) and ceil(b% n), the sizes of residual_subsample's two blocks
+    from n samples; ValueError if together they exceed n."""
+    n_top = int(np.ceil(a / 100.0 * n))
+    n_rand = int(np.ceil(b / 100.0 * n))
+    if n_top + n_rand > n:
+        raise ValueError(f"subsample_top_pct {a} and subsample_rand_pct {b} take "
+                         f"{n_top} + {n_rand} of {n} training samples")
+    return n_top, n_rand
+
+
 def residual_subsample(data: Dataset, residual_norms, a: float, b: float, seed: int) -> Dataset:
     """Top ceil(a% n) samples by residual norm plus ceil(b% n) random others.
 
@@ -293,15 +304,12 @@ def residual_subsample(data: Dataset, residual_norms, a: float, b: float, seed: 
     norms = np.asarray(residual_norms, dtype=np.float64)
     if norms.shape != (n,):
         raise ValueError("residual_norms must align with the dataset")
-    n_top = int(np.ceil(a / 100.0 * n))
-    n_rand = int(np.ceil(b / 100.0 * n))
+    n_top, n_rand = subsample_sizes(n, a, b)
     if n_top + n_rand == 0:
         raise ValueError("subsample is empty: a and b are both zero")
     order = np.lexsort((np.arange(n), -norms))  # descending norm, ties by lower index
     top = order[:n_top]
     remainder = np.sort(order[n_top:])
-    if n_rand > len(remainder):
-        raise ValueError("b% exceeds the remainder after the top a%")
     rng = np.random.Generator(np.random.PCG64(seed))
     picked = rng.choice(remainder, size=n_rand, replace=False) if n_rand else np.empty(0, dtype=np.int64)
     idx = np.concatenate([top, picked]).astype(np.int64)

@@ -497,6 +497,12 @@ BAD_INPUTS = [
     ("distill", ("distill",), {"subsample_top_pct": 0, "subsample_rand_pct": 0}),
     ("distill", ("distill",), {"overfit_patience": "x"}),
     ("distill", ("distill",), {"min_improvement": None}),
+    # the seed must be a non-negative int
+    ("simulate", ("seed",), "x"),
+    ("simulate", ("seed",), 1.5),
+    ("simulate", ("seed",), None),
+    ("simulate", ("seed",), True),
+    ("perf", ("seed",), -1),
 ]
 
 
@@ -528,6 +534,47 @@ def test_report_malformed_metrics_exits_config(tmp_path, capsys, payload):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
     assert_config_error(["report", str(bad), "--out", str(tmp_path / "rep")], capsys)
+
+
+def test_seed_flag_must_be_non_negative(tmp_path, capsys):
+    cfg = simulate_config(tmp_path)
+    err = assert_config_error(["simulate", "--config", cfg, "--seed", "-1"], capsys)
+    assert "seed" in err
+
+
+@pytest.mark.parametrize("weights", [[1, -1], [0, 0], [1, "NaN"]], ids=repr)
+def test_bad_length_weights_name_the_key(tmp_path, capsys, weights):
+    cfg = toy_payloads(tmp_path)["simulate"]
+    cfg["workload"]["length_weights"] = weights
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps(cfg).replace('"NaN"', "NaN"))  # json.loads reads NaN as a float
+    assert "length_weights" in assert_config_error(["simulate", "--config", str(path)], capsys)
+
+
+@pytest.mark.parametrize("workload", [
+    {"kind": "poisson", "rps": 2000.0, "duration_ms": 500.0},
+    {"kind": "phases", "phases": [{"rps": 2000.0, "duration_ms": 300.0}, {"rps": 500.0, "duration_ms": 200.0}]},
+], ids=["poisson", "phases"])
+def test_cluster_bin_width_sets_request_lengths(tmp_path, workload):
+    cfg = toy_payloads(tmp_path)["simulate"]
+    cfg["cluster"].update(bin_width=4, num_bins=16)
+    cfg["workload"] = workload
+    assert cli.main(["simulate", "--config", write_config(tmp_path, "bins.json", cfg)]) == cli.EXIT_OK
+    lengths = [int(row[4]) for row in read_csv(tmp_path / "sim_out" / "latencies.csv")[1:]]
+    assert len(lengths) > 500 and max(lengths) <= 64 and min(lengths) >= 1
+
+
+@pytest.mark.parametrize("mode", ["distill", "prune"])
+def test_subsample_overflowing_the_train_set_exits_config(tmp_path, capsys, distilled, mode):
+    if mode == "distill":
+        cfg = toy_payloads(tmp_path)["distill"]
+    else:
+        cfg = {"mode": "prune", "seed": 5, "out_dir": str(tmp_path / "prune_out"),
+               "distill_dir": str(distilled), "task": {"kind": "gaussian", "d_in": 4}, "distill": {}}
+    cfg["task"]["n_train"] = 3
+    cfg["distill"].update(subsample_top_pct=50, subsample_rand_pct=50)  # ceil(1.5) + ceil(1.5) > 3
+    err = assert_config_error([mode, "--config", write_config(tmp_path, "sub.json", cfg)], capsys)
+    assert "subsample_top_pct" in err
 
 
 def test_controller_readds_students_after_a_late_draining_backlog(tmp_path):

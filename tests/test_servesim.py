@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from studentpar import distill as dst
 from studentpar import perfmodel as pm
 from studentpar import servesim as sim
+from studentpar.seeding import rng_for
 
 
 def flat_table(m=3, base=0.93):
@@ -64,6 +66,53 @@ def test_workload_lengths_in_range():
     assert all(1 <= r.length_tokens <= 128 for r in reqs)
     assert all(a.arrival_ms <= b.arrival_ms for a, b in zip(reqs, reqs[1:]))
     assert [r.id for r in reqs] == list(range(len(reqs)))
+
+
+def reference_poisson_workload(spec, seed, max_len=128, bin_width=8):
+    """The per-request loop with ``Generator.choice``, kept as the oracle of generate_workload."""
+    rng = rng_for(seed, "workload")
+    weights = np.asarray(spec.length_weights or sim.DEFAULT_LENGTH_WEIGHTS, dtype=np.float64)
+    n_bins = len(weights)
+    assert n_bins * bin_width <= max_len
+    probs = weights / weights.sum()
+    requests = []
+    t = rng.exponential(1000.0 / spec.rps)
+    rid = 0
+    while t <= spec.duration_ms:
+        b = int(rng.choice(n_bins, p=probs))
+        length = int(rng.integers(b * bin_width + 1, (b + 1) * bin_width + 1))
+        requests.append(sim.Request(rid, t, length))
+        rid += 1
+        t += rng.exponential(1000.0 / spec.rps)
+    return requests
+
+
+@pytest.mark.parametrize("bin_width", [4, 8])
+@pytest.mark.parametrize("weights", [
+    None,
+    (1.0,),
+    (0.0, 0.0, 1.0, 2.0, 3.0),
+    (1.0, 2.0, 0.0, 0.0),
+    (1e-3, 5.0, 0.25, 7.5, 1e-6, 2.0, 0.0, 3.3),
+], ids=["default", "single-bin", "leading-zeros", "trailing-zeros", "uneven"])
+def test_workload_equals_choice_reference(weights, bin_width):
+    for seed in (0, 1, 7, 2024):
+        spec = sim.PoissonSpec(rps=2_000.0, duration_ms=400.0, length_weights=weights)
+        got = sim.generate_workload(spec, seed, max_len=16 * bin_width, bin_width=bin_width)
+        assert got == reference_poisson_workload(spec, seed, 16 * bin_width, bin_width)
+        assert len(got) > 600
+
+
+@pytest.mark.parametrize("weights", [
+    (1.0, -0.5), (1.0, float("nan")), (1.0, float("inf")), (0.0, 0.0), ((1.0, 2.0),),
+    (1e308, 1e308),
+], ids=["negative", "nan", "inf", "all-zero", "nested", "sum-overflows"])
+@pytest.mark.parametrize("rps", [1_000.0, 1e-7], ids=["draws", "draws-nothing"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_bad_length_weights_rejected_up_front(weights, rps):
+    spec = sim.PoissonSpec(rps=rps, duration_ms=100.0, length_weights=weights)
+    with pytest.raises(ValueError, match="length_weights"):
+        sim.generate_workload(spec, seed=0)
 
 
 def test_trace_round_trip(tmp_path):
@@ -572,6 +621,67 @@ def test_outputs_match_pinned_hashes(nodes, batch_timeout_ms, overload):
                        m.student_number_timeline, m.rejected_pushes])
     digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
     assert digest == PINNED_OUTPUTS[(nodes, batch_timeout_ms, overload)]
+
+
+class _Forgetful(dict):
+    """A memo that stores nothing, so every dispatch calls service_time."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_service_time_memo_models_each_shape_once(monkeypatch):
+    ctl = sim.ControllerConfig(max_students=3, accuracy_table=flat_table(), min_students=1,
+                               idle_window_ms=20.0)
+    cluster = make_cluster(controller=ctl, nodes=3, replicas_per_gpu=1, batch_timeout_ms=2.0)
+    workload, offset = [], 0.0
+    for i, (rps, duration) in enumerate([(36_000.0, 50.0), (1_800.0, 100.0), (36_000.0, 30.0)]):
+        for r in sim.generate_workload(sim.PoissonSpec(rps=rps, duration_ms=duration), seed=30 + i):
+            workload.append(sim.Request(len(workload), r.arrival_ms + offset, r.length_tokens))
+        offset += duration
+    calls = []
+    service_time = sim.service_time
+
+    def counting(el, k, cfg, factors, active_groups=1):
+        calls.append((k, el.size, el.padded_len, active_groups))
+        return service_time(el, k, cfg, factors, active_groups=active_groups)
+
+    monkeypatch.setattr(sim, "service_time", counting)
+    memoised = sim.run_simulation(cluster, workload, calibrated_factors())
+    distinct = len(calls)
+    assert distinct == len(set(calls))
+    calls.clear()
+    simulation = sim.Simulation(cluster, workload, calibrated_factors())
+    simulation.service_ms = _Forgetful()
+    plain = simulation.run()
+    assert len(calls) > 5 * distinct and len(set(calls)) == distinct
+    assert len(plain.student_number_timeline) > 2 and plain.rejected_pushes > 0
+    assert [(r.request_id, r.completion_ms) for r in memoised.per_request] == \
+        [(r.request_id, r.completion_ms) for r in plain.per_request]
+    assert memoised.student_number_timeline == plain.student_number_timeline
+    assert memoised.rejected_pushes == plain.rejected_pushes
+
+
+def reference_latency_csv(records, path):
+    """The csv.writer version of write_latency_csv, kept as its oracle."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["request_id", "arrival_ms", "completion_ms", "latency_ms", "length_tokens"])
+        for r in records:
+            writer.writerow([r.request_id, f"{r.arrival_ms:.6f}", f"{r.completion_ms:.6f}",
+                             f"{r.latency_ms:.6f}", r.length_tokens])
+
+
+def test_latency_csv_bytes_equal_csv_writer(tmp_path):
+    workload = sim.generate_workload(sim.PoissonSpec(rps=3_000.0, duration_ms=300.0), seed=4)
+    records = sim.run_simulation(make_cluster(), workload, calibrated_factors()).per_request
+    records += [sim.CompletionRecord(10**12, 0.0, 1e-7, 1), sim.CompletionRecord(-1, 1e15 / 3, 1e16, 128),
+                sim.CompletionRecord(7, 0.1 + 0.2, 0.3, 5)]
+    for rows in (records, []):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        sim.write_latency_csv(rows, got)
+        reference_latency_csv(rows, want)
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_each_event_visits_at_most_one_node(monkeypatch):
