@@ -364,22 +364,6 @@ class StudentModel:
         return StudentModel(self.input_proj.copy(), [l.copy() for l in self.layers])
 
 
-# -- spec operation surface ------------------------------------------------
-
-
-def dense_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
-    return layer.forward(x)
-
-
-def teacher_forward(t: TeacherModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    final_rep, logits = t.forward(x)
-    return final_rep, logits, list(t._block_acts or [])
-
-
-def student_forward(s: StudentModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return s.forward(x)
-
-
 SGD = "sgd"
 ADAM = "adam"
 

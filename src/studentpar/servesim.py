@@ -9,8 +9,11 @@ fills (starting more groups) and adds one back after a sustained idle
 window. A dynamic-batching baseline mode replaces immediate dispatch with
 a waiting queue and full-length padding, for ablation runs.
 
-The simulated clock is real-valued milliseconds; ties break by event
-insertion order, so identical inputs give identical outputs.
+The simulated clock is real-valued milliseconds. Arrivals do not enter the
+event heap: they are served from the workload stably sorted by arrival time,
+and an arrival goes ahead of every heap event at the same time. Heap events
+at equal times run in the order they were pushed, so identical inputs give
+identical outputs.
 
 Each event touches only the nodes whose state it can change: its own node
 (none for a heartbeat), every node with deferred requests waiting to retry
@@ -32,6 +35,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -65,17 +69,39 @@ class TraceFile:
 DEFAULT_LENGTH_WEIGHTS = (1.0, 2.0, 3.0, 3.0, 2.0, 1.5, 1.0, 0.8, 0.6, 0.5, 0.4, 0.3, 0.25, 0.2, 0.15, 0.1)
 
 
+def _uint32_words(bit_generator):
+    """PCG64's 32-bit stream: the low, then the high half of each raw 64-bit word,
+    starting with the half the generator holds back, if any. ``random`` and
+    ``exponential`` take whole 64-bit words and leave that half alone, so they
+    may be drawn in between."""
+    state = bit_generator.state
+    if state["has_uint32"]:
+        yield state["uinteger"]
+    raw = bit_generator.random_raw
+    while True:
+        word = raw()
+        yield word & 0xFFFFFFFF
+        yield word >> 32
+
+
 def generate_workload(kind, seed: int, max_len: int = 128, bin_width: int = 8) -> list[Request]:
     """Arrival-sorted requests, deterministic per seed.
 
     A Poisson workload draws the first arrival gap, then per request its
     length bin, its length within the bin and the gap to the next arrival.
     The bin is one uniform searched in the weights' normalised CDF, the same
-    draw as ``Generator.choice(n_bins, p=weights / weights.sum())``.
+    draw as ``Generator.choice(n_bins, p=weights / weights.sum())``. The
+    length is Lemire's bounded draw on the next 32-bit word, the same draw
+    as ``Generator.integers(lo, lo + bin_width)``, which draws nothing for a
+    width of 1 and would switch to 64-bit words above 2**32.
     """
     if isinstance(kind, PoissonSpec):
-        if kind.rps <= 0:
-            raise ValueError("rps must be positive")
+        if not (math.isfinite(kind.rps) and kind.rps > 0):
+            raise ValueError(f"rps must be a finite positive number, got {kind.rps!r}")
+        if not math.isfinite(kind.duration_ms):
+            raise ValueError(f"duration_ms must be finite, got {kind.duration_ms!r}")
+        if not 1 <= bin_width <= 1 << 32:
+            raise ValueError(f"bin_width must lie in [1, 2**32], got {bin_width!r}")
         rng = rng_for(seed, "workload")
         weights = np.asarray(kind.length_weights or DEFAULT_LENGTH_WEIGHTS, dtype=np.float64)
         total = weights.sum()
@@ -90,16 +116,25 @@ def generate_workload(kind, seed: int, max_len: int = 128, bin_width: int = 8) -
         cdf = cdf.tolist()
         scale = 1000.0 / kind.rps
         duration_ms = kind.duration_ms
-        exponential, uniform, integers = rng.exponential, rng.random, rng.integers
+        exponential, uniform = rng.exponential, rng.random
+        next_word = _uint32_words(rng.bit_generator).__next__
+        reject_below = (1 << 32) % bin_width  # Lemire's threshold (2**32 - w) mod w
         requests = []
         append = requests.append
         t = exponential(scale)
         while t <= duration_ms:
-            lo = bisect_right(cdf, uniform()) * bin_width + 1
-            append(Request(len(requests), t, int(integers(lo, lo + bin_width))))
+            length = bisect_right(cdf, uniform()) * bin_width + 1
+            if bin_width > 1:
+                m = next_word() * bin_width
+                while m & 0xFFFFFFFF < reject_below:
+                    m = next_word() * bin_width
+                length += m >> 32
+            append(Request(len(requests), t, length))
             t += exponential(scale)
         return requests
     if isinstance(kind, TraceFile):
+        if not (math.isfinite(kind.scale) and kind.scale > 0):
+            raise ValueError(f"scale must be a finite positive number, got {kind.scale!r}")
         requests = []
         with open(kind.path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -112,6 +147,8 @@ def generate_workload(kind, seed: int, max_len: int = 128, bin_width: int = 8) -
                     t, length = float(row[0]), int(row[1])
                 except (ValueError, IndexError) as exc:
                     raise ValueError(f"trace line {lineno}: malformed row {row!r}") from exc
+                if not math.isfinite(t):
+                    raise ValueError(f"trace line {lineno}: arrival_ms must be finite, got {row[0]!r}")
                 if t < last_t:
                     raise ValueError(f"trace line {lineno}: arrival times must be nondecreasing")
                 if length < 1:
@@ -359,7 +396,7 @@ def decide_controller_action(
     return HOLD
 
 
-@dataclass
+@dataclass(slots=True)
 class CompletionRecord:
     request_id: int
     arrival_ms: float
@@ -418,8 +455,8 @@ def write_latency_csv(records: list[CompletionRecord], path) -> None:
     """The bytes ``csv.writer`` would write (CRLF line ends, nothing needs quoting), in one pass."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("request_id,arrival_ms,completion_ms,latency_ms,length_tokens\r\n")
-        fh.writelines(f"{r.request_id},{r.arrival_ms:.6f},{r.completion_ms:.6f},{r.latency_ms:.6f},"
-                      f"{r.length_tokens}\r\n" for r in records)
+        fh.writelines(f"{r.request_id},{r.arrival_ms:.6f},{r.completion_ms:.6f},"
+                      f"{r.completion_ms - r.arrival_ms:.6f},{r.length_tokens}\r\n" for r in records)
 
 
 class _Node:
@@ -431,7 +468,7 @@ class _Node:
         self.empty_since: float | None = 0.0
 
 
-_ARRIVAL, _COMPLETION, _TIMER, _HEARTBEAT = "arrival", "completion", "timer", "heartbeat"
+_COMPLETION, _TIMER, _HEARTBEAT = "completion", "timer", "heartbeat"
 HEARTBEAT_MS = 100.0
 
 
@@ -456,8 +493,13 @@ class Simulation:
         self.retrying: set[int] = set()   # indices of nodes with deferred requests
         self.busy_groups = 0
         self.last_empty = 0.0             # latest time any node's empty_since was set
+        # arrivals stay out of the heap: (time, node index, request), stably sorted by
+        # time and then reversed, so the next arrival is popped off the end
+        self.arrivals: list[tuple[float, int, Request]] = sorted(
+            ((req.arrival_ms, i % cluster.nodes, req) for i, req in enumerate(workload)), key=itemgetter(0))
+        self.arrivals.reverse()
         self.events: list[tuple[float, int, str, object]] = []
-        self._seq = 0
+        self._seq = len(workload)  # above every arrival's index, so an arrival wins a tie
         self.records: list[CompletionRecord] = []
         self.element_waits: list[float] = []  # buffer residence per dispatched element
         self.rejected_pushes = 0
@@ -470,8 +512,6 @@ class Simulation:
             (0.0, cluster.controller.accuracy_table.val_accuracy(self.k))
         ]
         self.last_event_ms = 0.0  # time of the latest event that is not a heartbeat
-        for i, req in enumerate(workload):
-            self._push_event(req.arrival_ms, _ARRIVAL, (i % cluster.nodes, req))
         self._push_event(0.0, _HEARTBEAT, None)
 
     def _push_event(self, t: float, kind: str, payload) -> None:
@@ -490,20 +530,17 @@ class Simulation:
         self.acc_timeline.append((now, self.cfg.controller.accuracy_table.val_accuracy(new_k)))
 
     def _head_dispatchable(self, node: _Node, now: float) -> bool:
-        fifo = node.buffer.fifo
-        if not fifo:
-            return False
-        timeout = self.cfg.batch_timeout_ms
-        if timeout is None:
-            return True
-        el = fifo[0]
-        return el.size >= self.cfg.max_merge or now - el.created_ms >= timeout - 1e-9
+        """Waiting-queue mode: the head element is full or has waited out the timeout."""
+        el = node.buffer.fifo[0]
+        return el.size >= self.cfg.max_merge or now - el.created_ms >= self.cfg.batch_timeout_ms - 1e-9
 
     def _dispatch(self, node: _Node, now: float) -> None:
         buf = node.buffer
-        while node.busy < self.groups and self._head_dispatchable(node, now):
+        fifo = buf.fifo
+        waiting = self.cfg.batch_timeout_ms is not None
+        while fifo and node.busy < self.groups and (not waiting or self._head_dispatchable(node, now)):
             el = buf.pop()
-            left = len(buf)
+            left = len(fifo)
             if left == 0:
                 self.nonempty.discard(node.index)
             if left + 1 == buf.capacity:
@@ -511,7 +548,7 @@ class Simulation:
             self.element_waits.append(now - el.created_ms)
             node.busy += 1
             self.busy_groups += 1
-            key = (self.k, el.size, el.padded_len, node.busy)
+            key = (self.k, len(el.requests), el.padded_len, node.busy)
             dt = self.service_ms.get(key)
             if dt is None:
                 dt = self.service_ms[key] = service_time(el, self.k, self.cfg, self.factors,
@@ -522,7 +559,7 @@ class Simulation:
         buf = node.buffer
         result = buf.push(req, now)
         if result == APPENDED:
-            size = len(buf)
+            size = len(buf.fifo)
             if size == 1:
                 self.nonempty.add(node.index)
             if size == buf.capacity:
@@ -533,6 +570,10 @@ class Simulation:
 
     def controller_tick(self, now: float) -> str:
         ctl = self.cfg.controller
+        # HOLD unless the DROP_ONE or the ADD_ONE precondition holds
+        if not self.full_buffers and (self.nonempty or self.k >= ctl.max_students
+                                      or now - self.last_empty < ctl.idle_window_ms):
+            return HOLD
         # a buffer empties only at a boundary's end, where empty_since is set, so
         # when every buffer is empty each empty_since is set and last_empty is their max
         idle_ms = None if self.nonempty else now - self.last_empty
@@ -555,22 +596,24 @@ class Simulation:
         return action
 
     def _boundary(self, now: float, own: _Node | None) -> None:
-        if self.retrying or self.cfg.batch_timeout_ms is not None:
-            touched = set(self.retrying)
+        retrying = self.retrying
+        if retrying or self.cfg.batch_timeout_ms is not None:
+            touched = set(retrying)
             if self.cfg.batch_timeout_ms is not None:
                 touched |= self.nonempty
             if own is not None:
                 touched.add(own.index)
             nodes = [self.nodes[i] for i in sorted(touched)]
+            # retries first, preserving arrival order ahead of newer rejects
+            for i in sorted(retrying):
+                node = self.nodes[i]
+                retry = node.retry
+                while retry and self._try_push(node, retry[0], now) != REJECTED:
+                    retry.popleft()
+                if not retry:
+                    retrying.discard(i)
         else:
             nodes = () if own is None else (own,)
-        # retries first, preserving arrival order ahead of newer rejects
-        for node in nodes:
-            retry = node.retry
-            while retry and self._try_push(node, retry[0], now) != REJECTED:
-                retry.popleft()
-            if not retry:
-                self.retrying.discard(node.index)
         k = self.k
         self.controller_tick(now)
         if self.k != k:  # every buffer's capacity and group count changed
@@ -583,34 +626,38 @@ class Simulation:
                 node.empty_since = self.last_empty = now
 
     def run(self) -> SimMetrics:
-        while self.events:
-            now, _, kind, payload = heapq.heappop(self.events)
-            node = None
-            if kind == _HEARTBEAT:
-                # one heartbeat is pending at a time; beats go on while other events
-                # remain, then for an idle window plus five beats after the last of them
-                nxt = now + HEARTBEAT_MS
-                if self.events or nxt <= (self.last_event_ms + self.cfg.controller.idle_window_ms
-                                          + 5 * HEARTBEAT_MS):
-                    self._push_event(nxt, _HEARTBEAT, None)
-            else:
+        events, arrivals, nodes = self.events, self.arrivals, self.nodes
+        while events:  # a heartbeat stays pending while arrivals remain
+            if arrivals and arrivals[-1][0] <= events[0][0]:
+                now, node_id, req = arrivals.pop()
                 self.last_event_ms = now
-            if kind == _ARRIVAL:
-                node_id, req = payload
-                node = self.nodes[node_id]
+                node = nodes[node_id]
                 if node.retry or self._try_push(node, req, now) == REJECTED:
                     # a full buffer defers the request to the next event boundary
                     self.rejected_pushes += 1
                     node.retry.append(req)
                     self.retrying.add(node_id)
-            elif kind == _COMPLETION:
-                node, el = payload
-                node.busy -= 1
-                self.busy_groups -= 1
-                for req in el.requests:
-                    self.records.append(CompletionRecord(req.id, req.arrival_ms, now, req.length_tokens))
-            elif kind == _TIMER:
-                node = payload
+                self._boundary(now, node)
+                continue
+            now, _, kind, payload = heapq.heappop(events)
+            node = None
+            if kind == _HEARTBEAT:
+                # one heartbeat is pending at a time; beats go on while other events
+                # remain, then for an idle window plus five beats after the last of them
+                nxt = now + HEARTBEAT_MS
+                if events or arrivals or nxt <= (
+                        self.last_event_ms + self.cfg.controller.idle_window_ms + 5 * HEARTBEAT_MS):
+                    self._push_event(nxt, _HEARTBEAT, None)
+            else:
+                self.last_event_ms = now
+                if kind == _COMPLETION:
+                    node, el = payload
+                    node.busy -= 1
+                    self.busy_groups -= 1
+                    for req in el.requests:
+                        self.records.append(CompletionRecord(req.id, req.arrival_ms, now, req.length_tokens))
+                else:
+                    node = payload
             self._boundary(now, node)
         self._check_invariants()
         return self._metrics()
@@ -636,7 +683,7 @@ class Simulation:
             raise RuntimeError("simulation invariant broken: " + ", ".join(broken))
 
     def _metrics(self) -> SimMetrics:
-        lats = [r.latency_ms for r in self.records]
+        lats = [r.completion_ms - r.arrival_ms for r in self.records]
         if lats:
             span_ms = max(r.completion_ms for r in self.records) - min(r.arrival_ms for r in self.records)
             total_gpus = self.cfg.nodes * self.cfg.gpus_per_node
@@ -654,7 +701,7 @@ class Simulation:
             accuracy_timeline=self.acc_timeline,
             generated=self.generated,
             rejected_pushes=self.rejected_pushes,
-            per_request=sorted(self.records, key=lambda r: (r.arrival_ms, r.request_id)),
+            per_request=sorted(self.records, key=attrgetter("arrival_ms", "request_id")),
         )
 
 

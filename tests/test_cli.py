@@ -324,6 +324,25 @@ def test_simulate_bad_trace_exits_config(tmp_path):
     assert cli.main(["simulate", "--config", cfg]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("scale, arrival, named", [
+    (float("inf"), "1.5", "scale"),
+    (float("nan"), "1.5", "scale"),
+    (-1.0, "1.5", "scale"),
+    (1.0, "inf", "trace line 4"),
+    (1.0, "nan", "trace line 4"),
+    (1.0, "-inf", "trace line 2"),
+])
+def test_simulate_non_finite_trace_exits_config(tmp_path, capsys, scale, arrival, named):
+    # the infinite cases used to hang, the others to exit 0 with NaN or reversed arrivals
+    trace = tmp_path / "trace.csv"
+    rows = [f"{arrival},8", "0.5,4"] if arrival == "-inf" else ["0.5,4", "1.5,16", f"{arrival},8"]
+    trace.write_text("arrival_ms,length_tokens\n" + "\n".join(rows) + "\n")
+    cfg_path = simulate_config(tmp_path, out_name="trace_bad")
+    cfg = json.loads(Path(cfg_path).read_text())
+    cfg["workload"] = {"kind": "trace", "path": str(trace), "scale": scale}
+    assert named in assert_config_error(["simulate", "--config", write_config(tmp_path, "t.json", cfg)], capsys)
+
+
 @pytest.mark.parametrize("section, value", [
     ("cluster", {"controller": {"min_students": 0}}),
     ("workload", {"kind": "poisson", "rps": 0}),
@@ -503,6 +522,15 @@ BAD_INPUTS = [
     ("simulate", ("seed",), None),
     ("simulate", ("seed",), True),
     ("perf", ("seed",), -1),
+    # a non-finite rate or duration used to hang or give NaN latencies
+    ("simulate", ("workload", "rps"), float("inf")),
+    ("simulate", ("workload", "rps"), float("nan")),
+    ("simulate", ("workload", "duration_ms"), float("inf")),
+    ("simulate", ("workload", "duration_ms"), float("nan")),
+    ("simulate", ("workload",), {"kind": "phases", "phases": [{"rps": 200.0, "duration_ms": float("inf")}]}),
+    ("simulate", ("workload",), {"kind": "phases", "phases": [{"rps": 200.0, "duration_ms": float("nan")}]}),
+    # numpy would draw lengths from 64-bit words at this width
+    ("simulate", ("cluster", "bin_width"), 2**32 + 1),
 ]
 
 

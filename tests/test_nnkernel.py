@@ -45,7 +45,7 @@ def scalar_student_oracle(student, x):
     return h, mid
 
 
-# -- dense_forward -------------------------------------------------------------
+# -- DenseLayer.forward --------------------------------------------------------
 
 
 def test_dense_forward_identity():
@@ -73,7 +73,7 @@ def test_dense_forward_dim_mismatch():
         layer.forward(np.zeros(3))
 
 
-# -- teacher_forward -----------------------------------------------------------
+# -- TeacherModel.forward ------------------------------------------------------
 
 
 def zeroed_blocks_teacher(rng, depth=3):
@@ -89,7 +89,7 @@ def test_teacher_zero_blocks_is_residual_identity():
     rng = make_rng(2)
     t = zeroed_blocks_teacher(rng)
     x = rng.normal(size=4)
-    final_rep, _, _ = nn.teacher_forward(t, x)
+    final_rep, _ = t.forward(x)
     proj = t.input_proj.forward(x)
     # bitwise: the residual path must add exact zeros
     assert np.array_equal(final_rep, proj)
@@ -104,7 +104,7 @@ def test_teacher_depth1_identity_block_doubles_projection():
         layer.bias[...] = 0.0
         layer.activation = nn.IDENTITY
     x = rng.normal(size=4)
-    final_rep, _, _ = nn.teacher_forward(t, x)
+    final_rep, _ = t.forward(x)
     np.testing.assert_allclose(final_rep, 2.0 * t.input_proj.forward(x), rtol=1e-15)
 
 
@@ -112,7 +112,8 @@ def test_teacher_forward_matches_unrolled_oracle():
     rng = make_rng(4)
     t = nn.TeacherModel.build(5, 6, 8, 3, 3, rng)
     x = rng.normal(size=5)
-    final_rep, logits, block_acts = nn.teacher_forward(t, x)
+    final_rep, logits = t.forward(x)
+    block_acts = t._block_acts
     np.testing.assert_allclose(final_rep, unrolled_teacher_oracle(t, x), rtol=1e-12)
     assert len(block_acts) == 3
     np.testing.assert_allclose(
@@ -120,7 +121,7 @@ def test_teacher_forward_matches_unrolled_oracle():
     )
 
 
-# -- student_forward -----------------------------------------------------------
+# -- StudentModel.forward ------------------------------------------------------
 
 
 @pytest.mark.parametrize("depth,expected_mid", [(2, 1), (3, 2)])
@@ -141,7 +142,7 @@ def test_student_forward_matches_scalar_oracle():
     rng = make_rng(7)
     s = nn.StudentModel.build(4, 6, 2, rng)
     x = rng.normal(size=4)
-    final_rep, mid_rep = nn.student_forward(s, x)
+    final_rep, mid_rep = s.forward(x)
     exp_final, exp_mid = scalar_student_oracle(s, x)
     np.testing.assert_allclose(final_rep, exp_final, rtol=1e-12)
     np.testing.assert_allclose(mid_rep, exp_mid, rtol=1e-12)

@@ -87,7 +87,7 @@ def reference_poisson_workload(spec, seed, max_len=128, bin_width=8):
     return requests
 
 
-@pytest.mark.parametrize("bin_width", [4, 8])
+@pytest.mark.parametrize("bin_width", [1, 2, 3, 4, 5, 7, 8])
 @pytest.mark.parametrize("weights", [
     None,
     (1.0,),
@@ -101,6 +101,44 @@ def test_workload_equals_choice_reference(weights, bin_width):
         got = sim.generate_workload(spec, seed, max_len=16 * bin_width, bin_width=bin_width)
         assert got == reference_poisson_workload(spec, seed, 16 * bin_width, bin_width)
         assert len(got) > 600
+
+
+def test_length_draw_rejection_equals_reference(monkeypatch):
+    # the first length draw reads the 32-bit half the generator holds back; set it to 0,
+    # which Lemire's method rejects at width 3 (threshold 2**32 mod 3 == 1)
+    state = rng_for(0, "workload").bit_generator.state
+    state.update(has_uint32=1, uinteger=0)
+
+    def prepared(seed, label):
+        rng = np.random.Generator(np.random.PCG64())
+        rng.bit_generator.state = state
+        return rng
+
+    words = []
+    uint32_words = sim._uint32_words
+
+    def recording(bit_generator):
+        for word in uint32_words(bit_generator):
+            words.append(word)
+            yield word
+
+    monkeypatch.setattr(sim, "rng_for", prepared)
+    monkeypatch.setattr(sim, "_uint32_words", recording)
+    monkeypatch.setitem(globals(), "rng_for", prepared)
+    spec = sim.PoissonSpec(rps=2_000.0, duration_ms=50.0)
+    got = sim.generate_workload(spec, 0, max_len=48, bin_width=3)
+    assert got == reference_poisson_workload(spec, 0, max_len=48, bin_width=3)
+    # at width 3 only the word 0 is rejected, so exactly one extra word was read
+    assert words[0] == 0 and len(words) == len(got) + 1 and len(got) > 50
+
+
+def test_length_draw_width_limit():
+    spec = sim.PoissonSpec(rps=2_000.0, duration_ms=20.0, length_weights=(1.0, 2.0))
+    widest = 1 << 32  # numpy draws one 32-bit word unbounded here
+    got = sim.generate_workload(spec, 5, max_len=2 * widest, bin_width=widest)
+    assert got == reference_poisson_workload(spec, 5, 2 * widest, widest) and len(got) > 20
+    with pytest.raises(ValueError, match="bin_width"):
+        sim.generate_workload(spec, 5, max_len=2 * widest + 2, bin_width=widest + 1)
 
 
 @pytest.mark.parametrize("weights", [
@@ -601,10 +639,10 @@ PINNED_OUTPUTS = {
 }
 
 
-@pytest.mark.parametrize("nodes, batch_timeout_ms, overload", list(PINNED_OUTPUTS))
-def test_outputs_match_pinned_hashes(nodes, batch_timeout_ms, overload):
-    # burst, lull, burst: a 20 ms idle window lets the controller drop and add
-    # students; over load defers pushes
+def burst_run(nodes, batch_timeout_ms, overload, arrange=None):
+    """Digest of a burst, lull, burst run: a 20 ms idle window lets the controller
+    drop and add students; over load defers pushes. ``arrange`` may reorder or
+    retime the workload before it is served."""
     ctl = sim.ControllerConfig(max_students=3, accuracy_table=flat_table(), min_students=1,
                                idle_window_ms=20.0)
     cluster = make_cluster(controller=ctl, nodes=nodes, replicas_per_gpu=1,
@@ -616,11 +654,58 @@ def test_outputs_match_pinned_hashes(nodes, batch_timeout_ms, overload):
         for r in sim.generate_workload(spec, seed=10 * nodes + i):
             workload.append(sim.Request(len(workload), r.arrival_ms + offset, r.length_tokens))
         offset += duration
+    if arrange is not None:
+        workload = arrange(workload)
     m = sim.run_simulation(cluster, workload, calibrated_factors())
     blob = json.dumps([[(r.request_id, r.completion_ms) for r in m.per_request],
                        m.student_number_timeline, m.rejected_pushes])
-    digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
-    assert digest == PINNED_OUTPUTS[(nodes, batch_timeout_ms, overload)]
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("nodes, batch_timeout_ms, overload", list(PINNED_OUTPUTS))
+def test_outputs_match_pinned_hashes(nodes, batch_timeout_ms, overload):
+    assert burst_run(nodes, batch_timeout_ms, overload) == PINNED_OUTPUTS[(nodes, batch_timeout_ms, overload)]
+
+
+# the same digests for shuffled workloads whose arrival times are rounded down to
+# 0.5 ms, so arrivals tie with each other, with heartbeats and with waiting-queue
+# timers; recorded with every arrival pushed into the event heap in workload order
+PINNED_SHUFFLED = {
+    (1, None, False): "0e75d9d7fc6cad41",
+    (1, None, True): "05011ffe210c4edd",
+    (1, 2.0, False): "6566b44a8e7715af",
+    (1, 2.0, True): "46258b650065e330",
+    (3, None, False): "83c793e81757ede6",
+    (3, None, True): "e1fe90d4835876a2",
+    (3, 2.0, False): "66b9ffa9687ebd53",
+    (3, 2.0, True): "8c6cd1a034018b6a",
+}
+
+
+def shuffled_with_ties(workload):
+    order = np.random.default_rng(len(workload)).permutation(len(workload))
+    return [sim.Request(r.id, float(np.floor(r.arrival_ms * 2.0)) / 2.0, r.length_tokens)
+            for r in (workload[i] for i in order)]
+
+
+@pytest.mark.parametrize("nodes, batch_timeout_ms, overload", list(PINNED_SHUFFLED))
+def test_shuffled_tied_arrivals_match_pinned_hashes(nodes, batch_timeout_ms, overload):
+    digest = burst_run(nodes, batch_timeout_ms, overload, arrange=shuffled_with_ties)
+    assert digest == PINNED_SHUFFLED[(nodes, batch_timeout_ms, overload)]
+
+
+def test_heartbeats_go_on_through_a_gap_between_arrivals():
+    # the burst drops students; the heap then holds only the heartbeat until the
+    # late arrival, so beats must go on while arrivals remain for it to be served
+    ctl = sim.ControllerConfig(max_students=3, accuracy_table=flat_table(), min_students=1,
+                               idle_window_ms=20.0)
+    cluster = make_cluster(controller=ctl, replicas_per_gpu=1)
+    workload = sim.generate_workload(sim.PoissonSpec(rps=12_000.0, duration_ms=50.0), seed=3)
+    workload.append(sim.Request(len(workload), 5_000.0, 16))
+    m = sim.run_simulation(cluster, workload, calibrated_factors())
+    assert m.completed == len(workload)
+    # dropped to one student in the burst, re-added at heartbeats inside the gap
+    assert m.student_number_timeline[2:5] == [(m.student_number_timeline[2][0], 1), (100.0, 2), (200.0, 3)]
 
 
 class _Forgetful(dict):
