@@ -478,6 +478,8 @@ class Simulation:
     def __init__(self, cluster: ClusterConfig, workload: list[Request], factors: ServiceFactors):
         if factors.model.t_unit is None:
             raise RuntimeError("perf model must be calibrated before simulation")
+        if not all(map(math.isfinite, map(attrgetter("arrival_ms"), workload))):
+            raise ValueError("every arrival_ms must be finite")  # else the event loop never ends
         self.cfg = cluster
         self.factors = factors
         self.k = cluster.group_size
@@ -499,7 +501,7 @@ class Simulation:
             ((req.arrival_ms, i % cluster.nodes, req) for i, req in enumerate(workload)), key=itemgetter(0))
         self.arrivals.reverse()
         self.events: list[tuple[float, int, str, object]] = []
-        self._seq = len(workload)  # above every arrival's index, so an arrival wins a tie
+        self._seq = len(workload)  # heap events keep the numbers they had after the arrivals
         self.records: list[CompletionRecord] = []
         self.element_waits: list[float] = []  # buffer residence per dispatched element
         self.rejected_pushes = 0

@@ -708,6 +708,13 @@ def test_heartbeats_go_on_through_a_gap_between_arrivals():
     assert m.student_number_timeline[2:5] == [(m.student_number_timeline[2][0], 1), (100.0, 2), (200.0, 3)]
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_arrival_rejected(bad):
+    workload = [sim.Request(0, 1.0, 8), sim.Request(1, bad, 8), sim.Request(2, 2.0, 8)]
+    with pytest.raises(ValueError, match="arrival_ms"):
+        sim.Simulation(make_cluster(), workload, calibrated_factors())
+
+
 class _Forgetful(dict):
     """A memo that stores nothing, so every dispatch calls service_time."""
 
