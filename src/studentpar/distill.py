@@ -183,6 +183,8 @@ class EnsembleState:
             raise ValueError("students and multipliers must have equal length")
         if self.multipliers and self.multipliers[0] != 1.0:
             raise ValueError("the first multiplier must be exactly 1")
+        for j, student in enumerate(self.students[1:], start=1):
+            _check_architecture(self.students[0], student, j)
         self.classifier = classifier
 
     def __len__(self) -> int:
@@ -191,6 +193,8 @@ class EnsembleState:
     def add(self, student: nn.StudentModel, alpha: float) -> None:
         if not self.students and alpha != 1.0:
             raise ValueError("the first multiplier must be exactly 1")
+        if self.students:
+            _check_architecture(self.students[0], student, len(self.students))
         self.students.append(student)
         self.multipliers.append(float(alpha))
 
@@ -203,40 +207,95 @@ class EnsembleState:
         k = len(self.students) if k is None else k
         if not 1 <= k <= len(self.students):
             raise ValueError(f"k={k} out of range 1..{len(self.students)}")
-        out = None
-        for alpha, student in zip(self.multipliers[:k], self.students[:k]):
-            final, _ = student.forward(x)
-            out = alpha * final if out is None else out + alpha * final
-        return out
+        x = np.asarray(x, dtype=np.float64)
+        for rep in _prefix_sums(self, x[None, :] if x.ndim == 1 else x, k):
+            pass
+        return rep[0] if x.ndim == 1 else rep
 
 
-# -- losses ------------------------------------------------------------------
+# -- the stacked student bank --------------------------------------------------
+#
+# The students of an ensemble share one architecture, so their flat buffers
+# stack into one (M, P) bank and each layer becomes an (M, out, in) weight and
+# an (M, 1, out) bias. One np.matmul per layer then runs every student; it
+# makes the same BLAS call per student as DenseLayer, so every output is
+# bitwise the per-student one.
 
 
-def _check_width(*vecs):
-    w = np.asarray(vecs[0]).shape[-1]
-    for v in vecs[1:]:
-        if np.asarray(v).shape[-1] != w:
-            raise ValueError("representation width mismatch")
+def _architecture(student: nn.StudentModel) -> list[tuple]:
+    return [(layer.weight.shape, layer.activation) for layer in (student.input_proj, *student.layers)]
 
 
-def boost_loss(t_rep, prev_ensemble, s_final) -> float:
-    """Residual fitting loss: half squared error of (teacher - ensemble - student)."""
-    _check_width(t_rep, prev_ensemble, s_final)
-    r = np.asarray(t_rep) - np.asarray(prev_ensemble) - np.asarray(s_final)
-    return 0.5 * float(np.sum(r * r))
-
-def stack_loss(prev_ensemble, s_mid) -> float:
-    """Mid-layer imitation loss: half squared error of (ensemble - mid rep)."""
-    _check_width(prev_ensemble, s_mid)
-    q = np.asarray(prev_ensemble) - np.asarray(s_mid)
-    return 0.5 * float(np.sum(q * q))
+def _check_architecture(first: nn.StudentModel, student: nn.StudentModel, j: int) -> None:
+    if _architecture(student) != _architecture(first):
+        raise ValueError(f"students differ in shape: student {j} has layers {_architecture(student)}, "
+                         f"student 0 has {_architecture(first)}")
 
 
-def combined_loss(t_rep, prev_ensemble, s_final, s_mid, lambda_stack: float) -> float:
-    if lambda_stack < 0:
-        raise ValueError("lambda_stack must be nonnegative")
-    return boost_loss(t_rep, prev_ensemble, s_final) + lambda_stack * stack_loss(prev_ensemble, s_mid)
+def _bank_layers(students) -> list[tuple[np.ndarray, np.ndarray, nn.DenseLayer]]:
+    """Per layer, input projection first: (weights (M, out, in), biases (M, 1, out),
+    the first student's layer), views into one stacked copy of the students' buffers."""
+    bank = np.stack([student.flat for student in students])
+    m, first = len(students), students[0]
+    layers = []
+    for layer in (first.input_proj, *first.layers):
+        w_start, b_start, stop = layer.span
+        layers.append((bank[:, w_start:b_start].reshape(m, *layer.weight.shape), bank[:, None, b_start:stop], layer))
+    return layers
+
+
+def _bank_forward(layers, x: np.ndarray, acts: list | None = None) -> np.ndarray:
+    """Every student's forward pass on x (n, in): the (M, n, width) final
+    representations. ``acts``, when given, receives each layer's output for
+    ``_bank_backward``; otherwise only the current layer's is kept alive."""
+    if x.ndim != 2 or x.shape[1] != layers[0][2].in_dim:
+        raise ValueError(f"input width {x.shape} does not match layer in_dim {layers[0][2].in_dim}")
+    h = x
+    for weight, bias, layer in layers:
+        h = np.matmul(h, weight.transpose(0, 2, 1))
+        h += bias
+        if layer.activation == nn.TANH:
+            np.tanh(h, out=h)
+        if acts is not None:
+            acts.append(h)
+    return h
+
+
+def _bank_backward(layers, x: np.ndarray, acts: list[np.ndarray], d_final: np.ndarray, grads: np.ndarray) -> None:
+    """Back-propagate d_final (M, n, width) through every student of a ``_bank_forward``
+    at once; student j's gradient lands in grads[j], laid out like its flat buffer."""
+    g = d_final
+    for i in reversed(range(len(layers))):
+        weight, _, layer = layers[i]
+        if layer.activation == nn.TANH:
+            dz = acts[i] * acts[i]  # g * (1 - a^2), in place
+            np.subtract(1.0, dz, out=dz)
+            dz *= g
+        else:
+            dz = g
+        w_start, b_start, stop = layer.span
+        np.matmul(dz.transpose(0, 2, 1), acts[i - 1] if i else x, out=grads[:, w_start:b_start].reshape(weight.shape))
+        np.add.reduce(dz, axis=1, out=grads[:, b_start:stop])
+        if i:
+            g = np.matmul(dz, weight)
+
+
+# students x samples per stacked pass of _prefix_sums: a pass keeps two layers'
+# activations alive, so this holds a sweep's memory near the per-student loop's
+_SWEEP_ROWS = 1024
+
+
+def _prefix_sums(state: "EnsembleState", x: np.ndarray, k: int):
+    """Yield the representation of the first 1, 2, ..., k students on x, each
+    summed as rep + alpha * final in ensemble order. The students run in
+    stacked banks of at most _SWEEP_ROWS // n."""
+    step, rep = max(1, _SWEEP_ROWS // max(1, len(x))), None
+    for start in range(0, k, step):
+        students = state.students[start:min(k, start + step)]
+        finals = _bank_forward(_bank_layers(students), x)
+        for alpha, final in zip(state.multipliers[start:], finals):
+            rep = alpha * final if rep is None else rep + alpha * final
+            yield rep
 
 
 def _step_numerator_denominator(t_reps, prev_reps, s_reps) -> tuple[float, float]:
@@ -319,23 +378,15 @@ def residual_subsample(data: Dataset, residual_norms, a: float, b: float, seed: 
 # -- sequential student training ---------------------------------------------
 
 
-def _teacher_reps(teacher, x: np.ndarray) -> np.ndarray:
-    rep, _ = teacher.forward(x)
-    return rep
-
-
-def _prev_reps(state: EnsembleState, x: np.ndarray, width: int) -> np.ndarray:
-    if len(state) == 0:
-        return np.zeros((len(x), width))
-    return state.rep(x)
+def _half_mse(t: np.ndarray, prev: np.ndarray) -> float:
+    r = t - prev
+    return 0.5 * float(np.mean(np.sum(r * r, axis=1)))
 
 
 def residual_mse(teacher, state: EnsembleState, data: Dataset, k: int | None = None) -> float:
     """Mean over samples of the half squared residual norm."""
-    t = _teacher_reps(teacher, data.inputs)
-    prev = state.rep(data.inputs, k) if len(state) else np.zeros_like(t)
-    r = t - prev
-    return 0.5 * float(np.mean(np.sum(r * r, axis=1)))
+    t, _ = teacher.forward(data.inputs)
+    return _half_mse(t, state.rep(data.inputs, k) if len(state) else np.zeros_like(t))
 
 
 def train_one_student(
@@ -366,16 +417,18 @@ def train_one_student(
         train_data = data
     else:
         student = state.students[-1].copy()
-        t = _teacher_reps(teacher, data.inputs)
-        prev = state.rep(data.inputs)
-        norms = np.linalg.norm(t - prev, axis=1)
+        t, _ = teacher.forward(data.inputs)
+        norms = np.linalg.norm(t - state.rep(data.inputs), axis=1)
         train_data = residual_subsample(
             data, norms, cfg.subsample_top_pct, cfg.subsample_rand_pct,
             fork_seed(cfg.seed, f"subsample-{round_index}"),
         )
 
-    t_reps = _teacher_reps(teacher, train_data.inputs)
-    prev_reps = _prev_reps(state, train_data.inputs, rep_dim)
+    # the subsample's own forward passes: a row subset of a BLAS product need not
+    # equal the product of the row subset
+    t_reps, _ = teacher.forward(train_data.inputs)
+    prev_reps = np.zeros_like(t_reps) if first else state.rep(train_data.inputs)
+    target = t_reps - prev_reps
     lam = 0.0 if first else cfg.lambda_stack
 
     opt = nn.Optimizer(kind=nn.ADAM, learning_rate=cfg.learning_rate)
@@ -386,19 +439,22 @@ def train_one_student(
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            xb = train_data.inputs[idx]
-            tb, pb = t_reps[idx], prev_reps[idx]
-            s_final, s_mid = student.forward(xb)
-            r = tb - pb - s_final
+            m = len(idx)
+            s_final, s_mid = student.forward(train_data.inputs[idx])
+            pb = prev_reps[idx]
+            r = target[idx]
+            r -= s_final
             q = pb - s_mid
-            loss = 0.5 * np.mean(np.sum(r * r, axis=1)) + lam * 0.5 * np.mean(np.sum(q * q, axis=1))
+            # boost + lam * stack loss, each mean summed and divided as np.mean does
+            loss = (0.5 * (np.add.reduce(np.add.reduce(r * r, axis=1)) / m)
+                    + lam * 0.5 * (np.add.reduce(np.add.reduce(q * q, axis=1)) / m))
             if not np.isfinite(loss):
                 raise FloatingPointError("training loss diverged")
-            total += loss * len(idx)
-            d_final = -r / len(idx)
-            d_mid = lam * (s_mid - pb) / len(idx) if lam else None
-            grads = student.backward(d_final, d_mid)
-            opt.step(student, grads)
+            total += loss * m
+            np.negative(r, out=r)  # d_final = -r / m
+            r /= m
+            d_mid = lam * (s_mid - pb) / m if lam else None
+            opt.step(student, student.backward(r, d_mid))
         epoch_losses.append(total / n)
     return student, epoch_losses
 
@@ -425,7 +481,10 @@ def sequential_training(
         raise ValueError("training requires nonempty train and validation splits")
     state = EnsembleState()
     records: list[ConvergenceRecord] = []
-    t_train = _teacher_reps(teacher, splits.train.inputs)
+    # teacher and running ensemble representations, each from whole-split forward
+    # passes: prev + alpha * s adds the students in the order state.rep sums them
+    (t_train, _), (t_val, _) = teacher.forward(splits.train.inputs), teacher.forward(splits.validation.inputs)
+    prev_train, prev_val = np.zeros_like(t_train), np.zeros_like(t_val)
     best_val = np.inf
     stall = 0
     for round_index in range(cfg.max_students):
@@ -433,19 +492,22 @@ def sequential_training(
             teacher, state, splits.train, cfg, round_index, seed_student, student_depth
         )
         s_train, _ = student.forward(splits.train.inputs)
-        prev_train = _prev_reps(state, splits.train.inputs, teacher.rep_dim)
         alpha, inner, halted = halting_probe(t_train, prev_train, s_train)
         if round_index == 0:
             alpha = 1.0  # pinned by definition of the ensemble
         if halted and round_index > 0:
             records.append(ConvergenceRecord(
-                round=round_index,
-                residual_mse=residual_mse(teacher, state, splits.validation),
+                round=round_index, residual_mse=_half_mse(t_val, prev_val),
                 inner_product=inner, step_size=alpha, halted=True,
             ))
             break
         state.add(student, alpha)
-        val_mse = residual_mse(teacher, state, splits.validation)
+        s_val, _ = student.forward(splits.validation.inputs)
+        if round_index == 0:
+            prev_train, prev_val = alpha * s_train, alpha * s_val
+        else:
+            prev_train, prev_val = prev_train + alpha * s_train, prev_val + alpha * s_val
+        val_mse = _half_mse(t_val, prev_val)
         records.append(ConvergenceRecord(
             round=round_index, residual_mse=val_mse,
             inner_product=inner, step_size=alpha, halted=inner <= 0.0,
@@ -467,9 +529,10 @@ def sequential_training(
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def soft_cross_entropy(student_logits, teacher_logits, temperature: float = 1.0) -> float:
@@ -535,44 +598,43 @@ def accumulate_prefix_gradients(
 ) -> tuple[nn.TapeGradients, float]:
     """One batch of the pruning objective: sum over k of soft CE on prefix k.
 
-    Every student runs forward once, one cumulative sum builds all M prefix
-    representations, and the classifier runs forward and backward once over
-    them stacked, which sums its per-prefix gradients. Student j feeds every
-    prefix k >= j, and backward is linear in its upstream gradient, so each
-    student back-propagates once, with alpha_j times the suffix sum over
-    k >= j of the prefix representations' gradients. The tape covers the
-    classifier and then every student (``layout``, built from the state
-    when not given).
+    The students run forward together as one stacked bank, one cumulative sum
+    builds all M prefix representations, and the classifier runs forward and
+    backward once over them stacked, which sums its per-prefix gradients.
+    Student j feeds every prefix k >= j, and backward is linear in its
+    upstream gradient, so the bank back-propagates once, student j with
+    alpha_j times the suffix sum over k >= j of the prefix representations'
+    gradients, straight into its block of the tape. The tape covers the
+    classifier and then every student (``layout``, built from the state when
+    not given).
     """
     m, n = len(state), len(xb)
     clf = state.classifier
     layout = _pruning_layout(state) if layout is None else layout
+    xb = np.asarray(xb, dtype=np.float64)
     alphas = np.asarray(state.multipliers)[:, None, None]
-    finals = np.stack([student.forward(xb)[0] for student in state.students])
+    layers, acts = _bank_layers(state.students), []
+    finals = _bank_forward(layers, xb, acts)
     reps = np.cumsum(alphas * finals, axis=0).reshape(m * n, -1)  # same additions as rep + alpha * f
     logits = clf.forward(reps)
     t_logits = np.tile(np.asarray(teacher_logits, dtype=np.float64), (m, 1))
     total = m * soft_cross_entropy(logits, t_logits, temperature)
     d_logits = (_softmax(logits / temperature) - _softmax(t_logits / temperature)) / (temperature * n)
-    d_reps, dw, db = clf.backward(d_logits)
-    suffix = np.cumsum(d_reps.reshape(m, n, -1)[::-1], axis=0)[::-1]
     grad = np.empty(layout[-1][2])
-    start = clf.weight.size
-    grad[:start] = dw.reshape(-1)
-    grad[start:start + db.size] = db
-    start += db.size
-    for alpha, student, d_rep in zip(state.multipliers, state.students, suffix):
-        grad[start:start + student.flat.size] = student.backward(alpha * d_rep, None).flat
-        start += student.flat.size
+    w_stop, start = clf.weight.size, clf.weight.size + clf.bias.size
+    d_reps, _, _ = clf.backward(d_logits, grad[:w_stop].reshape(clf.weight.shape), grad[w_stop:start])
+    suffix = np.cumsum(d_reps.reshape(m, n, -1)[::-1], axis=0)[::-1]
+    _bank_backward(layers, xb, acts, alphas * suffix, grad[start:].reshape(m, -1))
     return nn.TapeGradients.over(grad, layout), total
 
 
-def prefix_accuracy(state: EnsembleState, data: Dataset, k: int) -> float:
-    """Hard-label accuracy of classifier(prefix-k representation)."""
+def prefix_accuracies(state: EnsembleState, data: Dataset) -> list[float]:
+    """Hard-label accuracy of classifier(prefix-k representation) for k = 1..M,
+    from one stacked forward of the students."""
     if state.classifier is None:
         raise ValueError("ensemble has no trained classifier")
-    logits = state.classifier.forward(state.rep(data.inputs, k))
-    return float(np.mean(np.argmax(logits, axis=1) == data.labels))
+    return [float(np.mean(np.argmax(state.classifier.forward(rep), axis=1) == data.labels))
+            for rep in _prefix_sums(state, data.inputs, len(state))]
 
 
 def adaptive_pruning(
@@ -610,10 +672,8 @@ def adaptive_pruning(
             if not np.isfinite(loss):
                 raise FloatingPointError("pruning loss diverged")
             opt.step(params, tape)
-    rows = [
-        (k, prefix_accuracy(state, splits.validation, k), prefix_accuracy(state, splits.test, k))
-        for k in range(1, m + 1)
-    ]
+    rows = list(zip(range(1, m + 1), prefix_accuracies(state, splits.validation),
+                    prefix_accuracies(state, splits.test)))
     table = AccuracyTable(rows)
     best_k, best_acc = 1, -1.0
     for k, val_acc, _ in rows:
@@ -710,14 +770,20 @@ def train_teacher(
         total = 0.0
         for start in range(0, n, batch_size):
             idx = perm[start:start + batch_size]
+            m, labels = len(idx), onehot[idx]
             _, logits = teacher.forward(splits.train.inputs[idx])
             p = _softmax(logits)
-            loss = float(np.mean(-np.sum(onehot[idx] * np.log(p + 1e-12), axis=1)))
+            log_p = p + 1e-12
+            np.log(log_p, out=log_p)
+            log_p *= labels
+            # the mean cross-entropy, summed and divided as np.mean does
+            loss = float(np.add.reduce(-np.add.reduce(log_p, axis=1)) / m)
             if not np.isfinite(loss):
                 raise FloatingPointError("teacher training diverged")
-            total += loss * len(idx)
-            grads = teacher.backward(None, (p - onehot[idx]) / len(idx))
-            opt.step(teacher, grads)
+            total += loss * m
+            p -= labels
+            p /= m
+            opt.step(teacher, teacher.backward(None, p))
         losses.append(total / n)
         val_acc = teacher_accuracy(teacher, splits.validation)
         if val_acc > best_val:

@@ -77,27 +77,40 @@ class DenseLayer:
             x = x[None, :]
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(f"input width {x.shape} does not match layer in_dim {self.in_dim}")
-        out = x @ self.weight.T + self.bias
+        out = np.dot(x, self.weight.T)
+        out += self.bias
         if self.activation == TANH:
-            out = np.tanh(out)
+            np.tanh(out, out=out)
         self._x, self._a = x, out
         return out[0] if squeeze else out
 
-    def backward(self, d_out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (d_input, d_weight, d_bias) for upstream gradient d_out."""
+    def backward(
+        self, d_out: np.ndarray, dw: np.ndarray | None = None, db: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Return (d_input, d_weight, d_bias) for upstream gradient d_out.
+
+        ``dw`` and ``db``, when given, are C-contiguous float64 buffers (views into
+        a gradient tape, see ``tape_views``) that receive d_weight and d_bias.
+        """
         if self._x is None:
             raise RuntimeError("backward called before forward")
         d_out = np.asarray(d_out, dtype=np.float64)
         if d_out.ndim == 1:
             d_out = d_out[None, :]
         if self.activation == TANH:
-            dz = d_out * (1.0 - self._a ** 2)
+            dz = self._a * self._a  # d_out * (1 - a^2), in place
+            np.subtract(1.0, dz, out=dz)
+            dz *= d_out
         else:
             dz = d_out
-        dw = dz.T @ self._x
-        db = np.add.reduce(dz, axis=0)
-        dx = dz @ self.weight
-        return dx, dw, db
+        dw = np.dot(dz.T, self._x, out=dw)
+        db = np.add.reduce(dz, axis=0, out=db)
+        return np.dot(dz, self.weight), dw, db
+
+    def tape_views(self, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """This layer's (weight, bias) slots in ``grad``, a flat buffer laid out like the model's."""
+        w_start, b_start, stop = self.span
+        return grad[w_start:b_start].reshape(self.weight.shape), grad[b_start:stop]
 
     def copy(self) -> "DenseLayer":
         return DenseLayer(self.weight.copy(), self.bias.copy(), self.activation)
@@ -128,12 +141,6 @@ def _layout(params: dict[str, np.ndarray], start: int = 0, prefix: str = "") -> 
         out.append((prefix + name, start, start + arr.size, arr.shape))
         start += arr.size
     return out
-
-
-def _put(grad: np.ndarray, layer: DenseLayer, dw: np.ndarray, db: np.ndarray) -> None:
-    w_start, b_start, stop = layer.span
-    grad[w_start:b_start] = dw.reshape(-1)
-    grad[b_start:stop] = db
 
 
 class TapeGradients:
@@ -243,27 +250,24 @@ class TeacherModel:
         if self._block_acts is None:
             raise RuntimeError("backward called before forward")
         grad = np.empty_like(self.flat)
-        rep = self._block_acts[-1] if self.blocks else None
-        if d_final_rep is None:
-            g = None
-        else:
-            g = np.atleast_2d(np.asarray(d_final_rep, dtype=np.float64))
+        # g is this call's own array: the residual path accumulates into it in place
         if d_logits is not None:
-            d_rep_head, dw, db = self.head.backward(d_logits)
-            _put(grad, self.head, dw, db)
-            g = d_rep_head if g is None else g + d_rep_head
+            g, _, _ = self.head.backward(d_logits, *self.head.tape_views(grad))
+            if d_final_rep is not None:
+                g += np.asarray(d_final_rep, dtype=np.float64)
         else:
             grad[self.head.span[0]:self.head.span[2]] = 0.0
-        if g is None:
-            g = np.zeros_like(rep) if rep is not None else np.zeros((1, self.rep_dim))
+            if d_final_rep is not None:
+                g = np.array(np.atleast_2d(d_final_rep), dtype=np.float64)
+            elif self.blocks:
+                g = np.zeros_like(self._block_acts[-1])
+            else:
+                g = np.zeros((1, self.rep_dim))
         for block in reversed(self.blocks):
-            d_f, dw, db = block.project.backward(g)
-            _put(grad, block.project, dw, db)
-            d_h, dw, db = block.expand.backward(d_f)
-            _put(grad, block.expand, dw, db)
-            g = g + d_h  # residual path
-        _, dw, db = self.input_proj.backward(g)
-        _put(grad, self.input_proj, dw, db)
+            d_f, _, _ = block.project.backward(g, *block.project.tape_views(grad))
+            d_h, _, _ = block.expand.backward(d_f, *block.expand.tape_views(grad))
+            g += d_h  # residual path
+        self.input_proj.backward(g, *self.input_proj.tape_views(grad))
         return TapeGradients.over(grad, self.layout)
 
     def parameters(self) -> dict[str, np.ndarray]:
@@ -345,12 +349,10 @@ class StudentModel:
         mid_index = self.mid_index
         for i in reversed(range(1, self.depth + 1)):
             if i == mid_index and d_mid_rep is not None:
-                g = g + np.atleast_2d(np.asarray(d_mid_rep, dtype=np.float64))
+                g += np.asarray(d_mid_rep, dtype=np.float64)  # g is layer i + 1's fresh d_input
             layer = self.layers[i - 1]
-            g, dw, db = layer.backward(g)
-            _put(grad, layer, dw, db)
-        _, dw, db = self.input_proj.backward(g)
-        _put(grad, self.input_proj, dw, db)
+            g, _, _ = layer.backward(g, *layer.tape_views(grad))
+        self.input_proj.backward(g, *self.input_proj.tape_views(grad))
         return TapeGradients.over(grad, self.layout)
 
     def parameters(self) -> dict[str, np.ndarray]:
@@ -375,7 +377,8 @@ class Optimizer:
     ``step`` validates the tape (rejecting non-finite gradients, by name,
     before any parameter is touched), applies one elementwise update to
     ``model.flat`` in place, then clears the tape. Adam's moments are flat
-    buffers shaped like the parameters.
+    buffers shaped like the parameters; ``_u`` is a scratch buffer of the same
+    shape, and the tape is scratch once read, so a step allocates nothing.
     """
 
     kind: str = ADAM
@@ -386,6 +389,7 @@ class Optimizer:
     _m: np.ndarray | None = field(default=None, repr=False)
     _v: np.ndarray | None = field(default=None, repr=False)
     _t: int = field(default=0, repr=False)
+    _u: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in (SGD, ADAM):
@@ -401,19 +405,29 @@ class Optimizer:
             name = next(name for name, start, stop, _ in grads.layout if not np.isfinite(g[start:stop]).all())
             raise ValueError(f"non-finite gradient for {name!r}; parameters left unchanged")
         if self.kind == SGD:
-            params -= self.learning_rate * g
+            g *= self.learning_rate
+            params -= g
         else:
             if self._m is None:
-                self._m, self._v = np.zeros_like(params), np.zeros_like(params)
+                self._m, self._v, self._u = np.zeros_like(params), np.zeros_like(params), np.empty_like(params)
             self._t += 1
-            b1, b2, m, v = self.beta1, self.beta2, self._m, self._v
+            b1, b2, m, v, u = self.beta1, self.beta2, self._m, self._v, self._u
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
             m *= b1
-            m += (1 - b1) * g
+            np.multiply(g, 1 - b1, out=u)
+            m += u
             v *= b2
-            v += (1 - b2) * g * g
-            m_hat = m / (1 - b1**self._t)
-            v_hat = v / (1 - b2**self._t)
-            params -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(g, 1 - b2, out=u)
+            u *= g
+            v += u
+            # params -= lr m_hat / (sqrt(v_hat) + eps), with g done with
+            np.divide(v, 1 - b2**self._t, out=g)
+            np.sqrt(g, out=g)
+            g += self.eps
+            np.divide(m, 1 - b1**self._t, out=u)
+            u *= self.learning_rate
+            u /= g
+            params -= u
         grads.zero_()
 
 

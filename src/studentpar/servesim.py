@@ -627,6 +627,31 @@ class Simulation:
             elif node.empty_since is None:
                 node.empty_since = self.last_empty = now
 
+    def _beat_state(self) -> tuple[int, int, int]:
+        """What a heartbeat's boundary can change: any event it pushes moves the
+        sequence counter, an action moves k, and a retry that goes in shortens a queue."""
+        return self._seq, self.k, sum(len(self.nodes[i].retry) for i in self.retrying)
+
+    def _last_quiet_beat(self, now: float) -> float:
+        """The last heartbeat time before the next event, the next arrival or the end
+        of the idle window, whichever is first. After a heartbeat that changed nothing,
+        and with no waiting-queue head to time out, no beat before it can act: until
+        one of those, only the controller's idle test reads the clock."""
+        until = math.inf
+        if self.events:
+            until = self.events[0][0]
+        if self.arrivals:
+            until = min(until, self.arrivals[-1][0])
+        idle_end = self.last_empty + self.cfg.controller.idle_window_ms
+        if idle_end > now:
+            until = min(until, idle_end)
+        if until == math.inf:
+            return until
+        beats = math.ceil((until - now) / HEARTBEAT_MS) - 1
+        while beats > 1 and now + beats * HEARTBEAT_MS >= until:
+            beats -= 1
+        return now + beats * HEARTBEAT_MS
+
     def run(self) -> SimMetrics:
         events, arrivals, nodes = self.events, self.arrivals, self.nodes
         while events:  # a heartbeat stays pending while arrivals remain
@@ -645,11 +670,20 @@ class Simulation:
             node = None
             if kind == _HEARTBEAT:
                 # one heartbeat is pending at a time; beats go on while other events
-                # remain, then for an idle window plus five beats after the last of them
+                # remain, then for an idle window plus five beats after the last of them.
+                # The next beat takes its place in the heap order now, before this beat's
+                # boundary pushes anything, and its time once the boundary has run.
+                seq, self._seq = self._seq, self._seq + 1
+                more = bool(events or arrivals)
+                before = self._beat_state()
+                self._boundary(now, None)
                 nxt = now + HEARTBEAT_MS
-                if events or arrivals or nxt <= (
+                if self._beat_state() == before and not (self.nonempty and self.cfg.batch_timeout_ms is not None):
+                    nxt = max(nxt, self._last_quiet_beat(now))
+                if more or nxt <= (
                         self.last_event_ms + self.cfg.controller.idle_window_ms + 5 * HEARTBEAT_MS):
-                    self._push_event(nxt, _HEARTBEAT, None)
+                    heapq.heappush(events, (nxt, seq, _HEARTBEAT, None))
+                continue
             else:
                 self.last_event_ms = now
                 if kind == _COMPLETION:

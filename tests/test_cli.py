@@ -4,7 +4,9 @@ import csv
 import io
 import json
 import os
+import signal
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -214,7 +216,16 @@ CHECKPOINT_CORRUPTIONS = {
     "ensemble-missing-key": lambda t, e: e.pop("multipliers"),
     "ensemble-holds-a-teacher": lambda t, e: e["students"].__setitem__(0, dict(t)),
     "ensemble-empty": lambda t, e: e.update(students=[], multipliers=[]),
+    "ensemble-mixed-shapes": lambda t, e: add_deeper_student(e),
 }
+
+
+def add_deeper_student(e):
+    """Append a copy of the first student with one more hidden layer."""
+    student = json.loads(json.dumps(e["students"][0]))
+    student["layers"].append(dict(student["layers"][-1]))
+    e["students"].append(student)
+    e["multipliers"].append(0.5)
 
 
 @pytest.mark.parametrize("corruption", list(CHECKPOINT_CORRUPTIONS))
@@ -235,6 +246,26 @@ def test_prune_corrupt_checkpoint_exits_config(tmp_path, capsys, distilled, corr
     assert cli.main(["prune", "--config", cfg]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+
+
+def test_prune_mixed_shape_ensemble_names_the_file(tmp_path, capsys, distilled):
+    ensemble = json.loads((distilled / "ensemble.json").read_text())
+    add_deeper_student(ensemble)
+    bad = tmp_path / "bad_distill"
+    bad.mkdir()
+    (bad / "teacher.json").write_bytes((distilled / "teacher.json").read_bytes())
+    (bad / "ensemble.json").write_text(json.dumps(ensemble))
+    cfg = write_config(tmp_path, "prune.json", {
+        "mode": "prune", "seed": 5, "out_dir": str(tmp_path / "prune_out"), "distill_dir": str(bad),
+        "task": {"kind": "gaussian", "n_classes": 2, "d_in": 4, "n_train": 96,
+                 "n_val": 48, "n_test": 48, "class_sep": 2.5},
+        "distill": {"pruning_epochs": 1},
+    })
+    assert cli.main(["prune", "--config", cfg]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"config error: {bad / 'ensemble.json'}: students differ in shape: student ")
+    assert not (tmp_path / "prune_out" / "ensemble_pruned.json").exists()
 
 
 def test_prune_task_width_mismatch_exits_config(tmp_path, capsys, distilled):
@@ -590,6 +621,30 @@ def test_cluster_bin_width_sets_request_lengths(tmp_path, workload):
     assert cli.main(["simulate", "--config", write_config(tmp_path, "bins.json", cfg)]) == cli.EXIT_OK
     lengths = [int(row[4]) for row in read_csv(tmp_path / "sim_out" / "latencies.csv")[1:]]
     assert len(lengths) > 500 and max(lengths) <= 64 and min(lengths) >= 1
+
+
+def test_far_off_completions_do_not_hang_the_simulator(tmp_path):
+    """Lengths padded to 2**31 tokens give service times near 1e13 ms; the
+    heartbeats used to step through that wait 100 ms at a time."""
+    cfg = toy_payloads(tmp_path)["simulate"]
+    cfg["cluster"]["bin_width"] = 2**31
+
+    def give_up(signum, frame):
+        raise TimeoutError("simulate still running after 20 s")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(20)
+    try:
+        started = time.monotonic()
+        assert cli.main(["simulate", "--config", write_config(tmp_path, "slow.json", cfg)]) == cli.EXIT_OK
+        assert time.monotonic() - started < 5.0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    rows = read_csv(tmp_path / "sim_out" / "latencies.csv")[1:]
+    metrics = json.loads((tmp_path / "sim_out" / "metrics.json").read_text())
+    assert len(rows) == metrics["completed"] > 0
+    assert min(float(row[3]) for row in rows) > 1e12
 
 
 @pytest.mark.parametrize("mode", ["distill", "prune"])

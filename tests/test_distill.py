@@ -100,33 +100,74 @@ def test_first_multiplier_pinned_to_one():
 # -- losses ----------------------------------------------------------------------
 
 
+def _check_width(*vecs):
+    w = np.asarray(vecs[0]).shape[-1]
+    for v in vecs[1:]:
+        if np.asarray(v).shape[-1] != w:
+            raise ValueError("representation width mismatch")
+
+
+def boost_loss(t_rep, prev_ensemble, s_final) -> float:
+    """Oracle: half squared error of (teacher - ensemble - student)."""
+    _check_width(t_rep, prev_ensemble, s_final)
+    r = np.asarray(t_rep) - np.asarray(prev_ensemble) - np.asarray(s_final)
+    return 0.5 * float(np.sum(r * r))
+
+
+def stack_loss(prev_ensemble, s_mid) -> float:
+    """Oracle: half squared error of (ensemble - mid rep)."""
+    _check_width(prev_ensemble, s_mid)
+    q = np.asarray(prev_ensemble) - np.asarray(s_mid)
+    return 0.5 * float(np.sum(q * q))
+
+
+def combined_loss(t_rep, prev_ensemble, s_final, s_mid, lambda_stack: float) -> float:
+    return boost_loss(t_rep, prev_ensemble, s_final) + lambda_stack * stack_loss(prev_ensemble, s_mid)
+
+
 def test_boost_loss_cases():
-    assert dst.boost_loss([1, 0], [0, 0], [1, 0]) == 0.0
-    assert dst.boost_loss([1, 0], [0, 0], [0, 0]) == 0.5
-    assert dst.boost_loss([2, 1], [1, 1], [0.5, 0]) == pytest.approx(0.125, abs=0)
+    assert boost_loss([1, 0], [0, 0], [1, 0]) == 0.0
+    assert boost_loss([1, 0], [0, 0], [0, 0]) == 0.5
+    assert boost_loss([2, 1], [1, 1], [0.5, 0]) == pytest.approx(0.125, abs=0)
 
 
 def test_stack_loss_cases():
-    assert dst.stack_loss([1, 1], [1, 1]) == 0.0
-    assert dst.stack_loss([2, 0], [0, 0]) == 2.0
+    assert stack_loss([1, 1], [1, 1]) == 0.0
+    assert stack_loss([2, 0], [0, 0]) == 2.0
     rng = make_rng(2)
     prev, mid = rng.normal(size=6), rng.normal(size=6)
     expected = 0.5 * sum((prev[i] - mid[i]) ** 2 for i in range(6))
-    assert dst.stack_loss(prev, mid) == pytest.approx(expected, rel=1e-14)
+    assert stack_loss(prev, mid) == pytest.approx(expected, rel=1e-14)
 
 
 def test_combined_loss_cases():
     t, prev, s_final, s_mid = [1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]
-    assert dst.combined_loss(t, prev, s_final, s_mid, 0.0) == dst.boost_loss(t, prev, s_final)
-    assert dst.combined_loss([1, 0], [0, 0], [0, 0], [2, 0], 1.0) == pytest.approx(0.5 + 2.0)
+    assert combined_loss(t, prev, s_final, s_mid, 0.0) == boost_loss(t, prev, s_final)
+    assert combined_loss([1, 0], [0, 0], [0, 0], [2, 0], 1.0) == pytest.approx(0.5 + 2.0)
     assert dst.DistillConfig().lambda_stack == 1.0  # stock balance between the two terms
 
 
 def test_loss_width_mismatch():
     with pytest.raises(ValueError):
-        dst.boost_loss([1, 0], [0, 0, 0], [1, 0])
+        boost_loss([1, 0], [0, 0, 0], [1, 0])
     with pytest.raises(ValueError):
-        dst.stack_loss([1, 0], [0.0])
+        stack_loss([1, 0], [0.0])
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.7])
+def test_student_training_loss_is_the_combined_loss(lam):
+    # one epoch of one full batch: the logged loss is the untrained student's
+    # combined loss against the residual target, averaged over the samples
+    teacher, splits, _, state = small_trained_state(seed=5, max_students=1)
+    data = splits.train
+    cfg = fast_cfg(lambda_stack=lam, epochs_per_student=1, batch_size=len(data),
+                   subsample_top_pct=50.0, subsample_rand_pct=50.0)
+    before = state.students[-1].copy()
+    _, losses = dst.train_one_student(teacher, state, data, cfg, round_index=1)
+    t = teacher.forward(data.inputs)[0]
+    prev = state.rep(data.inputs)
+    s_final, s_mid = before.forward(data.inputs)
+    assert losses[0] == pytest.approx(combined_loss(t, prev, s_final, s_mid, lam) / len(data), rel=1e-12)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -619,20 +660,27 @@ def test_prefix_gradients_match_quadratic_reference(m, temperature):
     assert again_loss == loss and again.layout is layout
 
 
-def test_prefix_gradients_back_propagate_each_student_once(monkeypatch):
+def test_prefix_gradients_back_propagate_the_bank_once(monkeypatch):
     m = 8
     state, xb, t_logits = random_pruning_state(m, seed=80)
-    calls = []
-    backward = nn.StudentModel.backward
+    per_student, stacked = [], []
+    backward, bank_backward = nn.StudentModel.backward, dst._bank_backward
 
     def counting(self, *args, **kwargs):
-        calls.append(self)
+        per_student.append(self)
         return backward(self, *args, **kwargs)
 
+    def counting_bank(layers, x, acts, d_final, grads):
+        stacked.append((d_final.shape, grads.shape))
+        return bank_backward(layers, x, acts, d_final, grads)
+
     monkeypatch.setattr(nn.StudentModel, "backward", counting)
-    dst.accumulate_prefix_gradients(state, xb, t_logits, temperature=2.0)
-    assert len(calls) == m
-    assert [id(s) for s in calls] == [id(s) for s in state.students]
+    monkeypatch.setattr(dst, "_bank_backward", counting_bank)
+    for _ in range(3):
+        dst.accumulate_prefix_gradients(state, xb, t_logits, temperature=2.0)
+    assert per_student == []
+    p = state.students[0].flat.size
+    assert stacked == [((m, len(xb), 6), (m, p))] * 3
 
 
 def test_prefix_gradients_reject_non_finite_logits():

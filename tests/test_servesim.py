@@ -708,6 +708,65 @@ def test_heartbeats_go_on_through_a_gap_between_arrivals():
     assert m.student_number_timeline[2:5] == [(m.student_number_timeline[2][0], 1), (100.0, 2), (200.0, 3)]
 
 
+def gap_workload(nodes, seed, gap_ms):
+    """A 12k rps burst per node for 50 ms, then one request per node after a long gap."""
+    workload = sim.generate_workload(sim.PoissonSpec(rps=12_000.0 * nodes, duration_ms=50.0), seed=seed)
+    for i in range(nodes):
+        workload.append(sim.Request(len(workload), gap_ms + 37.5 * i, 16 + i))
+    return workload
+
+
+def served(cluster, workload, factors):
+    m = sim.run_simulation(cluster, workload, factors)
+    return ([(r.request_id, r.arrival_ms, r.completion_ms) for r in m.per_request],
+            m.student_number_timeline, m.accuracy_timeline, m.rejected_pushes)
+
+
+@pytest.mark.parametrize("nodes", [1, 3])
+@pytest.mark.parametrize("batch_timeout_ms", [None, 2.0])
+@pytest.mark.parametrize("idle_window_ms, bin_width", [(20.0, 8), (250.0, 8), (20.0, 4096)])
+def test_quiet_heartbeats_are_skipped_without_changing_the_run(monkeypatch, nodes, batch_timeout_ms,
+                                                               idle_window_ms, bin_width):
+    # the reference beats every 100 ms; the run under test jumps over beats that cannot act
+    ctl = sim.ControllerConfig(max_students=3, accuracy_table=flat_table(), min_students=1,
+                               idle_window_ms=idle_window_ms)
+    cluster = make_cluster(controller=ctl, nodes=nodes, replicas_per_gpu=1,
+                           batch_timeout_ms=batch_timeout_ms, bin_width=bin_width)
+    workload = gap_workload(nodes, seed=nodes, gap_ms=7_000.0)
+    beats = []
+    beat_state = sim.Simulation._beat_state
+
+    def counting(self):
+        beats.append(None)
+        return beat_state(self)
+
+    monkeypatch.setattr(sim.Simulation, "_beat_state", counting)
+    got = served(cluster, workload, calibrated_factors())
+    skipping = len(beats)
+    beats.clear()
+    monkeypatch.setattr(sim.Simulation, "_last_quiet_beat", lambda self, now: -float("inf"))
+    expected = served(cluster, workload, calibrated_factors())
+    assert got == expected
+    assert len(got[1]) > 3  # students were dropped and added back
+    # each beat reads its state twice; with short service times most of the gap is quiet
+    assert 3 * skipping < len(beats) if bin_width == 8 else skipping <= len(beats)
+
+
+def test_drops_go_on_one_per_heartbeat_while_a_buffer_stays_full(monkeypatch):
+    # one group at every k: a drop leaves the buffer full, so each later beat drops
+    # again until min_students, although the next event is a minute away
+    ctl = sim.ControllerConfig(max_students=5, accuracy_table=flat_table(m=5), min_students=1,
+                               idle_window_ms=20.0)
+    cluster = make_cluster(controller=ctl, gpus_per_node=1, group_size=5, replicas_per_gpu=1,
+                           bin_width=4096, num_bins=16)
+    workload = [sim.Request(0, 0.5, 60_000), sim.Request(1, 1.0, 60_000)]
+    got = served(cluster, workload, calibrated_factors())
+    assert got[1][:5] == [(0.0, 5), (0.5, 4), (1.0, 3), (100.0, 2), (200.0, 1)]
+    assert got[0][0][2] > 50_000.0
+    monkeypatch.setattr(sim.Simulation, "_last_quiet_beat", lambda self, now: -float("inf"))
+    assert served(cluster, workload, calibrated_factors()) == got
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_arrival_rejected(bad):
     workload = [sim.Request(0, 1.0, 8), sim.Request(1, bad, 8), sim.Request(2, 2.0, 8)]
