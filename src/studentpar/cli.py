@@ -281,10 +281,7 @@ def cmd_prune(config_path: str, seed_override: int | None, out_override: str | N
         teacher = nn.load_model(teacher_path)
         if not isinstance(teacher, nn.TeacherModel):
             raise ConfigError(f"{teacher_path} does not contain a teacher model")
-        try:
-            state = dst.load_ensemble(ensemble_path)
-        except ValueError as exc:
-            raise ConfigError(f"{ensemble_path}: {exc}") from exc
+        state = dst.load_ensemble(ensemble_path)
         if len(state) == 0:
             raise ConfigError(f"{ensemble_path} holds no students")
         splits = _parse_task(config.get("task", {"kind": "gaussian"}), seed)

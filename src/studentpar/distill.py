@@ -736,8 +736,13 @@ def save_ensemble(state: EnsembleState, path, mode: str = "binary") -> None:
 
 
 def load_ensemble(path) -> EnsembleState:
+    """Read an ensemble checkpoint; a malformed one raises ValueError naming ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return ensemble_from_dict(json.load(fh))
+        d = json.load(fh)
+    try:
+        return ensemble_from_dict(d)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 # -- teacher training (artifact plumbing) --------------------------------------
