@@ -232,10 +232,11 @@ def _check_architecture(first: nn.StudentModel, student: nn.StudentModel, j: int
                          f"student 0 has {_architecture(first)}")
 
 
-def _bank_layers(students) -> list[tuple[np.ndarray, np.ndarray, nn.DenseLayer]]:
+def _bank_layers(students, bank: np.ndarray | None = None) -> list[tuple[np.ndarray, np.ndarray, nn.DenseLayer]]:
     """Per layer, input projection first: (weights (M, out, in), biases (M, 1, out),
-    the first student's layer), views into one stacked copy of the students' buffers."""
-    bank = np.stack([student.flat for student in students])
+    the first student's layer), views into ``bank``, the students' buffers as
+    rows of one (M, P) array: by default a stacked copy of them."""
+    bank = np.stack([student.flat for student in students]) if bank is None else bank
     m, first = len(students), students[0]
     layers = []
     for layer in (first.input_proj, *first.layers):
@@ -436,13 +437,15 @@ def train_one_student(
     epoch_losses: list[float] = []
     for _epoch in range(cfg.epochs_per_student):
         perm = rng.permutation(n)
+        # this epoch's own gathered rows: each batch is a slice, and its targets are scratch
+        inputs, prevs, targets = train_data.inputs[perm], prev_reps[perm], target[perm]
         total = 0.0
         for start in range(0, n, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            m = len(idx)
-            s_final, s_mid = student.forward(train_data.inputs[idx])
-            pb = prev_reps[idx]
-            r = target[idx]
+            rows = slice(start, start + cfg.batch_size)
+            s_final, s_mid = student.forward(inputs[rows])
+            m = len(s_final)
+            pb = prevs[rows]
+            r = targets[rows]
             r -= s_final
             q = pb - s_mid
             # boost + lam * stack loss, each mean summed and divided as np.mean does
@@ -557,18 +560,21 @@ class _PruningParams:
     Construction moves the classifier's parameters, then each student's, into
     consecutive slices of ``flat`` (a student's own ``flat`` becomes its
     slice), so one optimizer step updates them all. The order matches the
-    gradient layout of ``accumulate_prefix_gradients``.
+    gradient layout of ``accumulate_prefix_gradients``. ``bank_layers`` views
+    the students' slices as the stacked bank of ``_bank_layers``.
     """
 
     def __init__(self, state: EnsembleState):
         self.state = state
         clf = state.classifier
-        start = clf.weight.size + clf.bias.size
+        start = clf_size = clf.weight.size + clf.bias.size
         self.flat = np.empty(start + sum(s.flat.size for s in state.students))
         nn._home([clf], self.flat[:start])
         for student in state.students:
             student.move_to(self.flat[start:start + student.flat.size])
             start += student.flat.size
+        # the students' slices are the rows of one bank, so the bank needs no copy
+        self.bank_layers = _bank_layers(state.students, self.flat[clf_size:].reshape(len(state.students), -1))
 
     def parameters(self) -> dict[str, np.ndarray]:
         params = {f"classifier.{k}": v for k, v in {
@@ -595,6 +601,7 @@ def accumulate_prefix_gradients(
     teacher_logits: np.ndarray,
     temperature: float,
     layout: list[tuple] | None = None,
+    layers: list[tuple] | None = None,
 ) -> tuple[nn.TapeGradients, float]:
     """One batch of the pruning objective: sum over k of soft CE on prefix k.
 
@@ -606,14 +613,15 @@ def accumulate_prefix_gradients(
     alpha_j times the suffix sum over k >= j of the prefix representations'
     gradients, straight into its block of the tape. The tape covers the
     classifier and then every student (``layout``, built from the state when
-    not given).
+    not given); the students run as the bank ``layers`` (``_bank_layers`` of
+    the state when not given).
     """
     m, n = len(state), len(xb)
     clf = state.classifier
     layout = _pruning_layout(state) if layout is None else layout
     xb = np.asarray(xb, dtype=np.float64)
     alphas = np.asarray(state.multipliers)[:, None, None]
-    layers, acts = _bank_layers(state.students), []
+    layers, acts = _bank_layers(state.students) if layers is None else layers, []
     finals = _bank_forward(layers, xb, acts)
     reps = np.cumsum(alphas * finals, axis=0).reshape(m * n, -1)  # same additions as rep + alpha * f
     logits = clf.forward(reps)
@@ -667,7 +675,8 @@ def adaptive_pruning(
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
             tape, loss = accumulate_prefix_gradients(
-                state, splits.train.inputs[idx], t_logits_train[idx], cfg.soft_ce_temperature, layout
+                state, splits.train.inputs[idx], t_logits_train[idx], cfg.soft_ce_temperature, layout,
+                params.bank_layers,
             )
             if not np.isfinite(loss):
                 raise FloatingPointError("pruning loss diverged")
@@ -772,11 +781,12 @@ def train_teacher(
     best_val, best_flat = -1.0, None
     for _epoch in range(epochs):
         perm = rng.permutation(n)
+        inputs, epoch_labels = splits.train.inputs[perm], onehot[perm]
         total = 0.0
         for start in range(0, n, batch_size):
-            idx = perm[start:start + batch_size]
-            m, labels = len(idx), onehot[idx]
-            _, logits = teacher.forward(splits.train.inputs[idx])
+            labels = epoch_labels[start:start + batch_size]
+            m = len(labels)
+            _, logits = teacher.forward(inputs[start:start + batch_size])
             p = _softmax(logits)
             log_p = p + 1e-12
             np.log(log_p, out=log_p)

@@ -8,6 +8,15 @@ Each model keeps all of its parameters in one contiguous float64 buffer,
 ``parameters()`` names those views. Gradients are exact reverse-mode and land
 in one flat buffer laid out the same way, so an optimizer step is one
 finiteness check and one vector update.
+
+The models run on views built once per buffer, not on ``DenseLayer`` calls.
+A forward writes its activations into stacked (depth, n, width) arrays, fresh
+for each call. A teacher's blocks (and a student's layers) share one shape and
+sit at one stride in ``flat``, so backward runs only the chain per block and
+then writes every block's weight and bias gradients with one stacked
+``np.matmul`` or ``np.add.reduce`` each. numpy makes the same BLAS call and
+the same row sums per slice as per layer, so the results are bitwise those of
+the per-layer ``DenseLayer`` path.
 """
 
 from __future__ import annotations
@@ -29,6 +38,47 @@ _ACTIVATIONS = (TANH, IDENTITY)
 def _glorot_uniform(out_dim: int, in_dim: int, rng: np.random.Generator) -> np.ndarray:
     limit = math.sqrt(6.0 / (in_dim + out_dim))
     return rng.uniform(-limit, limit, size=(out_dim, in_dim))
+
+
+def _rows(a) -> np.ndarray:
+    """``a`` as float64, one row per sample: a single sample becomes one row."""
+    a = np.asarray(a, dtype=np.float64)
+    return a[None, :] if a.ndim == 1 else a
+
+
+def _dense(x: np.ndarray, weight_t: np.ndarray, bias: np.ndarray, activation: str,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """act(x W^T + b), given W^T, into ``out`` when given."""
+    out = np.dot(x, weight_t, out=out)
+    out += bias
+    if activation == TANH:
+        np.tanh(out, out=out)
+    return out
+
+
+def _grads(layer: "DenseLayer", x: np.ndarray, a: np.ndarray, d_out: np.ndarray,
+           dw: np.ndarray | None = None, db: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dz, d_weight, d_bias) of ``layer`` for input x, output a and upstream d_out;
+    dz is the gradient before the activation. d_weight and d_bias land in
+    ``dw`` and ``db`` when given."""
+    if layer.activation == TANH:
+        dz = a * a  # d_out * (1 - a^2), in place
+        np.subtract(1.0, dz, out=dz)
+        dz *= d_out
+    else:
+        dz = d_out
+    return dz, np.dot(dz.T, x, out=dw), np.add.reduce(dz, axis=0, out=db)
+
+
+def _input_rows(x, layer: "DenseLayer") -> tuple[np.ndarray, bool]:
+    """(x as float64 rows, whether x was a single sample), if its width fits ``layer``."""
+    x = np.asarray(x, dtype=np.float64)
+    squeeze = x.ndim == 1
+    if squeeze:
+        x = x[None, :]
+    if x.ndim != 2 or x.shape[1] != layer.in_dim:
+        raise ValueError(f"input width {x.shape} does not match layer in_dim {layer.in_dim}")
+    return x, squeeze
 
 
 class DenseLayer:
@@ -71,16 +121,8 @@ class DenseLayer:
         return self.weight.shape[0]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise ValueError(f"input width {x.shape} does not match layer in_dim {self.in_dim}")
-        out = np.dot(x, self.weight.T)
-        out += self.bias
-        if self.activation == TANH:
-            np.tanh(out, out=out)
+        x, squeeze = _input_rows(x, self)
+        out = _dense(x, self.weight.T, self.bias, self.activation)
         self._x, self._a = x, out
         return out[0] if squeeze else out
 
@@ -94,17 +136,7 @@ class DenseLayer:
         """
         if self._x is None:
             raise RuntimeError("backward called before forward")
-        d_out = np.asarray(d_out, dtype=np.float64)
-        if d_out.ndim == 1:
-            d_out = d_out[None, :]
-        if self.activation == TANH:
-            dz = self._a * self._a  # d_out * (1 - a^2), in place
-            np.subtract(1.0, dz, out=dz)
-            dz *= d_out
-        else:
-            dz = d_out
-        dw = np.dot(dz.T, self._x, out=dw)
-        db = np.add.reduce(dz, axis=0, out=db)
+        dz, dw, db = _grads(self, self._x, self._a, _rows(d_out), dw, db)
         return np.dot(dz, self.weight), dw, db
 
     def tape_views(self, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,6 +164,25 @@ def _home(layers: list[DenseLayer], flat: np.ndarray | None = None) -> np.ndarra
         layer.span = (start, w_stop, stop)
         start = stop
     return flat
+
+
+def _stack_views(unit: list[DenseLayer], count: int):
+    """Stacked views of ``count`` same-shaped runs of layers that ``_home`` laid
+    out back to back, ``unit`` being the first run. Returns a function that maps
+    any buffer laid out like the model's ``flat`` to, per layer of ``unit``, its
+    weights as (count, out, in) and its biases as (count, out)."""
+    start = unit[0].span[0]
+    run = slice(start, start + count * (unit[-1].span[2] - start))
+    cuts = [(slice(w_start - start, b_start - start), (count, *layer.weight.shape), slice(b_start - start, stop - start))
+            for layer in unit for w_start, b_start, stop in [layer.span]]
+
+    def views(buf: np.ndarray) -> list[np.ndarray]:
+        rows = buf[run].reshape(count, -1)
+        out = []
+        for weight, shape, bias in cuts:
+            out += [rows[:, weight].reshape(shape), rows[:, bias]]
+        return out
+    return views
 
 
 def _layout(params: dict[str, np.ndarray], start: int = 0, prefix: str = "") -> list[tuple]:
@@ -177,9 +228,6 @@ class _ResidualBlock:
         self.expand = expand
         self.project = project
 
-    def forward(self, h: np.ndarray) -> np.ndarray:
-        return h + self.project.forward(self.expand.forward(h))
-
     def copy(self) -> "_ResidualBlock":
         return _ResidualBlock(self.expand.copy(), self.project.copy())
 
@@ -190,17 +238,32 @@ class TeacherModel:
     The chain h_i = h_{i-1} + F_i(h_{i-1}) accumulates refinements on top of
     the projected input; the final representation is the stream after the
     last block, and the head maps it to class logits. Construction copies
-    every layer's parameters into the model's flat buffer.
+    every layer's parameters into the model's flat buffer. The blocks share
+    one shape, so ``_home`` lays them out at one stride and backward writes
+    every block's weight gradients with one stacked call per parameter.
     """
 
     def __init__(self, input_proj: DenseLayer, blocks: list[_ResidualBlock], head: DenseLayer):
+        if not blocks:
+            raise ValueError("teacher needs at least 1 residual block")
+        rep, hidden = input_proj.out_dim, blocks[0].expand.out_dim
+        shapes = [(b.expand.weight.shape, b.project.weight.shape) for b in blocks]
+        if head.in_dim != rep or any(shape != ((hidden, rep), (rep, hidden)) for shape in shapes):
+            raise ValueError(f"teacher layers do not chain at width {rep}: blocks {shapes}, head {head.weight.shape}")
         self.input_proj = input_proj
         self.blocks = blocks
         self.head = head
-        self._block_acts: list[np.ndarray] | None = None
+        self._x = self._block_acts = None
         layers = [input_proj, *(l for b in blocks for l in (b.expand, b.project)), head]
         self.flat = _home(layers)
         self.layout = _layout(self.parameters())
+        # views of flat for the forward: transposed weights, every block's biases stacked
+        # (depth, 1, out); _block_views makes the stacked views of any buffer laid out like flat
+        self._chain = [(b.expand, b.expand.weight.T, b.project, b.project.weight.T) for b in blocks]
+        self._input_t, self._head_t = input_proj.weight.T, head.weight.T
+        self._block_views = _stack_views([blocks[0].expand, blocks[0].project], len(blocks))
+        _, b_exp, _, b_proj = self._block_views(self.flat)
+        self._block_biases = b_exp[:, None], b_proj[:, None]
 
     @classmethod
     def build(
@@ -232,42 +295,77 @@ class TeacherModel:
         return self.input_proj.out_dim
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return (final_rep, logits); caches block activations for backward."""
-        x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        h = self.input_proj.forward(x[None, :] if squeeze else x)
-        acts = []
-        for block in self.blocks:
-            h = block.forward(h)
-            acts.append(h)
-        self._block_acts = acts
-        logits = self.head.forward(h)
+        """Return (final_rep, logits); keeps the stacked activations for backward."""
+        x, squeeze = _input_rows(x, self.input_proj)
+        self._x = self._stream = self._block_acts = self._proj = None  # free the last forward's first
+        n, depth, rep = len(x), self.depth, self.rep_dim
+        # stream[i] enters block i; acts[i] and proj[i] are its expand and project outputs,
+        # which start as the biases: b + x W^T is x W^T + b, and adding same-shaped
+        # arrays costs a fraction of a broadcast add
+        hidden = self.blocks[0].expand.out_dim
+        stream, acts, proj = np.empty((depth, n, rep)), np.empty((depth, n, hidden)), np.empty((depth, n, rep))
+        np.copyto(acts, self._block_biases[0])
+        np.copyto(proj, self._block_biases[1])
+        xw_exp, xw_proj = np.empty((n, hidden)), np.empty((n, rep))
+        h = _dense(x, self._input_t, self.input_proj.bias, self.input_proj.activation, stream[0])
+        for i, (expand, expand_t, project, project_t) in enumerate(self._chain):
+            a, p = acts[i], proj[i]
+            a += np.dot(h, expand_t, out=xw_exp)
+            if expand.activation == TANH:
+                np.tanh(a, out=a)
+            p += np.dot(a, project_t, out=xw_proj)
+            if project.activation == TANH:
+                np.tanh(p, out=p)
+            h = np.add(h, p, out=stream[i + 1] if i + 1 < depth else None)
+        logits = _dense(h, self._head_t, self.head.bias, self.head.activation)
+        self._x, self._stream, self._block_acts, self._proj, self._final, self._logits = (
+            x, stream, acts, proj, h, logits)
         if squeeze:
             return h[0], logits[0]
         return h, logits
 
     def backward(self, d_final_rep: np.ndarray | None, d_logits: np.ndarray | None = None) -> TapeGradients:
-        if self._block_acts is None:
+        """Gradients of the last forward into a fresh tape. The loop over blocks
+        runs only the chain g -> d_f -> dz -> g; every block's parameter
+        gradients are then written with four stacked calls."""
+        if self._x is None:
             raise RuntimeError("backward called before forward")
+        stream, acts, proj, head = self._stream, self._block_acts, self._proj, self.head
+        n, rep = self._final.shape
         grad = np.empty_like(self.flat)
-        # g is this call's own array: the residual path accumulates into it in place
+        d_proj, d_exp = np.empty_like(proj), np.empty_like(acts)
+        g = d_proj[-1]  # block i's output gradient lands in d_proj[i], its project's dz if linear
         if d_logits is not None:
-            g, _, _ = self.head.backward(d_logits, *self.head.tape_views(grad))
+            dz, _, _ = _grads(head, self._final, self._logits, _rows(d_logits), *head.tape_views(grad))
+            np.dot(dz, head.weight, out=g)
             if d_final_rep is not None:
                 g += np.asarray(d_final_rep, dtype=np.float64)
         else:
-            grad[self.head.span[0]:self.head.span[2]] = 0.0
-            if d_final_rep is not None:
-                g = np.array(np.atleast_2d(d_final_rep), dtype=np.float64)
-            elif self.blocks:
-                g = np.zeros_like(self._block_acts[-1])
-            else:
-                g = np.zeros((1, self.rep_dim))
-        for block in reversed(self.blocks):
-            d_f, _, _ = block.project.backward(g, *block.project.tape_views(grad))
-            d_h, _, _ = block.expand.backward(d_f, *block.expand.tape_views(grad))
-            g += d_h  # residual path
-        self.input_proj.backward(g, *self.input_proj.tape_views(grad))
+            grad[head.span[0]:head.span[2]] = 0.0
+            g[...] = 0.0 if d_final_rep is None else np.asarray(d_final_rep, dtype=np.float64)
+        slope = acts * acts  # 1 - a^2 of every expand, for the tanh ones
+        np.subtract(1.0, slope, out=slope)
+        for i in reversed(range(self.depth)):
+            expand, _, project, _ = self._chain[i]
+            dz_proj, dz_exp = d_proj[i], d_exp[i]
+            if project.activation == TANH:  # the residual path still needs g itself
+                g = g.copy()
+                slope_p = proj[i] * proj[i]
+                np.subtract(1.0, slope_p, out=slope_p)
+                dz_proj *= slope_p
+            np.dot(dz_proj, project.weight, out=dz_exp)  # d_f
+            if expand.activation == TANH:
+                dz_exp *= slope[i]
+            g_in = d_proj[i - 1] if i else np.empty((n, rep))
+            np.dot(dz_exp, expand.weight, out=g_in)
+            g_in += g  # residual path
+            g = g_in
+        w_exp, b_exp, w_proj, b_proj = self._block_views(grad)
+        np.matmul(d_exp.transpose(0, 2, 1), stream, out=w_exp)
+        np.add.reduce(d_exp, axis=1, out=b_exp)
+        np.matmul(d_proj.transpose(0, 2, 1), acts, out=w_proj)
+        np.add.reduce(d_proj, axis=1, out=b_proj)
+        _grads(self.input_proj, self._x, stream[0], g, *self.input_proj.tape_views(grad))
         return TapeGradients.over(grad, self.layout)
 
     def parameters(self) -> dict[str, np.ndarray]:
@@ -290,16 +388,22 @@ class StudentModel:
 
     ``depth`` layers of width rep_dim follow the input projection. The
     representation after layer ceil(depth/2) is exposed alongside the final
-    one; both share the teacher's representation width.
+    one; both share the teacher's representation width. The layers share one
+    shape, so backward writes all their weight gradients with one stacked call.
     """
 
     def __init__(self, input_proj: DenseLayer, layers: list[DenseLayer]):
         if len(layers) < 2:
             raise ValueError("student needs at least 2 layers")
+        rep = input_proj.out_dim
+        if any(layer.weight.shape != (rep, rep) for layer in layers):
+            raise ValueError(f"student layers must all be {rep} x {rep}, got {[l.weight.shape for l in layers]}")
         self.input_proj = input_proj
         self.layers = layers
-        self.flat = _home([input_proj, *layers])
+        self._x = None
+        self.move_to(None)
         self.layout = _layout(self.parameters())
+        self._layer_views = _stack_views(layers[:1], len(layers))
 
     @classmethod
     def build(cls, d_in: int, rep_dim: int, depth: int, rng: np.random.Generator) -> "StudentModel":
@@ -307,9 +411,12 @@ class StudentModel:
         layers = [DenseLayer.init(rep_dim, rep_dim, TANH, rng) for _ in range(depth)]
         return cls(input_proj, layers)
 
-    def move_to(self, flat: np.ndarray) -> None:
-        """Copy the parameters into ``flat`` (a new buffer, or a slice of a larger one) and view them there."""
+    def move_to(self, flat: np.ndarray | None) -> None:
+        """Copy the parameters into ``flat`` (a new buffer when None, or a slice of a
+        larger one) and view them there."""
         self.flat = _home([self.input_proj, *self.layers], flat)
+        # transposed weight views of flat, for the forward chain
+        self._chain = [(self.input_proj, self.input_proj.weight.T), *((l, l.weight.T) for l in self.layers)]
 
     @property
     def depth(self) -> int:
@@ -325,34 +432,44 @@ class StudentModel:
         return self.layers[-1].out_dim
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return (final_rep, mid_rep)."""
-        x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        h = self.input_proj.forward(x[None, :] if squeeze else x)
-        mid, mid_index = None, self.mid_index
-        for i, layer in enumerate(self.layers, start=1):
-            h = layer.forward(h)
-            if i == mid_index:
-                mid = h
+        """Return (final_rep, mid_rep); keeps the stacked activations for backward."""
+        x, squeeze = _input_rows(x, self.input_proj)
+        self._x = self._stream = None  # free the last forward's first
+        # stream[0] is the input projection's output, stream[i] layer i's
+        h = x
+        stream = np.empty((self.depth + 1, len(x), self.rep_dim))
+        for i, (layer, weight_t) in enumerate(self._chain):
+            h = _dense(h, weight_t, layer.bias, layer.activation, stream[i])
+        self._x, self._stream = x, stream
+        mid = stream[self.mid_index]
         if squeeze:
             return h[0], mid[0]
         return h, mid
 
     def backward(self, d_final_rep: np.ndarray | None, d_mid_rep: np.ndarray | None = None) -> TapeGradients:
-        if self.layers[-1]._x is None:
+        """Gradients of the last forward into a fresh tape; the layers' weight and
+        bias gradients are written with one stacked call each."""
+        if self._x is None:
             raise RuntimeError("backward called before forward")
+        stream = self._stream
         grad = np.empty_like(self.flat)
-        if d_final_rep is None:
-            g = np.zeros((self.layers[-1]._x.shape[0], self.rep_dim))
-        else:
-            g = np.atleast_2d(np.asarray(d_final_rep, dtype=np.float64))
+        dz = stream[1:] * stream[1:]  # 1 - a^2 of every layer, for the tanh ones
+        np.subtract(1.0, dz, out=dz)
+        g = np.zeros(stream.shape[1:]) if d_final_rep is None else _rows(d_final_rep)
         mid_index = self.mid_index
         for i in reversed(range(1, self.depth + 1)):
             if i == mid_index and d_mid_rep is not None:
                 g += np.asarray(d_mid_rep, dtype=np.float64)  # g is layer i + 1's fresh d_input
             layer = self.layers[i - 1]
-            g, _, _ = layer.backward(g, *layer.tape_views(grad))
-        self.input_proj.backward(g, *self.input_proj.tape_views(grad))
+            if layer.activation == TANH:
+                dz[i - 1] *= g
+            else:
+                dz[i - 1] = g
+            g = np.dot(dz[i - 1], layer.weight)
+        weight, bias = self._layer_views(grad)
+        np.matmul(dz.transpose(0, 2, 1), stream[:-1], out=weight)
+        np.add.reduce(dz, axis=1, out=bias)
+        _grads(self.input_proj, self._x, stream[0], g, *self.input_proj.tape_views(grad))
         return TapeGradients.over(grad, self.layout)
 
     def parameters(self) -> dict[str, np.ndarray]:

@@ -210,6 +210,9 @@ CHECKPOINT_CORRUPTIONS = {
     "teacher-bad-mode": lambda t, e: t.update(mode="nope"),
     "teacher-is-a-student": lambda t, e: (t.clear(), t.update(e["students"][0])),
     "teacher-blocks-not-a-list": lambda t, e: t.update(blocks=7),
+    "teacher-no-blocks": lambda t, e: t.update(blocks=[]),
+    "teacher-ragged-blocks": lambda t, e: t["blocks"][0].update(
+        expand=e["students"][0]["layers"][0], project=e["students"][0]["layers"][1]),
     "ensemble-bad-schema": lambda t, e: e.update(schema="nope"),
     "ensemble-truncated-base64": lambda t, e: truncate_weight(e["students"][0]["layers"][0]),
     "ensemble-nan-multiplier": lambda t, e: e["multipliers"].__setitem__(0, float("nan")),
@@ -217,6 +220,8 @@ CHECKPOINT_CORRUPTIONS = {
     "ensemble-holds-a-teacher": lambda t, e: e["students"].__setitem__(0, dict(t)),
     "ensemble-empty": lambda t, e: e.update(students=[], multipliers=[]),
     "ensemble-mixed-shapes": lambda t, e: add_deeper_student(e),
+    "ensemble-non-square-layers": lambda t, e: [s["layers"].__setitem__(0, t["blocks"][0]["expand"])
+                                                for s in e["students"]],
 }
 
 

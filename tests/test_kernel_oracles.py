@@ -338,3 +338,114 @@ def test_student_backward_leaves_the_callers_gradients_unchanged():
     student.backward(d_final, d_mid)
     np.testing.assert_array_equal(d_final, saved[0])
     np.testing.assert_array_equal(d_mid, saved[1])
+
+
+# -- the stacked kernel between batch sizes ---------------------------------------------
+
+
+def flip_activations(model_layers, acts):
+    for layer, act in zip(model_layers, acts):
+        layer.activation = act
+
+
+def twin_steps(model, ref, ref_forward, ref_backward, make_grads, n, steps, rng):
+    """Forward at n, then at other sizes, then at n again; backward and one Adam step
+    on the model and its reference twin, compared bit for bit throughout."""
+    opt, ref_opt = nn.Optimizer(kind=nn.ADAM, learning_rate=1e-2), RefOptimizer(nn.ADAM, 1e-2)
+    d_in = model.input_proj.in_dim
+    for _ in range(steps):
+        for size in (n, 5, 64, n):
+            x = rng.normal(size=(size, d_in))
+            for out, ref_out in zip(model.forward(x), ref_forward(ref, x)):
+                np.testing.assert_array_equal(out, ref_out)
+        grads = make_grads(n)
+        tape = model.backward(*grads)
+        ref_grad = ref_backward(ref, *grads)
+        np.testing.assert_array_equal(tape.flat, ref_grad)
+        opt.step(model, tape)
+        ref_opt.step(ref.flat, ref_grad)
+        np.testing.assert_array_equal(model.flat, ref.flat)
+
+
+@pytest.mark.parametrize("n", [1, 31, 32])
+@pytest.mark.parametrize("shape,acts", [
+    ((5, 6, 8, 1, 3), None),
+    ((8, 16, 32, 12, 2), None),  # the stock teacher
+    ((5, 6, 8, 3, 3), (nn.IDENTITY, nn.TANH)),  # linear expands, tanh projects
+])
+def test_teacher_equals_the_reference_between_batch_sizes(shape, acts, n):
+    d_in, rep, hidden, depth, n_classes = shape
+    rng = make_rng(30 + depth + n)
+    teacher = nn.TeacherModel.build(*shape, rng)
+    if acts:
+        for block in teacher.blocks:
+            flip_activations((block.expand, block.project), acts)
+    ref = teacher.copy()
+    twin_steps(teacher, ref, ref_teacher_forward, ref_teacher_backward,
+               lambda rows: (rng.normal(size=(rows, rep)), rng.normal(size=(rows, n_classes))), n, 3, rng)
+
+
+@pytest.mark.parametrize("n", [1, 31, 32])
+@pytest.mark.parametrize("depth,acts", [(2, None), (4, None), (4, (nn.TANH, nn.IDENTITY, nn.TANH, nn.IDENTITY))])
+def test_student_equals_the_reference_between_batch_sizes(depth, acts, n):
+    rng = make_rng(40 + depth + n)
+    student = nn.StudentModel.build(8, 16, depth, rng)
+    if acts:
+        flip_activations(student.layers, acts)
+    ref = student.copy()
+    twin_steps(student, ref, ref_student_forward, ref_student_backward,
+               lambda rows: (rng.normal(size=(rows, 16)), rng.normal(size=(rows, 16))), n, 3, rng)
+
+
+def test_student_moved_into_the_pruning_buffer_trains_like_its_unmoved_twin():
+    state, rng = bank_state(3, 2, seed=50)
+    twin = state.students[1].copy()
+    params = dst._PruningParams(state)
+    student = state.students[1]
+    assert np.shares_memory(student.flat, params.flat)
+    opts = [nn.Optimizer(kind=nn.ADAM, learning_rate=1e-2) for _ in range(2)]
+    for _ in range(4):
+        x = rng.normal(size=(9, 8))
+        d_final, d_mid = rng.normal(size=(9, 16)), rng.normal(size=(9, 16))
+        for model, opt in zip((student, twin), opts):
+            model.forward(x)
+            opt.step(model, model.backward(d_final, d_mid))
+        np.testing.assert_array_equal(student.flat, twin.flat)
+        for out, twin_out in zip(student.forward(x), twin.forward(x)):
+            np.testing.assert_array_equal(out, twin_out)
+
+
+def test_pruning_bank_views_the_parameter_buffer():
+    state, rng = bank_state(4, 3, seed=51)
+    params = dst._PruningParams(state)
+    layout = dst._pruning_layout(state)
+    opt = nn.Optimizer(kind=nn.ADAM, learning_rate=1e-2)
+    for weight, bias, _ in params.bank_layers:
+        assert np.shares_memory(weight, params.flat) and np.shares_memory(bias, params.flat)
+    for _ in range(3):  # the views follow the optimizer's in-place updates
+        x, t_logits = rng.normal(size=(11, 8)), rng.normal(size=(11, 2))
+        tape, loss = dst.accumulate_prefix_gradients(state, x, t_logits, 2.0, layout, params.bank_layers)
+        copied, copied_loss = dst.accumulate_prefix_gradients(state, x, t_logits, 2.0)
+        np.testing.assert_array_equal(tape.flat, copied.flat)
+        assert loss == copied_loss
+        opt.step(params, tape)
+
+
+@pytest.mark.parametrize("kind", ["teacher", "student"])
+def test_outputs_and_tapes_outlive_later_passes(kind):
+    rng = make_rng(52)
+    model = (nn.TeacherModel.build(5, 6, 8, 3, 2, rng) if kind == "teacher"
+             else nn.StudentModel.build(5, 6, 3, rng))
+
+    def run(n):
+        outs = model.forward(rng.normal(size=(n, 5)))
+        tape = model.backward(*(rng.normal(size=out.shape) for out in outs))
+        return outs, tape
+
+    outs, tape = run(7)
+    saved = [out.copy() for out in outs], tape.flat.copy()
+    for n in (7, 7, 12, 7):  # the same batch size and another
+        run(n)
+    for out, before in zip(outs, saved[0]):
+        np.testing.assert_array_equal(out, before)
+    np.testing.assert_array_equal(tape.flat, saved[1])
