@@ -234,15 +234,12 @@ def _check_architecture(first: nn.StudentModel, student: nn.StudentModel, j: int
 
 def _bank_layers(students, bank: np.ndarray | None = None) -> list[tuple[np.ndarray, np.ndarray, nn.DenseLayer]]:
     """Per layer, input projection first: (weights (M, out, in), biases (M, 1, out),
-    the first student's layer), views into ``bank``, the students' buffers as
-    rows of one (M, P) array: by default a stacked copy of them."""
-    bank = np.stack([student.flat for student in students]) if bank is None else bank
-    m, first = len(students), students[0]
-    layers = []
-    for layer in (first.input_proj, *first.layers):
-        w_start, b_start, stop = layer.span
-        layers.append((bank[:, w_start:b_start].reshape(m, *layer.weight.shape), bank[:, None, b_start:stop], layer))
-    return layers
+    the first student's layer), views into ``bank``, the students' buffers back
+    to back in one flat array: by default a copy of them."""
+    unit = [students[0].input_proj, *students[0].layers]
+    views = nn._stack_views(unit, len(students))(
+        np.concatenate([student.flat for student in students]) if bank is None else bank)
+    return [(weight, bias[:, None], layer) for weight, bias, layer in zip(views[::2], views[1::2], unit)]
 
 
 def _bank_forward(layers, x: np.ndarray, acts: list | None = None) -> np.ndarray:
@@ -307,6 +304,8 @@ def _step_numerator_denominator(t_reps, prev_reps, s_reps) -> tuple[float, float
         raise ValueError("representation lists must be nonempty and congruent")
     num = float(np.sum((t - p) * s))
     den = float(np.sum(s * s))
+    if den == 0.0:
+        raise ValueError("degenerate student: all representations are zero")
     return num, den
 
 
@@ -319,14 +318,12 @@ def anyboost_step(t_reps, prev_reps, s_reps, lipschitz: float) -> float:
     if lipschitz < 1:
         raise ValueError("lipschitz must be >= 1")
     num, den = _step_numerator_denominator(t_reps, prev_reps, s_reps)
-    if den == 0.0:
-        raise ValueError("degenerate student: all representations are zero")
     return num / (lipschitz * den)
 
 
 def line_search_alpha(t_reps, prev_reps, s_reps) -> float:
     """Closed-form minimizer of the summed quadratic residual loss."""
-    return anyboost_step(t_reps, prev_reps, s_reps, lipschitz=1.0)
+    return halting_probe(t_reps, prev_reps, s_reps)[0]
 
 
 def halting_probe(t_reps, prev_reps, s_reps) -> tuple[float, float, bool]:
@@ -336,8 +333,6 @@ def halting_probe(t_reps, prev_reps, s_reps) -> tuple[float, float, bool]:
     nonpositive, i.e. it is not a descent direction.
     """
     num, den = _step_numerator_denominator(t_reps, prev_reps, s_reps)
-    if den == 0.0:
-        raise ValueError("degenerate student: all representations are zero")
     return num / den, num, num <= 0.0
 
 
@@ -559,39 +554,34 @@ class _PruningParams:
 
     Construction moves the classifier's parameters, then each student's, into
     consecutive slices of ``flat`` (a student's own ``flat`` becomes its
-    slice), so one optimizer step updates them all. The order matches the
-    gradient layout of ``accumulate_prefix_gradients``. ``bank_layers`` views
-    the students' slices as the stacked bank of ``_bank_layers``.
+    slice), so one optimizer step updates them all. ``layout`` is
+    ``_pruning_layout``, the gradient layout of ``accumulate_prefix_gradients``.
+    ``bank_layers`` views the students' slices as the stacked bank of
+    ``_bank_layers``.
     """
 
     def __init__(self, state: EnsembleState):
-        self.state = state
-        clf = state.classifier
-        start = clf_size = clf.weight.size + clf.bias.size
-        self.flat = np.empty(start + sum(s.flat.size for s in state.students))
-        nn._home([clf], self.flat[:start])
-        for student in state.students:
-            student.move_to(self.flat[start:start + student.flat.size])
-            start += student.flat.size
+        self.layout = _pruning_layout(state)
+        self.flat = np.empty(self.layout[-1][2])
+        clf_size = self.layout[1][2]
+        nn._home([("classifier", state.classifier)], self.flat[:clf_size])
         # the students' slices are the rows of one bank, so the bank needs no copy
-        self.bank_layers = _bank_layers(state.students, self.flat[clf_size:].reshape(len(state.students), -1))
+        bank = self.flat[clf_size:]
+        for student, row in zip(state.students, bank.reshape(len(state.students), -1)):
+            student.move_to(row)
+        self.bank_layers = _bank_layers(state.students, bank)
 
     def parameters(self) -> dict[str, np.ndarray]:
-        params = {f"classifier.{k}": v for k, v in {
-            "weight": self.state.classifier.weight, "bias": self.state.classifier.bias,
-        }.items()}
-        for j, student in enumerate(self.state.students):
-            for name, arr in student.parameters().items():
-                params[f"students.{j}.{name}"] = arr
-        return params
+        return nn._views(self.flat, self.layout)
 
 
 def _pruning_layout(state: EnsembleState) -> list[tuple]:
-    """Gradient layout over the classifier and then every student, in ensemble order."""
-    clf = state.classifier
-    layout = nn._layout({"weight": clf.weight, "bias": clf.bias}, prefix="classifier.")
+    """Gradient layout over the classifier and then every student, in ensemble
+    order: each student's own layout, shifted past everything before it."""
+    _, layout = nn._home([("classifier", state.classifier.copy())])  # a copy: the classifier stays put
     for j, student in enumerate(state.students):
-        layout += nn._layout(student.parameters(), layout[-1][2], f"students.{j}.")
+        start = layout[-1][2]
+        layout += [(f"students.{j}.{name}", start + lo, start + hi, shape) for name, lo, hi, shape in student.layout]
     return layout
 
 
@@ -633,7 +623,7 @@ def accumulate_prefix_gradients(
     d_reps, _, _ = clf.backward(d_logits, grad[:w_stop].reshape(clf.weight.shape), grad[w_stop:start])
     suffix = np.cumsum(d_reps.reshape(m, n, -1)[::-1], axis=0)[::-1]
     _bank_backward(layers, xb, acts, alphas * suffix, grad[start:].reshape(m, -1))
-    return nn.TapeGradients.over(grad, layout), total
+    return nn.TapeGradients(grad, layout), total
 
 
 def prefix_accuracies(state: EnsembleState, data: Dataset) -> list[float]:
@@ -668,14 +658,13 @@ def adaptive_pruning(
     _, t_logits_train = teacher.forward(splits.train.inputs)
     opt = nn.Optimizer(kind=nn.ADAM, learning_rate=cfg.learning_rate)
     params = _PruningParams(state)
-    layout = _pruning_layout(state)
     n = len(splits.train)
     for _epoch in range(cfg.pruning_epochs):
         perm = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
             tape, loss = accumulate_prefix_gradients(
-                state, splits.train.inputs[idx], t_logits_train[idx], cfg.soft_ce_temperature, layout,
+                state, splits.train.inputs[idx], t_logits_train[idx], cfg.soft_ce_temperature, params.layout,
                 params.bank_layers,
             )
             if not np.isfinite(loss):

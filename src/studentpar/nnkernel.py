@@ -4,10 +4,13 @@ Float64 throughout, deterministic given identical parameter and input
 bytes. Expresses exactly two architectures: a deep residual teacher and a
 shallow student whose mid-layer representation is tapped for distillation.
 Each model keeps all of its parameters in one contiguous float64 buffer,
-``model.flat``; every layer's weight and bias are views into it, and
-``parameters()`` names those views. Gradients are exact reverse-mode and land
-in one flat buffer laid out the same way, so an optimizer step is one
-finiteness check and one vector update.
+``model.flat``. ``_home`` writes every layer's weight and bias into it, points
+the layer at those views, and returns the one layout, (name, start, stop,
+shape) per parameter, through which ``parameters()``, the gradient tapes and
+the pruning buffer all name their views. Gradients are exact reverse-mode and
+land in a fresh flat buffer laid out the same way, which ``TapeGradients``
+wraps without copying. An optimizer step is one finiteness check and one
+vector update; it uses the tape as scratch, so a stepped tape is spent.
 
 The models run on views built once per buffer, not on ``DenseLayer`` calls.
 A forward writes its activations into stacked (depth, n, width) arrays, fresh
@@ -24,7 +27,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -72,10 +75,7 @@ def _grads(layer: "DenseLayer", x: np.ndarray, a: np.ndarray, d_out: np.ndarray,
 
 def _input_rows(x, layer: "DenseLayer") -> tuple[np.ndarray, bool]:
     """(x as float64 rows, whether x was a single sample), if its width fits ``layer``."""
-    x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
+    squeeze, x = np.ndim(x) == 1, _rows(x)
     if x.ndim != 2 or x.shape[1] != layer.in_dim:
         raise ValueError(f"input width {x.shape} does not match layer in_dim {layer.in_dim}")
     return x, squeeze
@@ -148,13 +148,15 @@ class DenseLayer:
         return DenseLayer(self.weight.copy(), self.bias.copy(), self.activation)
 
 
-def _home(layers: list[DenseLayer], flat: np.ndarray | None = None) -> np.ndarray:
+def _home(named_layers: list[tuple[str, DenseLayer]],
+          flat: np.ndarray | None = None) -> tuple[np.ndarray, list[tuple]]:
     """Copy each layer's weight then bias, in order, into ``flat`` (a new buffer
-    by default) and point the layer at those views."""
+    by default) and point the layer at those views. Returns ``flat`` and its
+    layout: (name, start, stop, shape) of ``<layer name>.weight`` and ``.bias``."""
     if flat is None:
-        flat = np.empty(sum(layer.weight.size + layer.bias.size for layer in layers))
-    start = 0
-    for layer in layers:
+        flat = np.empty(sum(layer.weight.size + layer.bias.size for _, layer in named_layers))
+    layout, start = [], 0
+    for name, layer in named_layers:
         w_stop = start + layer.weight.size
         stop = w_stop + layer.bias.size
         flat[start:w_stop] = layer.weight.reshape(-1)
@@ -162,8 +164,15 @@ def _home(layers: list[DenseLayer], flat: np.ndarray | None = None) -> np.ndarra
         layer.weight = flat[start:w_stop].reshape(layer.weight.shape)
         layer.bias = flat[w_stop:stop]
         layer.span = (start, w_stop, stop)
+        layout += [(f"{name}.weight", start, w_stop, layer.weight.shape),
+                   (f"{name}.bias", w_stop, stop, layer.bias.shape)]
         start = stop
-    return flat
+    return flat, layout
+
+
+def _views(flat: np.ndarray, layout: list[tuple]) -> dict[str, np.ndarray]:
+    """Each parameter that ``layout`` names, as its view into ``flat``."""
+    return {name: flat[start:stop].reshape(shape) for name, start, stop, shape in layout}
 
 
 def _stack_views(unit: list[DenseLayer], count: int):
@@ -185,40 +194,21 @@ def _stack_views(unit: list[DenseLayer], count: int):
     return views
 
 
-def _layout(params: dict[str, np.ndarray], start: int = 0, prefix: str = "") -> list[tuple]:
-    """(name, start, stop, shape) of each parameter, packed in order from ``start``."""
-    out = []
-    for name, arr in params.items():
-        out.append((prefix + name, start, start + arr.size, arr.shape))
-        start += arr.size
-    return out
-
-
 class TapeGradients:
     """Gradients in one flat float64 buffer, laid out like a model's parameters.
 
-    ``layout`` lists (name, start, stop, shape) per parameter and ``grads``
-    maps each name to its view into ``flat``.
+    Wraps ``flat`` without copying it. ``layout`` lists (name, start, stop,
+    shape) per parameter and ``grads`` maps each name to its view into
+    ``flat``. An optimizer step uses the buffer as scratch, so a stepped tape
+    is spent.
     """
 
-    def __init__(self, grads: dict[str, np.ndarray]):
-        """Pack name -> array gradients into a fresh flat buffer."""
-        self.layout = _layout(grads)
-        self.flat = np.concatenate([np.asarray(arr, dtype=np.float64).reshape(-1) for arr in grads.values()])
-
-    @classmethod
-    def over(cls, flat: np.ndarray, layout: list[tuple]) -> "TapeGradients":
-        """Wrap an existing flat gradient buffer, without copying it."""
-        tape = cls.__new__(cls)
-        tape.flat, tape.layout = flat, layout
-        return tape
+    def __init__(self, flat: np.ndarray, layout: list[tuple]):
+        self.flat, self.layout = flat, layout
 
     @cached_property
     def grads(self) -> dict[str, np.ndarray]:
-        return {name: self.flat[start:stop].reshape(shape) for name, start, stop, shape in self.layout}
-
-    def zero_(self) -> None:
-        self.flat[...] = 0.0
+        return _views(self.flat, self.layout)
 
 
 class _ResidualBlock:
@@ -254,9 +244,11 @@ class TeacherModel:
         self.blocks = blocks
         self.head = head
         self._x = self._block_acts = None
-        layers = [input_proj, *(l for b in blocks for l in (b.expand, b.project)), head]
-        self.flat = _home(layers)
-        self.layout = _layout(self.parameters())
+        self.flat, self.layout = _home([
+            ("input_proj", input_proj),
+            *((f"blocks.{i}.{part}", layer) for i, b in enumerate(blocks)
+              for part, layer in (("expand", b.expand), ("project", b.project))),
+            ("head", head)])
         # views of flat for the forward: transposed weights, every block's biases stacked
         # (depth, 1, out); _block_views makes the stacked views of any buffer laid out like flat
         self._chain = [(b.expand, b.expand.weight.T, b.project, b.project.weight.T) for b in blocks]
@@ -366,18 +358,10 @@ class TeacherModel:
         np.matmul(d_proj.transpose(0, 2, 1), acts, out=w_proj)
         np.add.reduce(d_proj, axis=1, out=b_proj)
         _grads(self.input_proj, self._x, stream[0], g, *self.input_proj.tape_views(grad))
-        return TapeGradients.over(grad, self.layout)
+        return TapeGradients(grad, self.layout)
 
     def parameters(self) -> dict[str, np.ndarray]:
-        params = {"input_proj.weight": self.input_proj.weight, "input_proj.bias": self.input_proj.bias}
-        for i, block in enumerate(self.blocks):
-            params[f"blocks.{i}.expand.weight"] = block.expand.weight
-            params[f"blocks.{i}.expand.bias"] = block.expand.bias
-            params[f"blocks.{i}.project.weight"] = block.project.weight
-            params[f"blocks.{i}.project.bias"] = block.project.bias
-        params["head.weight"] = self.head.weight
-        params["head.bias"] = self.head.bias
-        return params
+        return _views(self.flat, self.layout)
 
     def copy(self) -> "TeacherModel":
         return TeacherModel(self.input_proj.copy(), [b.copy() for b in self.blocks], self.head.copy())
@@ -402,7 +386,6 @@ class StudentModel:
         self.layers = layers
         self._x = None
         self.move_to(None)
-        self.layout = _layout(self.parameters())
         self._layer_views = _stack_views(layers[:1], len(layers))
 
     @classmethod
@@ -414,7 +397,8 @@ class StudentModel:
     def move_to(self, flat: np.ndarray | None) -> None:
         """Copy the parameters into ``flat`` (a new buffer when None, or a slice of a
         larger one) and view them there."""
-        self.flat = _home([self.input_proj, *self.layers], flat)
+        self.flat, self.layout = _home([("input_proj", self.input_proj),
+                                        *((f"layers.{i}", l) for i, l in enumerate(self.layers))], flat)
         # transposed weight views of flat, for the forward chain
         self._chain = [(self.input_proj, self.input_proj.weight.T), *((l, l.weight.T) for l in self.layers)]
 
@@ -470,14 +454,10 @@ class StudentModel:
         np.matmul(dz.transpose(0, 2, 1), stream[:-1], out=weight)
         np.add.reduce(dz, axis=1, out=bias)
         _grads(self.input_proj, self._x, stream[0], g, *self.input_proj.tape_views(grad))
-        return TapeGradients.over(grad, self.layout)
+        return TapeGradients(grad, self.layout)
 
     def parameters(self) -> dict[str, np.ndarray]:
-        params = {"input_proj.weight": self.input_proj.weight, "input_proj.bias": self.input_proj.bias}
-        for i, layer in enumerate(self.layers):
-            params[f"layers.{i}.weight"] = layer.weight
-            params[f"layers.{i}.bias"] = layer.bias
-        return params
+        return _views(self.flat, self.layout)
 
     def copy(self) -> "StudentModel":
         return StudentModel(self.input_proj.copy(), [l.copy() for l in self.layers])
@@ -485,34 +465,29 @@ class StudentModel:
 
 SGD = "sgd"
 ADAM = "adam"
+# Adam's moment decays and the floor under its denominator
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
-@dataclass
 class Optimizer:
     """SGD or Adam over a model's flat parameter buffer.
 
     ``step`` validates the tape (rejecting non-finite gradients, by name,
-    before any parameter is touched), applies one elementwise update to
-    ``model.flat`` in place, then clears the tape. Adam's moments are flat
-    buffers shaped like the parameters; ``_u`` is a scratch buffer of the same
-    shape, and the tape is scratch once read, so a step allocates nothing.
+    before any parameter is touched), then applies one elementwise update to
+    ``model.flat`` in place. Adam's moments ``_m`` and ``_v`` are flat buffers
+    shaped like the parameters and ``_u`` is a scratch buffer of the same
+    shape. The step also uses the tape as scratch, so it allocates nothing
+    and leaves the tape spent.
     """
 
-    kind: str = ADAM
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    _m: np.ndarray | None = field(default=None, repr=False)
-    _v: np.ndarray | None = field(default=None, repr=False)
-    _t: int = field(default=0, repr=False)
-    _u: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.kind not in (SGD, ADAM):
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
-        if self.learning_rate <= 0:
+    def __init__(self, kind: str = ADAM, learning_rate: float = 1e-3):
+        if kind not in (SGD, ADAM):
+            raise ValueError(f"unknown optimizer kind {kind!r}")
+        if learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        self.kind, self.learning_rate = kind, learning_rate
+        self._m = self._v = self._u = None
+        self._t = 0
 
     def step(self, model, grads: TapeGradients) -> None:
         params, g = model.flat, grads.flat
@@ -528,7 +503,7 @@ class Optimizer:
             if self._m is None:
                 self._m, self._v, self._u = np.zeros_like(params), np.zeros_like(params), np.empty_like(params)
             self._t += 1
-            b1, b2, m, v, u = self.beta1, self.beta2, self._m, self._v, self._u
+            b1, b2, m, v, u = BETA1, BETA2, self._m, self._v, self._u
             # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
             m *= b1
             np.multiply(g, 1 - b1, out=u)
@@ -540,12 +515,11 @@ class Optimizer:
             # params -= lr m_hat / (sqrt(v_hat) + eps), with g done with
             np.divide(v, 1 - b2**self._t, out=g)
             np.sqrt(g, out=g)
-            g += self.eps
+            g += EPS
             np.divide(m, 1 - b1**self._t, out=u)
             u *= self.learning_rate
             u /= g
             params -= u
-        grads.zero_()
 
 
 @dataclass

@@ -159,14 +159,6 @@ def generate_workload(kind, seed: int, max_len: int = 128, bin_width: int = 8) -
     raise TypeError(f"unknown workload kind {type(kind).__name__}")
 
 
-def write_trace(requests: list[Request], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["arrival_ms", "length_tokens"])
-        for r in requests:
-            writer.writerow([f"{r.arrival_ms:.6f}", r.length_tokens])
-
-
 # -- length-aware buffer -------------------------------------------------------
 
 MERGED = "merged"

@@ -690,6 +690,65 @@ def test_prefix_gradients_reject_non_finite_logits():
         dst.accumulate_prefix_gradients(state, xb, t_logits, temperature=1.0)
 
 
+# (name, start, stop, shape) of every parameter: the names that the tapes, the
+# NaN message and checkpoint comparisons use, written out here by hand
+PINNED_TEACHER_LAYOUT = [
+    ("input_proj.weight", 0, 12, (4, 3)),
+    ("input_proj.bias", 12, 16, (4,)),
+    ("blocks.0.expand.weight", 16, 36, (5, 4)),
+    ("blocks.0.expand.bias", 36, 41, (5,)),
+    ("blocks.0.project.weight", 41, 61, (4, 5)),
+    ("blocks.0.project.bias", 61, 65, (4,)),
+    ("blocks.1.expand.weight", 65, 85, (5, 4)),
+    ("blocks.1.expand.bias", 85, 90, (5,)),
+    ("blocks.1.project.weight", 90, 110, (4, 5)),
+    ("blocks.1.project.bias", 110, 114, (4,)),
+    ("head.weight", 114, 122, (2, 4)),
+    ("head.bias", 122, 124, (2,)),
+]
+PINNED_STUDENT_LAYOUT = [
+    ("input_proj.weight", 0, 12, (4, 3)),
+    ("input_proj.bias", 12, 16, (4,)),
+    ("layers.0.weight", 16, 32, (4, 4)),
+    ("layers.0.bias", 32, 36, (4,)),
+    ("layers.1.weight", 36, 52, (4, 4)),
+    ("layers.1.bias", 52, 56, (4,)),
+    ("layers.2.weight", 56, 72, (4, 4)),
+    ("layers.2.bias", 72, 76, (4,)),
+]
+PINNED_PRUNING_LAYOUT = [
+    ("classifier.weight", 0, 8, (2, 4)),
+    ("classifier.bias", 8, 10, (2,)),
+    ("students.0.input_proj.weight", 10, 22, (4, 3)),
+    ("students.0.input_proj.bias", 22, 26, (4,)),
+    ("students.0.layers.0.weight", 26, 42, (4, 4)),
+    ("students.0.layers.0.bias", 42, 46, (4,)),
+    ("students.0.layers.1.weight", 46, 62, (4, 4)),
+    ("students.0.layers.1.bias", 62, 66, (4,)),
+    ("students.1.input_proj.weight", 66, 78, (4, 3)),
+    ("students.1.input_proj.bias", 78, 82, (4,)),
+    ("students.1.layers.0.weight", 82, 98, (4, 4)),
+    ("students.1.layers.0.bias", 98, 102, (4,)),
+    ("students.1.layers.1.weight", 102, 118, (4, 4)),
+    ("students.1.layers.1.bias", 118, 122, (4,)),
+]
+
+
+def test_parameter_layouts_are_pinned():
+    rng = make_rng(0)
+    teacher = nn.TeacherModel.build(3, 4, 5, 2, 2, rng)
+    student = nn.StudentModel.build(3, 4, 3, rng)
+    state = dst.EnsembleState([nn.StudentModel.build(3, 4, 2, rng) for _ in range(2)], [1.0, 0.5],
+                              nn.DenseLayer.init(2, 4, nn.IDENTITY, rng))
+    for got, pinned, names in (
+        (teacher.layout, PINNED_TEACHER_LAYOUT, teacher.parameters()),
+        (student.layout, PINNED_STUDENT_LAYOUT, student.parameters()),
+        (dst._pruning_layout(state), PINNED_PRUNING_LAYOUT, dst._PruningParams(state).parameters()),
+    ):
+        assert [(name, start, stop, tuple(shape)) for name, start, stop, shape in got] == pinned
+        assert list(names) == [name for name, *_ in pinned]
+
+
 def test_pruning_params_share_one_buffer_with_the_models():
     teacher, splits, cfg, state = small_trained_state(seed=2, max_students=2)
     state.classifier = nn.DenseLayer.init(2, teacher.rep_dim, nn.IDENTITY, make_rng(52))

@@ -277,7 +277,6 @@ def test_models_and_optimizer_equal_the_allocating_reference(kind):
         opt.step(teacher, tape)
         ref_opt.step(ref.flat, ref_grad)
         np.testing.assert_array_equal(teacher.flat, ref.flat)
-        assert not tape.flat.any()
         # student: final rep, with or without the mid-layer term
         ref = twins[id(student)]
         final, mid = student.forward(x)

