@@ -194,11 +194,14 @@ def _parse_workload(obj, seed: int, cluster: sim.ClusterConfig) -> list[sim.Requ
         requests: list[sim.Request] = []
         offset = 0.0
         for i, phase in enumerate(obj.get("phases", [])):
-            _require_keys(phase, {"rps", "duration_ms"}, {"rps", "duration_ms"}, f"workload.phases[{i}]")
+            ctx = f"workload.phases[{i}]"
+            _require_keys(phase, {"rps", "duration_ms"}, {"rps", "duration_ms"}, ctx)
             spec = sim.PoissonSpec(rps=phase["rps"], duration_ms=phase["duration_ms"])
-            part = sim.generate_workload(spec, fork_seed(seed, f"workload-phase-{i}"), **bins)
-            for r in part:
-                requests.append(sim.Request(len(requests), r.arrival_ms + offset, r.length_tokens))
+            try:
+                requests += sim.generate_workload(spec, fork_seed(seed, f"workload-phase-{i}"), **bins,
+                                                  offset_ms=offset, first_id=len(requests))
+            except ValueError as exc:
+                raise ConfigError(f"{ctx}: {exc}") from exc
             offset += phase["duration_ms"]
         return requests
     raise ConfigError(f"unknown workload kind '{kind}'")

@@ -13,7 +13,8 @@ The simulated clock is real-valued milliseconds. Arrivals do not enter the
 event heap: they are served from the workload stably sorted by arrival time,
 and an arrival goes ahead of every heap event at the same time. Heap events
 at equal times run in the order they were pushed, so identical inputs give
-identical outputs.
+identical outputs. A run whose clock reaches 2**53 ms, where a float millisecond
+has no integer resolution, raises FloatingPointError.
 
 Each event touches only the nodes whose state it can change: its own node
 (none for a heartbeat), every node with deferred requests waiting to retry
@@ -36,6 +37,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +46,7 @@ from .perfmodel import DEFAULT_CAPACITY, DEFAULT_GATHER_MS, DEFAULT_PCIE_TOKENS_
 from .seeding import rng_for
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
     id: int
     arrival_ms: float
     length_tokens: int
@@ -84,7 +85,8 @@ def _uint32_words(bit_generator):
         yield word >> 32
 
 
-def generate_workload(kind, seed: int, max_len: int = 128, bin_width: int = 8) -> list[Request]:
+def generate_workload(kind, seed: int, max_len: int = 128, bin_width: int = 8, *,
+                      offset_ms: float = 0.0, first_id: int = 0) -> list[Request]:
     """Arrival-sorted requests, deterministic per seed.
 
     A Poisson workload draws the first arrival gap, then per request its
@@ -94,12 +96,18 @@ def generate_workload(kind, seed: int, max_len: int = 128, bin_width: int = 8) -
     length is Lemire's bounded draw on the next 32-bit word, the same draw
     as ``Generator.integers(lo, lo + bin_width)``, which draws nothing for a
     width of 1 and would switch to 64-bit words above 2**32.
+
+    A Poisson workload may be one phase of a longer run: request ``i`` of
+    the draw gets id ``first_id + i`` and arrives at ``offset_ms`` plus its
+    drawn time, so phases drawn one after another and concatenated need no
+    renumbering. A trace keeps its own times and numbers from 0.
     """
     if isinstance(kind, PoissonSpec):
-        if not (math.isfinite(kind.rps) and kind.rps > 0):
-            raise ValueError(f"rps must be a finite positive number, got {kind.rps!r}")
-        if not math.isfinite(kind.duration_ms):
-            raise ValueError(f"duration_ms must be finite, got {kind.duration_ms!r}")
+        check_positive(kind, ("rps",))
+        duration_ms = kind.duration_ms
+        if isinstance(duration_ms, bool) or not isinstance(duration_ms, (int, float)) or not (
+                math.isfinite(duration_ms) and duration_ms >= 0):
+            raise ValueError(f"duration_ms must be finite and >= 0, got {duration_ms!r}")
         if not 1 <= bin_width <= 1 << 32:
             raise ValueError(f"bin_width must lie in [1, 2**32], got {bin_width!r}")
         rng = rng_for(seed, "workload")
@@ -115,12 +123,12 @@ def generate_workload(kind, seed: int, max_len: int = 128, bin_width: int = 8) -
         cdf /= cdf[-1]
         cdf = cdf.tolist()
         scale = 1000.0 / kind.rps
-        duration_ms = kind.duration_ms
         exponential, uniform = rng.exponential, rng.random
         next_word = _uint32_words(rng.bit_generator).__next__
         reject_below = (1 << 32) % bin_width  # Lemire's threshold (2**32 - w) mod w
         requests = []
         append = requests.append
+        rid = first_id
         t = exponential(scale)
         while t <= duration_ms:
             length = bisect_right(cdf, uniform()) * bin_width + 1
@@ -129,7 +137,8 @@ def generate_workload(kind, seed: int, max_len: int = 128, bin_width: int = 8) -
                 while m & 0xFFFFFFFF < reject_below:
                     m = next_word() * bin_width
                 length += m >> 32
-            append(Request(len(requests), t, length))
+            append(Request(rid, t + offset_ms, length))
+            rid += 1
             t += exponential(scale)
         return requests
     if isinstance(kind, TraceFile):
@@ -443,12 +452,19 @@ def write_metrics_json(m: SimMetrics, path) -> None:
         fh.write("\n")
 
 
+LATENCY_CSV_CHUNK = 4096  # rows joined per write: few calls, a flat peak in memory
+
+
 def write_latency_csv(records: list[CompletionRecord], path) -> None:
-    """The bytes ``csv.writer`` would write (CRLF line ends, nothing needs quoting), in one pass."""
+    """The bytes ``csv.writer`` would write (CRLF line ends, nothing needs quoting).
+
+    Ids and lengths are ints, which ``%d`` renders as ``str`` does."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("request_id,arrival_ms,completion_ms,latency_ms,length_tokens\r\n")
-        fh.writelines(f"{r.request_id},{r.arrival_ms:.6f},{r.completion_ms:.6f},"
-                      f"{r.completion_ms - r.arrival_ms:.6f},{r.length_tokens}\r\n" for r in records)
+        for start in range(0, len(records), LATENCY_CSV_CHUNK):
+            fh.write("".join(["%d,%.6f,%.6f,%.6f,%d\r\n" % (
+                r.request_id, r.arrival_ms, r.completion_ms, r.completion_ms - r.arrival_ms, r.length_tokens)
+                for r in records[start:start + LATENCY_CSV_CHUNK]]))
 
 
 class _Node:
@@ -646,6 +662,7 @@ class Simulation:
 
     def run(self) -> SimMetrics:
         events, arrivals, nodes = self.events, self.arrivals, self.nodes
+        now = 0.0
         while events:  # a heartbeat stays pending while arrivals remain
             if arrivals and arrivals[-1][0] <= events[0][0]:
                 now, node_id, req = arrivals.pop()
@@ -687,6 +704,11 @@ class Simulation:
                 else:
                     node = payload
             self._boundary(now, node)
+        # the clock only grows, so the last event is its maximum; from 2**53 ms on,
+        # a float millisecond has no integer resolution
+        if now >= 2.0**53:
+            raise FloatingPointError(f"the simulated clock reached {now!r} ms, past 2**53 ms, where "
+                                     "heartbeats and service times no longer add exactly")
         self._check_invariants()
         return self._metrics()
 

@@ -567,6 +567,12 @@ BAD_INPUTS = [
     ("simulate", ("workload",), {"kind": "phases", "phases": [{"rps": 200.0, "duration_ms": float("nan")}]}),
     # numpy would draw lengths from 64-bit words at this width
     ("simulate", ("cluster", "bin_width"), 2**32 + 1),
+    # a negative duration used to give an empty run, or shift the next phase's arrivals below 0
+    ("simulate", ("workload", "duration_ms"), -5),
+    ("simulate", ("workload",), {"kind": "phases", "phases": [{"rps": 200.0, "duration_ms": -1000.0},
+                                                              {"rps": 200.0, "duration_ms": 1000.0}]}),
+    ("simulate", ("workload", "rps"), "x"),
+    ("simulate", ("workload", "duration_ms"), "x"),
 ]
 
 
@@ -615,6 +621,46 @@ def test_bad_length_weights_name_the_key(tmp_path, capsys, weights):
     assert "length_weights" in assert_config_error(["simulate", "--config", str(path)], capsys)
 
 
+@pytest.mark.parametrize("workload, named", [
+    ({"kind": "poisson", "duration_ms": -5}, ["duration_ms", "-5"]),
+    ({"kind": "poisson", "duration_ms": "x"}, ["duration_ms", "'x'"]),
+    ({"kind": "poisson", "rps": "x"}, ["rps", "'x'"]),
+    ({"kind": "phases", "phases": [{"rps": 200.0, "duration_ms": 100.0}, {"rps": 200.0, "duration_ms": -1000.0}]},
+     ["workload.phases[1]", "duration_ms", "-1000.0"]),
+    ({"kind": "phases", "phases": [{"rps": "x", "duration_ms": 100.0}]}, ["workload.phases[0]", "rps", "'x'"]),
+], ids=repr)
+def test_bad_rate_or_duration_names_the_key(tmp_path, capsys, workload, named):
+    cfg = toy_payloads(tmp_path)["simulate"]
+    cfg["workload"] = workload
+    err = assert_config_error(["simulate", "--config", write_config(tmp_path, "rate.json", cfg)], capsys)
+    assert all(name in err for name in named), err
+
+
+def rewrapped_phases(phases, seed, cluster):
+    """Each phase drawn on its own and then renumbered and shifted by the phases
+    before it, the two-pass form kept as the oracle of ``_parse_workload``."""
+    requests, offset = [], 0.0
+    for i, phase in enumerate(phases):
+        spec = cli.sim.PoissonSpec(rps=phase["rps"], duration_ms=phase["duration_ms"])
+        for r in cli.sim.generate_workload(spec, cli.fork_seed(seed, f"workload-phase-{i}"),
+                                           max_len=cluster.max_len, bin_width=cluster.bin_width):
+            requests.append(cli.sim.Request(len(requests), r.arrival_ms + offset, r.length_tokens))
+        offset += phase["duration_ms"]
+    return requests
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_phases_are_drawn_in_one_pass(seed):
+    stock = json.loads((Path(__file__).resolve().parent.parent / "configs" / "simulate.json").read_text())
+    cluster = cli._parse_cluster(stock["cluster"], cli._parse_accuracy_table({"kind": "flat", "students": 3}))
+    got = cli._parse_workload(stock["workload"], seed, cluster)
+    want = rewrapped_phases(stock["workload"]["phases"], seed, cluster)
+    assert len(got) == len(want) > 60_000
+    assert [r.id for r in got] == [r.id for r in want] == list(range(len(want)))
+    assert [r.arrival_ms.hex() for r in got] == [r.arrival_ms.hex() for r in want]
+    assert [r.length_tokens for r in got] == [r.length_tokens for r in want]
+
+
 @pytest.mark.parametrize("workload", [
     {"kind": "poisson", "rps": 2000.0, "duration_ms": 500.0},
     {"kind": "phases", "phases": [{"rps": 2000.0, "duration_ms": 300.0}, {"rps": 500.0, "duration_ms": 200.0}]},
@@ -628,28 +674,43 @@ def test_cluster_bin_width_sets_request_lengths(tmp_path, workload):
     assert len(lengths) > 500 and max(lengths) <= 64 and min(lengths) >= 1
 
 
-def test_far_off_completions_do_not_hang_the_simulator(tmp_path):
-    """Lengths padded to 2**31 tokens give service times near 1e13 ms; the
-    heartbeats used to step through that wait 100 ms at a time."""
-    cfg = toy_payloads(tmp_path)["simulate"]
-    cfg["cluster"]["bin_width"] = 2**31
-
+def simulate_within(seconds, argv):
+    """``cli.main(argv)``, failing if it has not returned after ``seconds``."""
     def give_up(signum, frame):
-        raise TimeoutError("simulate still running after 20 s")
+        raise TimeoutError(f"simulate still running after {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, give_up)
-    signal.alarm(20)
+    signal.alarm(seconds)
     try:
-        started = time.monotonic()
-        assert cli.main(["simulate", "--config", write_config(tmp_path, "slow.json", cfg)]) == cli.EXIT_OK
-        assert time.monotonic() - started < 5.0
+        return cli.main(argv)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_far_off_completions_do_not_hang_the_simulator(tmp_path):
+    """Lengths padded to 2**28 tokens give service times near 1e12 ms, with the
+    clock still below 2**53 ms; the heartbeats used to step through that wait
+    100 ms at a time."""
+    cfg = toy_payloads(tmp_path)["simulate"]
+    cfg["cluster"]["bin_width"] = 2**28
+    started = time.monotonic()
+    assert simulate_within(20, ["simulate", "--config", write_config(tmp_path, "slow.json", cfg)]) == cli.EXIT_OK
+    assert time.monotonic() - started < 5.0
     rows = read_csv(tmp_path / "sim_out" / "latencies.csv")[1:]
     metrics = json.loads((tmp_path / "sim_out" / "metrics.json").read_text())
     assert len(rows) == metrics["completed"] > 0
     assert min(float(row[3]) for row in rows) > 1e12
+
+
+def test_clock_past_2_53_ms_exits_numeric(tmp_path, capsys):
+    """At 2**31 tokens per bin, completions land near 6.8e16 ms, where a float
+    millisecond no longer has integer resolution."""
+    cfg = toy_payloads(tmp_path)["simulate"]
+    cfg["cluster"]["bin_width"] = 2**31
+    assert simulate_within(20, ["simulate", "--config", write_config(tmp_path, "far.json", cfg)]) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "2**53" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("mode", ["distill", "prune"])

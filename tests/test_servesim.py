@@ -48,6 +48,17 @@ def test_workload_deterministic_per_seed():
     assert a != c
 
 
+def test_request_is_an_immutable_named_record():
+    req = sim.Request(3, 1.5, 17)
+    assert sim.Request._fields == ("id", "arrival_ms", "length_tokens")
+    assert (req.id, req.arrival_ms, req.length_tokens) == (3, 1.5, 17)
+    assert req == sim.Request(id=3, arrival_ms=1.5, length_tokens=17) != sim.Request(3, 1.5, 16)
+    assert hash(req) == hash(sim.Request(3, 1.5, 17))
+    assert len({req, sim.Request(3, 1.5, 17), sim.Request(4, 1.5, 17)}) == 2
+    with pytest.raises(AttributeError):
+        req.arrival_ms = 2.0
+
+
 def test_workload_can_be_empty():
     spec = sim.PoissonSpec(rps=1e-7, duration_ms=1.0)
     assert sim.generate_workload(spec, seed=0) == []
@@ -831,7 +842,14 @@ def test_latency_csv_bytes_equal_csv_writer(tmp_path):
     records = sim.run_simulation(make_cluster(), workload, calibrated_factors()).per_request
     records += [sim.CompletionRecord(10**12, 0.0, 1e-7, 1), sim.CompletionRecord(-1, 1e15 / 3, 1e16, 128),
                 sim.CompletionRecord(7, 0.1 + 0.2, 0.3, 5)]
-    for rows in (records, []):
+    # rows are written in chunks: cross two chunk boundaries and end inside a third chunk
+    chunk = sim.LATENCY_CSV_CHUNK
+    rng = np.random.default_rng(12)
+    arrivals = np.cumsum(rng.exponential(0.5, 2 * chunk + 123)).tolist()
+    many = [sim.CompletionRecord(i, t, t + w, int(n)) for i, (t, w, n) in enumerate(
+        zip(arrivals, rng.exponential(40.0, len(arrivals)).tolist(), rng.integers(1, 129, len(arrivals))))]
+    assert len(many) > 2 * chunk and len(many) % chunk
+    for rows in (records, [], many):
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         sim.write_latency_csv(rows, got)
         reference_latency_csv(rows, want)
