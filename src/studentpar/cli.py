@@ -18,6 +18,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -133,6 +134,12 @@ def _parse_distill_cfg(obj, seed: int, n_train: int) -> dst.DistillConfig:
     return cfg
 
 
+def _check_calibration(setting: dict) -> None:
+    """The calibration keys that ``setting`` holds: ``gpus`` a count, the rate and the latency finite and > 0."""
+    dst.check_counts(setting, {"gpus": 1})
+    dst.check_positive(setting, ("arrival_rps", "observed_latency_ms"))
+
+
 def _calibrated(cal: dict, reference: pm.PerfFactors) -> pm.PerfModel:
     model = pm.PerfModel()
     model.calibrate(reference, cal.get("observed_latency_ms", pm.REFERENCE_OBSERVED_LATENCY_MS))
@@ -143,8 +150,10 @@ def _parse_factors(obj) -> sim.ServiceFactors:
     allowed = {"depth", "width_per_student", "capacity_per_gpu", "pcie_tokens_per_ms",
                "gather_ms", "calibration"}
     _require_keys(obj, allowed, set(), "factors")
+    dst.check_positive(obj, ("capacity_per_gpu", "pcie_tokens_per_ms"))
     cal = obj.get("calibration", {})
     _require_keys(cal, {"observed_latency_ms", "gpus", "arrival_rps"}, set(), "factors.calibration")
+    _check_calibration(cal)
     kwargs = {"capacity" if k == "capacity_per_gpu" else k: v for k, v in obj.items() if k != "calibration"}
     reference = replace(pm.baseline_reference(**_present(cal, "gpus", "arrival_rps")),
                         **_present(kwargs, "capacity", "pcie_tokens_per_ms"))
@@ -156,6 +165,8 @@ def _parse_accuracy_table(obj) -> dst.AccuracyTable:
     if obj["kind"] == "csv":
         return dst.load_accuracy_table(Path(obj["path"]))
     if obj["kind"] == "flat":
+        dst.check_counts(obj, {"students": 1})
+        dst.check_finite(obj, {"base": -math.inf, "step": -math.inf})
         base, step = obj.get("base", 0.93), obj.get("step", 0.01)
         return dst.AccuracyTable([(k, min(1.0, base + step * (k - 1)), min(1.0, base + step * (k - 1)))
                                   for k in range(1, obj.get("students", 3) + 1)])
@@ -336,6 +347,7 @@ def cmd_perf(config_path: str, seed_override: int | None, out_override: str | No
         cal = config.get("calibration", {})
         _require_keys(cal, {"observed_latency_ms", "arrival_rps"}, set(), "calibration")
         setting = {**_present(config, "gpus"), **_present(cal, "arrival_rps")}
+        _check_calibration({**cal, **setting})
         model = _calibrated(cal, pm.baseline_reference(**setting))
 
     rows = model.factor_table(pm.reference_factor_rows(**setting))

@@ -65,14 +65,34 @@ def check_counts(source, lows: dict[str, int]) -> None:
             raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def _is_finite_number(value) -> bool:
+    """An int or float (not a bool) that a float holds finitely."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
 def check_positive(source, names) -> None:
     """Raise ValueError unless each named value that ``source`` holds is a finite number > 0."""
     values = _named_values(source, names)
     for name in names:
         value = values.get(name, 1.0)
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
-                math.isfinite(value) and value > 0):
+        if not (_is_finite_number(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def check_finite(source, lows: dict[str, float]) -> None:
+    """Raise ValueError unless each value named in ``lows`` that ``source`` holds
+    is a finite number at or above its lower bound."""
+    values = _named_values(source, lows)
+    for name, low in lows.items():
+        value = values.get(name)
+        if name in values and not (_is_finite_number(value) and value >= low):
+            bound = f" >= {low}" if low > -math.inf else ""
+            raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
 
 
 def make_gaussian_task(
@@ -91,6 +111,7 @@ def make_gaussian_task(
     ceiling) is controlled by class_sep.
     """
     check_counts(locals(), {"d_in": 1, "n_train": 1, "n_val": 1, "n_test": 1})
+    check_finite(locals(), {"class_sep": -math.inf})
     if not 2 <= n_classes <= 8:
         raise ValueError("n_classes must be in [2, 8]")
     rng = rng_for(seed, "gaussian-task")
@@ -123,18 +144,14 @@ class DistillConfig:
     min_improvement: float = 1e-9
 
     def __post_init__(self):
-        if self.lambda_stack < 0:
-            raise ValueError("lambda_stack must be nonnegative")
-        if self.soft_ce_temperature <= 0:
-            raise ValueError("soft_ce_temperature must be positive")
+        check_finite(self, {"lambda_stack": 0, "subsample_top_pct": 0, "subsample_rand_pct": 0,
+                            "min_improvement": -math.inf})
+        check_positive(self, ("soft_ce_temperature", "learning_rate"))
         a, b = self.subsample_top_pct, self.subsample_rand_pct
-        if not (0 <= a <= 100 and 0 <= b <= 100 and 0 < a + b <= 100):
+        if not (a <= 100 and b <= 100 and 0 < a + b <= 100):
             raise ValueError("subsample percentages must satisfy 0 <= a, b and 0 < a + b <= 100")
         check_counts(self, {"max_students": 1, "epochs_per_student": 1, "batch_size": 1,
                                   "pruning_epochs": 0, "overfit_patience": 1})
-        check_positive(self, ("learning_rate",))
-        if not math.isfinite(self.min_improvement):
-            raise ValueError(f"min_improvement must be finite, got {self.min_improvement!r}")
 
 
 @dataclass
@@ -533,20 +550,37 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e
 
 
-def soft_cross_entropy(student_logits, teacher_logits, temperature: float = 1.0) -> float:
-    """Cross-entropy of student logits against the teacher's soft labels."""
+def _log_softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log softmax(z) and softmax(z) along the last axis, from one exp(z - max)
+    and one row sum; the softmax is ``_softmax(z)``, bit for bit."""
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    sums = e.sum(axis=-1, keepdims=True)
+    log_p = shifted - np.log(sums)
+    e /= sums
+    return log_p, e
+
+
+def _soft_labels(teacher_logits, temperature: float) -> np.ndarray:
+    """The teacher's soft labels softmax(logits / T); the logits must be finite."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    s = np.asarray(student_logits, dtype=np.float64)
     t = np.asarray(teacher_logits, dtype=np.float64)
+    if not np.isfinite(t).all():
+        raise ValueError("logits must be finite")
+    return _softmax(t / temperature)
+
+
+def soft_cross_entropy(student_logits, teacher_logits, temperature: float = 1.0) -> float:
+    """Cross-entropy of student logits against the teacher's soft labels."""
+    t = _soft_labels(teacher_logits, temperature)
+    s = np.asarray(student_logits, dtype=np.float64)
     if s.shape != t.shape:
         raise ValueError("logit width mismatch")
-    if not (np.isfinite(s).all() and np.isfinite(t).all()):
+    if not np.isfinite(s).all():
         raise ValueError("logits must be finite")
-    s, t = s / temperature, t / temperature
-    log_p = s - s.max(axis=-1, keepdims=True)
-    log_p = log_p - np.log(np.exp(log_p).sum(axis=-1, keepdims=True))
-    return float(np.mean(np.sum(-_softmax(t) * log_p, axis=-1)))
+    log_p, _ = _log_softmax(s / temperature)
+    return float(np.mean(np.sum(-t * log_p, axis=-1)))
 
 
 class _PruningParams:
@@ -588,10 +622,12 @@ def _pruning_layout(state: EnsembleState) -> list[tuple]:
 def accumulate_prefix_gradients(
     state: EnsembleState,
     xb: np.ndarray,
-    teacher_logits: np.ndarray,
+    teacher_logits: np.ndarray | None,
     temperature: float,
     layout: list[tuple] | None = None,
     layers: list[tuple] | None = None,
+    *,
+    soft_labels: np.ndarray | None = None,
 ) -> tuple[nn.TapeGradients, float]:
     """One batch of the pruning objective: sum over k of soft CE on prefix k.
 
@@ -604,7 +640,12 @@ def accumulate_prefix_gradients(
     gradients, straight into its block of the tape. The tape covers the
     classifier and then every student (``layout``, built from the state when
     not given); the students run as the bank ``layers`` (``_bank_layers`` of
-    the state when not given).
+    the state when not given). A caller that holds the teacher's soft labels
+    ``_soft_labels(teacher_logits, temperature)`` already passes them as
+    ``soft_labels``, and ``teacher_logits`` is then not read.
+
+    The loss and its logit gradient are those of ``soft_cross_entropy`` on the
+    m prefixes stacked, with each prefix's rows against the same soft labels.
     """
     m, n = len(state), len(xb)
     clf = state.classifier
@@ -615,9 +656,15 @@ def accumulate_prefix_gradients(
     finals = _bank_forward(layers, xb, acts)
     reps = np.cumsum(alphas * finals, axis=0).reshape(m * n, -1)  # same additions as rep + alpha * f
     logits = clf.forward(reps)
-    t_logits = np.tile(np.asarray(teacher_logits, dtype=np.float64), (m, 1))
-    total = m * soft_cross_entropy(logits, t_logits, temperature)
-    d_logits = (_softmax(logits / temperature) - _softmax(t_logits / temperature)) / (temperature * n)
+    if soft_labels is None:
+        soft_labels = _soft_labels(teacher_logits, temperature)
+    if soft_labels.shape != (n, logits.shape[1]):
+        raise ValueError("logit width mismatch")
+    if not np.isfinite(logits).all():
+        raise ValueError("logits must be finite")
+    log_p, p = _log_softmax(logits / temperature)
+    total = m * float(np.mean(np.sum(-soft_labels * log_p.reshape(m, n, -1), axis=-1)))
+    d_logits = ((p.reshape(m, n, -1) - soft_labels) / (temperature * n)).reshape(m * n, -1)
     grad = np.empty(layout[-1][2])
     w_stop, start = clf.weight.size, clf.weight.size + clf.bias.size
     d_reps, _, _ = clf.backward(d_logits, grad[:w_stop].reshape(clf.weight.shape), grad[w_stop:start])
@@ -656,6 +703,7 @@ def adaptive_pruning(
     n_classes = teacher.head.out_dim
     state.classifier = nn.DenseLayer.init(n_classes, teacher.rep_dim, nn.IDENTITY, rng)
     _, t_logits_train = teacher.forward(splits.train.inputs)
+    soft_labels = _soft_labels(t_logits_train, cfg.soft_ce_temperature)  # rows are taken per batch
     opt = nn.Optimizer(kind=nn.ADAM, learning_rate=cfg.learning_rate)
     params = _PruningParams(state)
     n = len(splits.train)
@@ -664,8 +712,8 @@ def adaptive_pruning(
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
             tape, loss = accumulate_prefix_gradients(
-                state, splits.train.inputs[idx], t_logits_train[idx], cfg.soft_ce_temperature, params.layout,
-                params.bank_layers,
+                state, splits.train.inputs[idx], None, cfg.soft_ce_temperature, params.layout,
+                params.bank_layers, soft_labels=soft_labels[idx],
             )
             if not np.isfinite(loss):
                 raise FloatingPointError("pruning loss diverged")

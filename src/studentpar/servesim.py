@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distill import AccuracyTable, check_counts, check_positive
+from .distill import AccuracyTable, check_counts, check_finite, check_positive
 from .perfmodel import DEFAULT_CAPACITY, DEFAULT_GATHER_MS, DEFAULT_PCIE_TOKENS_PER_MS, PerfFactors, PerfModel
 from .seeding import rng_for
 
@@ -104,10 +104,7 @@ def generate_workload(kind, seed: int, max_len: int = 128, bin_width: int = 8, *
     """
     if isinstance(kind, PoissonSpec):
         check_positive(kind, ("rps",))
-        duration_ms = kind.duration_ms
-        if isinstance(duration_ms, bool) or not isinstance(duration_ms, (int, float)) or not (
-                math.isfinite(duration_ms) and duration_ms >= 0):
-            raise ValueError(f"duration_ms must be finite and >= 0, got {duration_ms!r}")
+        check_finite(kind, {"duration_ms": 0})
         if not 1 <= bin_width <= 1 << 32:
             raise ValueError(f"bin_width must lie in [1, 2**32], got {bin_width!r}")
         rng = rng_for(seed, "workload")
@@ -122,7 +119,7 @@ def generate_workload(kind, seed: int, max_len: int = 128, bin_width: int = 8, *
         cdf = (weights / total).cumsum()
         cdf /= cdf[-1]
         cdf = cdf.tolist()
-        scale = 1000.0 / kind.rps
+        duration_ms, scale = kind.duration_ms, 1000.0 / kind.rps
         exponential, uniform = rng.exponential, rng.random
         next_word = _uint32_words(rng.bit_generator).__next__
         reject_below = (1 << 32) % bin_width  # Lemire's threshold (2**32 - w) mod w
@@ -142,8 +139,7 @@ def generate_workload(kind, seed: int, max_len: int = 128, bin_width: int = 8, *
             t += exponential(scale)
         return requests
     if isinstance(kind, TraceFile):
-        if not (math.isfinite(kind.scale) and kind.scale > 0):
-            raise ValueError(f"scale must be a finite positive number, got {kind.scale!r}")
+        check_positive(kind, ("scale",))
         requests = []
         with open(kind.path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -175,7 +171,7 @@ APPENDED = "appended"
 REJECTED = "rejected"
 
 
-@dataclass
+@dataclass(slots=True)
 class BufferElement:
     """Up to max_merge requests sharing one length bin, padded to its upper edge."""
 
@@ -231,16 +227,17 @@ class LengthAwareBuffer:
         el = self.index.get(b)
         if el is not None:
             self.op_touches = 1
-            el.requests.append(req)
-            if el.size >= self.max_merge:
+            requests = el.requests
+            requests.append(req)
+            if len(requests) >= self.max_merge:
                 del self.index[b]
             return MERGED
         if self.is_full():
             return REJECTED
-        el = BufferElement(bin=b, padded_len=(b + 1) * self.bin_width, requests=[req], created_ms=now_ms)
+        el = BufferElement(b, (b + 1) * self.bin_width, [req], now_ms)
         self.op_touches = 1
         self.fifo.append(el)
-        if el.size < self.max_merge:  # a size-1 element is already full when max_merge == 1
+        if self.max_merge > 1:  # a size-1 element is already full when max_merge == 1
             self.index[b] = el
         return APPENDED
 
@@ -288,8 +285,7 @@ class ControllerConfig:
         check_counts(self, {"min_students": 1, "max_students": 1})
         if not 1 <= self.min_students <= self.max_students:
             raise ValueError("need 1 <= min_students <= max_students")
-        if not self.idle_window_ms >= 0:
-            raise ValueError(f"idle_window_ms must be >= 0, got {self.idle_window_ms!r}")
+        check_finite(self, {"idle_window_ms": 0})  # an endless window would beat forever
         if len(self.accuracy_table) < self.max_students:
             raise ValueError("accuracy_table must cover 1..max_students")
 
@@ -312,8 +308,8 @@ class ClusterConfig:
                                                 "bin_width", "num_bins", "max_merge"), 1))
         if not self.controller.min_students <= self.group_size <= self.controller.max_students:
             raise ValueError("group_size must lie within the controller's [min, max] range")
-        if self.batch_timeout_ms is not None and not self.batch_timeout_ms >= 0:
-            raise ValueError(f"batch_timeout_ms must be >= 0, got {self.batch_timeout_ms!r}")
+        if self.batch_timeout_ms is not None:
+            check_finite(self, {"batch_timeout_ms": 0})  # an endless timeout would beat forever
 
     @property
     def max_len(self) -> int:
@@ -490,6 +486,10 @@ class Simulation:
             raise ValueError("every arrival_ms must be finite")  # else the event loop never ends
         self.cfg = cluster
         self.factors = factors
+        # read once: every event consults them
+        self.ctl = cluster.controller
+        self.max_merge = cluster.max_merge
+        self.batch_timeout_ms = cluster.batch_timeout_ms
         self.k = cluster.group_size
         self.groups = group_count(self.k, cluster.gpus_per_node, cluster.replicas_per_gpu)
         self.nodes = [
@@ -537,17 +537,17 @@ class Simulation:
             node.buffer.capacity = self.groups
         self.full_buffers = sum(len(node.buffer) >= self.groups for node in self.nodes)
         self.k_timeline.append((now, new_k))
-        self.acc_timeline.append((now, self.cfg.controller.accuracy_table.val_accuracy(new_k)))
+        self.acc_timeline.append((now, self.ctl.accuracy_table.val_accuracy(new_k)))
 
     def _head_dispatchable(self, node: _Node, now: float) -> bool:
         """Waiting-queue mode: the head element is full or has waited out the timeout."""
         el = node.buffer.fifo[0]
-        return el.size >= self.cfg.max_merge or now - el.created_ms >= self.cfg.batch_timeout_ms - 1e-9
+        return len(el.requests) >= self.max_merge or now - el.created_ms >= self.batch_timeout_ms - 1e-9
 
     def _dispatch(self, node: _Node, now: float) -> None:
         buf = node.buffer
         fifo = buf.fifo
-        waiting = self.cfg.batch_timeout_ms is not None
+        waiting = self.batch_timeout_ms is not None
         while fifo and node.busy < self.groups and (not waiting or self._head_dispatchable(node, now)):
             el = buf.pop()
             left = len(fifo)
@@ -574,12 +574,12 @@ class Simulation:
                 self.nonempty.add(node.index)
             if size == buf.capacity:
                 self.full_buffers += 1
-            if self.cfg.batch_timeout_ms is not None:
-                self._push_event(now + self.cfg.batch_timeout_ms, _TIMER, node)
+            if self.batch_timeout_ms is not None:
+                self._push_event(now + self.batch_timeout_ms, _TIMER, node)
         return result
 
     def controller_tick(self, now: float) -> str:
-        ctl = self.cfg.controller
+        ctl = self.ctl
         # HOLD unless the DROP_ONE or the ADD_ONE precondition holds
         if not self.full_buffers and (self.nonempty or self.k >= ctl.max_students
                                       or now - self.last_empty < ctl.idle_window_ms):
@@ -607,9 +607,9 @@ class Simulation:
 
     def _boundary(self, now: float, own: _Node | None) -> None:
         retrying = self.retrying
-        if retrying or self.cfg.batch_timeout_ms is not None:
+        if retrying or self.batch_timeout_ms is not None:
             touched = set(retrying)
-            if self.cfg.batch_timeout_ms is not None:
+            if self.batch_timeout_ms is not None:
                 touched |= self.nonempty
             if own is not None:
                 touched.add(own.index)
@@ -628,9 +628,12 @@ class Simulation:
         self.controller_tick(now)
         if self.k != k:  # every buffer's capacity and group count changed
             nodes = self.nodes
+        groups = self.groups
         for node in nodes:
-            self._dispatch(node, now)
-            if node.buffer.fifo:
+            fifo = node.buffer.fifo
+            if fifo and node.busy < groups:
+                self._dispatch(node, now)
+            if fifo:
                 node.empty_since = None
             elif node.empty_since is None:
                 node.empty_since = self.last_empty = now
@@ -650,7 +653,7 @@ class Simulation:
             until = self.events[0][0]
         if self.arrivals:
             until = min(until, self.arrivals[-1][0])
-        idle_end = self.last_empty + self.cfg.controller.idle_window_ms
+        idle_end = self.last_empty + self.ctl.idle_window_ms
         if idle_end > now:
             until = min(until, idle_end)
         if until == math.inf:
@@ -687,10 +690,9 @@ class Simulation:
                 before = self._beat_state()
                 self._boundary(now, None)
                 nxt = now + HEARTBEAT_MS
-                if self._beat_state() == before and not (self.nonempty and self.cfg.batch_timeout_ms is not None):
+                if self._beat_state() == before and not (self.nonempty and self.batch_timeout_ms is not None):
                     nxt = max(nxt, self._last_quiet_beat(now))
-                if more or nxt <= (
-                        self.last_event_ms + self.cfg.controller.idle_window_ms + 5 * HEARTBEAT_MS):
+                if more or nxt <= self.last_event_ms + self.ctl.idle_window_ms + 5 * HEARTBEAT_MS:
                     heapq.heappush(events, (nxt, seq, _HEARTBEAT, None))
                 continue
             else:
@@ -733,6 +735,10 @@ class Simulation:
             raise RuntimeError("simulation invariant broken: " + ", ".join(broken))
 
     def _metrics(self) -> SimMetrics:
+        # by arrival, ties by id: two stable one-key sorts give the order of the
+        # (arrival_ms, request_id) key without building a tuple per request
+        per_request = sorted(self.records, key=attrgetter("request_id"))
+        per_request.sort(key=attrgetter("arrival_ms"))
         lats = [r.completion_ms - r.arrival_ms for r in self.records]
         if lats:
             span_ms = max(r.completion_ms for r in self.records) - min(r.arrival_ms for r in self.records)
@@ -751,7 +757,7 @@ class Simulation:
             accuracy_timeline=self.acc_timeline,
             generated=self.generated,
             rejected_pushes=self.rejected_pushes,
-            per_request=sorted(self.records, key=attrgetter("arrival_ms", "request_id")),
+            per_request=per_request,
         )
 
 

@@ -303,6 +303,8 @@ def test_distill_corrupt_teacher_checkpoint_exits_config(tmp_path, capsys, disti
 @pytest.mark.parametrize("knob, value", [
     ("batch_size", 0), ("batch_size", 1.5), ("learning_rate", -1), ("learning_rate", 0),
     ("max_students", 0), ("epochs_per_student", 0), ("pruning_epochs", -1),
+    ("soft_ce_temperature", float("inf")), ("lambda_stack", float("nan")), ("lambda_stack", float("inf")),
+    ("lambda_stack", "x"), ("min_improvement", None),
 ])
 def test_invalid_distill_knobs_exit_config(tmp_path, capsys, distilled, mode, knob, value):
     if mode == "distill":
@@ -364,6 +366,7 @@ def test_simulate_bad_trace_exits_config(tmp_path):
     (float("inf"), "1.5", "scale"),
     (float("nan"), "1.5", "scale"),
     (-1.0, "1.5", "scale"),
+    ("x", "1.5", "scale"),
     (1.0, "inf", "trace line 4"),
     (1.0, "nan", "trace line 4"),
     (1.0, "-inf", "trace line 2"),
@@ -573,6 +576,20 @@ BAD_INPUTS = [
                                                               {"rps": 200.0, "duration_ms": 1000.0}]}),
     ("simulate", ("workload", "rps"), "x"),
     ("simulate", ("workload", "duration_ms"), "x"),
+    # non-finite or non-numeric training knobs used to train on them, or fail mid-run
+    ("distill", ("task", "class_sep"), float("nan")),
+    ("distill", ("distill",), {"soft_ce_temperature": float("inf")}),
+    ("distill", ("distill",), {"lambda_stack": float("nan")}),
+    ("distill", ("distill",), {"lambda_stack": float("inf")}),
+    ("distill", ("distill",), {"lambda_stack": "x"}),
+    ("simulate", ("factors", "capacity_per_gpu"), "x"),
+    ("simulate", ("factors", "capacity_per_gpu"), float("nan")),
+    ("simulate", ("factors", "calibration"), {"observed_latency_ms": float("nan")}),
+    ("perf", ("calibration", "observed_latency_ms"), float("nan")),
+    ("simulate", ("accuracy_table", "base"), "x"),
+    # an endless idle window or timeout used to beat heartbeats forever
+    ("simulate", ("cluster", "controller"), {"idle_window_ms": float("inf")}),
+    ("simulate", ("cluster", "batch_timeout_ms"), float("inf")),
 ]
 
 
@@ -595,6 +612,31 @@ def test_bad_input_exits_config(tmp_path, capsys, mode, path, value):
     err = assert_config_error([mode, "--config", write_config(tmp_path, "bad.json", cfg)], capsys)
     if was_object and not isinstance(value, dict):
         assert f"{'.'.join(path)} must be a JSON object" in err
+
+
+@pytest.mark.parametrize("mode, path, value", [
+    ("distill", ("task", "class_sep"), float("nan")),
+    ("distill", ("task", "class_sep"), "a"),
+    ("simulate", ("factors", "capacity_per_gpu"), 0),
+    ("simulate", ("factors", "capacity_per_gpu"), "x"),
+    ("simulate", ("factors", "capacity_per_gpu"), float("nan")),
+    ("simulate", ("factors", "pcie_tokens_per_ms"), "x"),
+    ("simulate", ("factors", "calibration", "observed_latency_ms"), float("nan")),
+    ("simulate", ("accuracy_table", "students"), "x"),
+    ("simulate", ("cluster", "controller", "idle_window_ms"), "x"),
+    ("simulate", ("cluster", "controller", "idle_window_ms"), float("inf")),
+    ("simulate", ("cluster", "batch_timeout_ms"), "x"),
+    ("perf", ("gpus",), "x"),
+    ("perf", ("calibration", "arrival_rps"), "x"),
+], ids=repr)
+def test_bad_number_names_the_key(tmp_path, capsys, mode, path, value):
+    cfg = toy_payloads(tmp_path)[mode]
+    section = cfg
+    for key in path[:-1]:
+        section = section.setdefault(key, {})
+    section[path[-1]] = value
+    err = assert_config_error([mode, "--config", write_config(tmp_path, "bad.json", cfg)], capsys)
+    assert f"{path[-1]} must be" in err, err
 
 
 @pytest.mark.parametrize("payload", [[1, 2], {

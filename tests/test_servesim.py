@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -854,6 +855,30 @@ def test_latency_csv_bytes_equal_csv_writer(tmp_path):
         sim.write_latency_csv(rows, got)
         reference_latency_csv(rows, want)
         assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("batch_timeout_ms", [None, 2.0])
+def test_per_request_is_ordered_by_arrival_then_id(seed, batch_timeout_ms):
+    # the oracle is the (arrival_ms, request_id) tuple-key sort; the workload is
+    # shuffled, ties arrivals at 0.5 ms, numbers requests out of arrival order
+    # with repeated ids and holds exact repeats of some requests
+    rng = np.random.default_rng(seed)
+    drawn = sim.generate_workload(sim.PoissonSpec(rps=6_000.0, duration_ms=200.0), seed=seed)
+    ids = rng.integers(0, len(drawn) // 3, size=len(drawn)).tolist()
+    workload = [sim.Request(i, float(np.floor(r.arrival_ms * 2.0)) / 2.0, r.length_tokens)
+                for i, r in zip(ids, drawn)]
+    workload += workload[:40]
+    workload = [workload[j] for j in rng.permutation(len(workload))]
+    simulation = sim.Simulation(make_cluster(nodes=2, batch_timeout_ms=batch_timeout_ms), workload,
+                                calibrated_factors())
+    got = simulation.run().per_request
+    want = sorted(simulation.records, key=attrgetter("arrival_ms", "request_id"))
+    assert [id(r) for r in got] == [id(r) for r in want]
+    keys = [(r.arrival_ms, r.request_id) for r in got]
+    assert len(set(r.arrival_ms for r in got)) < len(got)  # tied arrivals
+    assert len(set(keys)) < len(got)  # whole-key ties, kept in completion order
+    assert [r.request_id for r in got] != sorted(r.request_id for r in got)
 
 
 def test_each_event_visits_at_most_one_node(monkeypatch):
