@@ -184,6 +184,13 @@ def _parse_cluster(obj, accuracy_table: dst.AccuracyTable) -> sim.ClusterConfig:
     return sim.ClusterConfig(controller=controller, **{k: v for k, v in obj.items() if k != "controller"})
 
 
+def _check_expected_requests(specs: list[sim.PoissonSpec], key: str) -> None:
+    expected = sum(spec.rps * spec.duration_ms / 1000.0 for spec in specs)
+    if expected > sim.MAX_EXPECTED_REQUESTS:
+        raise ConfigError(f"{key}: rps * duration_ms / 1000 expects {expected:.4g} requests, "
+                          f"above the limit of {sim.MAX_EXPECTED_REQUESTS:,}")
+
+
 def _parse_workload(obj, seed: int, cluster: sim.ClusterConfig) -> list[sim.Request]:
     allowed = {"kind", "rps", "duration_ms", "length_weights", "path", "scale", "phases"}
     _require_keys(obj, allowed, {"kind"}, "workload")
@@ -195,6 +202,7 @@ def _parse_workload(obj, seed: int, cluster: sim.ClusterConfig) -> list[sim.Requ
             duration_ms=obj.get("duration_ms", 10_000.0),
             length_weights=tuple(obj["length_weights"]) if obj.get("length_weights") else None,
         )
+        _check_expected_requests([spec], "workload")
         return sim.generate_workload(spec, fork_seed(seed, "workload"), **bins)
     if kind == "trace":
         if "path" not in obj:
@@ -202,18 +210,21 @@ def _parse_workload(obj, seed: int, cluster: sim.ClusterConfig) -> list[sim.Requ
         return sim.generate_workload(sim.TraceFile(Path(obj["path"]), **_present(obj, "scale")),
                                      fork_seed(seed, "workload"))
     if kind == "phases":
-        requests: list[sim.Request] = []
-        offset = 0.0
+        specs: list[sim.PoissonSpec] = []
         for i, phase in enumerate(obj.get("phases", [])):
             ctx = f"workload.phases[{i}]"
             _require_keys(phase, {"rps", "duration_ms"}, {"rps", "duration_ms"}, ctx)
-            spec = sim.PoissonSpec(rps=phase["rps"], duration_ms=phase["duration_ms"])
             try:
-                requests += sim.generate_workload(spec, fork_seed(seed, f"workload-phase-{i}"), **bins,
-                                                  offset_ms=offset, first_id=len(requests))
+                specs.append(sim.PoissonSpec(rps=phase["rps"], duration_ms=phase["duration_ms"]))
             except ValueError as exc:
                 raise ConfigError(f"{ctx}: {exc}") from exc
-            offset += phase["duration_ms"]
+        _check_expected_requests(specs, "workload.phases")
+        requests: list[sim.Request] = []
+        offset = 0.0
+        for i, spec in enumerate(specs):
+            requests += sim.generate_workload(spec, fork_seed(seed, f"workload-phase-{i}"), **bins,
+                                              offset_ms=offset, first_id=len(requests))
+            offset += spec.duration_ms
         return requests
     raise ConfigError(f"unknown workload kind '{kind}'")
 

@@ -191,6 +191,11 @@ class EnsembleState:
     The prefix ensemble of the first k students is sum_{m<k} alpha_m * S_m.
     alpha_0 is pinned to 1; later multipliers are whatever the line search
     produced when each student was added (no clamping).
+
+    The state owns its students' parameters: row m of the (M, P) buffer ``bank``
+    is student m's ``flat``, and ``layers`` is ``_bank_layers`` of it. Building
+    a state, ``add`` and ``drop_last`` move the students into a new bank, values
+    copied; a dropped student keeps its values in the bank it leaves.
     """
 
     def __init__(self, students=None, multipliers=None, classifier: nn.DenseLayer | None = None):
@@ -203,6 +208,7 @@ class EnsembleState:
         for j, student in enumerate(self.students[1:], start=1):
             _check_architecture(self.students[0], student, j)
         self.classifier = classifier
+        self.move_to(None)
 
     def __len__(self) -> int:
         return len(self.students)
@@ -214,10 +220,21 @@ class EnsembleState:
             _check_architecture(self.students[0], student, len(self.students))
         self.students.append(student)
         self.multipliers.append(float(alpha))
+        self.move_to(None)
 
     def drop_last(self) -> None:
         self.students.pop()
         self.multipliers.pop()
+        self.move_to(None)
+
+    def move_to(self, bank: np.ndarray | None) -> None:
+        """Copy the students' parameters into the rows of ``bank`` (a new buffer when
+        None, or a slice of a larger one) and view them there."""
+        m = len(self.students)
+        self.bank = np.empty((m, self.students[0].flat.size if m else 0)) if bank is None else bank.reshape(m, -1)
+        for student, row in zip(self.students, self.bank):
+            student.move_to(row)
+        self.layers = _bank_layers(self.students[0], self.bank) if m else []
 
     def rep(self, x: np.ndarray, k: int | None = None) -> np.ndarray:
         """Prefix-ensemble representation of the first k students."""
@@ -249,13 +266,12 @@ def _check_architecture(first: nn.StudentModel, student: nn.StudentModel, j: int
                          f"student 0 has {_architecture(first)}")
 
 
-def _bank_layers(students, bank: np.ndarray | None = None) -> list[tuple[np.ndarray, np.ndarray, nn.DenseLayer]]:
+def _bank_layers(student: nn.StudentModel, bank: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, nn.DenseLayer]]:
     """Per layer, input projection first: (weights (M, out, in), biases (M, 1, out),
-    the first student's layer), views into ``bank``, the students' buffers back
-    to back in one flat array: by default a copy of them."""
-    unit = [students[0].input_proj, *students[0].layers]
-    views = nn._stack_views(unit, len(students))(
-        np.concatenate([student.flat for student in students]) if bank is None else bank)
+    ``student``'s layer), views into ``bank``, an (M, P) buffer whose rows are laid
+    out like ``student.flat``."""
+    unit = [student.input_proj, *student.layers]
+    views = nn._stack_views(unit, len(bank))(bank.reshape(-1))
     return [(weight, bias[:, None], layer) for weight, bias, layer in zip(views[::2], views[1::2], unit)]
 
 
@@ -303,11 +319,11 @@ _SWEEP_ROWS = 1024
 def _prefix_sums(state: "EnsembleState", x: np.ndarray, k: int):
     """Yield the representation of the first 1, 2, ..., k students on x, each
     summed as rep + alpha * final in ensemble order. The students run in
-    stacked banks of at most _SWEEP_ROWS // n."""
+    stacked slices of the state's bank of at most _SWEEP_ROWS // n."""
     step, rep = max(1, _SWEEP_ROWS // max(1, len(x))), None
     for start in range(0, k, step):
-        students = state.students[start:min(k, start + step)]
-        finals = _bank_forward(_bank_layers(students), x)
+        rows = slice(start, min(k, start + step))
+        finals = _bank_forward([(weight[rows], bias[rows], layer) for weight, bias, layer in state.layers], x)
         for alpha, final in zip(state.multipliers[start:], finals):
             rep = alpha * final if rep is None else rep + alpha * final
             yield rep
@@ -586,12 +602,11 @@ def soft_cross_entropy(student_logits, teacher_logits, temperature: float = 1.0)
 class _PruningParams:
     """Classifier plus every student in one flat parameter buffer.
 
-    Construction moves the classifier's parameters, then each student's, into
-    consecutive slices of ``flat`` (a student's own ``flat`` becomes its
-    slice), so one optimizer step updates them all. ``layout`` is
-    ``_pruning_layout``, the gradient layout of ``accumulate_prefix_gradients``.
-    ``bank_layers`` views the students' slices as the stacked bank of
-    ``_bank_layers``.
+    Construction moves the classifier's parameters into the head of ``flat``
+    and the state's bank into the rest (``EnsembleState.move_to``), so one
+    optimizer step updates them all and the state's stacked views follow.
+    ``layout`` is ``_pruning_layout``, the gradient layout of
+    ``accumulate_prefix_gradients``.
     """
 
     def __init__(self, state: EnsembleState):
@@ -599,11 +614,7 @@ class _PruningParams:
         self.flat = np.empty(self.layout[-1][2])
         clf_size = self.layout[1][2]
         nn._home([("classifier", state.classifier)], self.flat[:clf_size])
-        # the students' slices are the rows of one bank, so the bank needs no copy
-        bank = self.flat[clf_size:]
-        for student, row in zip(state.students, bank.reshape(len(state.students), -1)):
-            student.move_to(row)
-        self.bank_layers = _bank_layers(state.students, bank)
+        state.move_to(self.flat[clf_size:])
 
     def parameters(self) -> dict[str, np.ndarray]:
         return nn._views(self.flat, self.layout)
@@ -625,7 +636,6 @@ def accumulate_prefix_gradients(
     teacher_logits: np.ndarray | None,
     temperature: float,
     layout: list[tuple] | None = None,
-    layers: list[tuple] | None = None,
     *,
     soft_labels: np.ndarray | None = None,
 ) -> tuple[nn.TapeGradients, float]:
@@ -639,10 +649,9 @@ def accumulate_prefix_gradients(
     alpha_j times the suffix sum over k >= j of the prefix representations'
     gradients, straight into its block of the tape. The tape covers the
     classifier and then every student (``layout``, built from the state when
-    not given); the students run as the bank ``layers`` (``_bank_layers`` of
-    the state when not given). A caller that holds the teacher's soft labels
-    ``_soft_labels(teacher_logits, temperature)`` already passes them as
-    ``soft_labels``, and ``teacher_logits`` is then not read.
+    not given), and the students run as the state's ``layers``. A caller that
+    holds the teacher's soft labels ``_soft_labels(teacher_logits, temperature)``
+    passes them as ``soft_labels``, and ``teacher_logits`` is then not read.
 
     The loss and its logit gradient are those of ``soft_cross_entropy`` on the
     m prefixes stacked, with each prefix's rows against the same soft labels.
@@ -652,8 +661,8 @@ def accumulate_prefix_gradients(
     layout = _pruning_layout(state) if layout is None else layout
     xb = np.asarray(xb, dtype=np.float64)
     alphas = np.asarray(state.multipliers)[:, None, None]
-    layers, acts = _bank_layers(state.students) if layers is None else layers, []
-    finals = _bank_forward(layers, xb, acts)
+    acts = []
+    finals = _bank_forward(state.layers, xb, acts)
     reps = np.cumsum(alphas * finals, axis=0).reshape(m * n, -1)  # same additions as rep + alpha * f
     logits = clf.forward(reps)
     if soft_labels is None:
@@ -669,7 +678,7 @@ def accumulate_prefix_gradients(
     w_stop, start = clf.weight.size, clf.weight.size + clf.bias.size
     d_reps, _, _ = clf.backward(d_logits, grad[:w_stop].reshape(clf.weight.shape), grad[w_stop:start])
     suffix = np.cumsum(d_reps.reshape(m, n, -1)[::-1], axis=0)[::-1]
-    _bank_backward(layers, xb, acts, alphas * suffix, grad[start:].reshape(m, -1))
+    _bank_backward(state.layers, xb, acts, alphas * suffix, grad[start:].reshape(m, -1))
     return nn.TapeGradients(grad, layout), total
 
 
@@ -713,7 +722,7 @@ def adaptive_pruning(
             idx = perm[start:start + cfg.batch_size]
             tape, loss = accumulate_prefix_gradients(
                 state, splits.train.inputs[idx], None, cfg.soft_ce_temperature, params.layout,
-                params.bank_layers, soft_labels=soft_labels[idx],
+                soft_labels=soft_labels[idx],
             )
             if not np.isfinite(loss):
                 raise FloatingPointError("pruning loss diverged")

@@ -2,12 +2,13 @@
 
 One global dispatcher round-robins arrivals across nodes. Each node owns a
 length-aware buffer (bounded FIFO of small same-length-bin batches) and a
-set of student groups; whenever a group is idle the head buffer element is
-dispatched immediately. Service times come from the calibrated analytic
-performance model. A controller drops one student per group when a buffer
-fills (starting more groups) and adds one back after a sustained idle
-window. A dynamic-batching baseline mode replaces immediate dispatch with
-a waiting queue and full-length padding, for ablation runs.
+number of student groups (``group_count``; the simulator models group counts
+per node, not the placement of students on GPUs). Whenever a group is idle the
+head buffer element is dispatched immediately. Service times come from the
+calibrated analytic performance model. A controller drops one student per
+group when a buffer fills (starting more groups) and adds one back after a
+sustained idle window. A dynamic-batching baseline mode replaces immediate
+dispatch with a waiting queue and full-length padding, for ablation runs.
 
 The simulated clock is real-valued milliseconds. Arrivals do not enter the
 event heap: they are served from the workload stably sorted by arrival time,
@@ -52,6 +53,12 @@ class Request(NamedTuple):
     length_tokens: int
 
 
+# the most requests a Poisson workload may expect, rps * duration_ms / 1000 summed
+# over its phases; every request is held in memory. 125 times serve-fanout's
+# 80,000 (32k rps for 2.5 s) and 145 times the stock simulate config's 69,000
+MAX_EXPECTED_REQUESTS = 10_000_000
+
+
 @dataclass(frozen=True)
 class PoissonSpec:
     """Synthetic open-loop workload: Poisson arrivals, histogram lengths."""
@@ -59,6 +66,10 @@ class PoissonSpec:
     rps: float
     duration_ms: float
     length_weights: tuple[float, ...] | None = None  # one weight per length bin
+
+    def __post_init__(self):
+        check_positive(self, ("rps",))
+        check_finite(self, {"duration_ms": 0})
 
 
 @dataclass(frozen=True)
@@ -103,8 +114,6 @@ def generate_workload(kind, seed: int, max_len: int = 128, bin_width: int = 8, *
     renumbering. A trace keeps its own times and numbers from 0.
     """
     if isinstance(kind, PoissonSpec):
-        check_positive(kind, ("rps",))
-        check_finite(kind, {"duration_ms": 0})
         if not 1 <= bin_width <= 1 << 32:
             raise ValueError(f"bin_width must lie in [1, 2**32], got {bin_width!r}")
         rng = rng_for(seed, "workload")
@@ -254,24 +263,12 @@ class LengthAwareBuffer:
         return self.fifo[0] if self.fifo else None
 
 
-# -- allocation and configuration ----------------------------------------------
+# -- group counts and configuration --------------------------------------------
 
 
 def group_count(group_size: int, gpus: int, replicas_per_gpu: int) -> int:
     """Replica groups a node can host: floor(replicas * G / S), at least 1."""
     return max(1, (replicas_per_gpu * gpus) // group_size)
-
-
-def allocate_students(group_size: int, gpus: int, replicas_per_gpu: int) -> dict[tuple[int, int], int]:
-    """GPU placement (group j, student i) -> (i + j*S) mod G for every replica group."""
-    if group_size < 1 or gpus < 1:
-        raise ValueError("group_size and gpus must be >= 1")
-    total = group_count(group_size, gpus, replicas_per_gpu)
-    return {
-        (j, i): (i + j * group_size) % gpus
-        for j in range(total)
-        for i in range(group_size)
-    }
 
 
 @dataclass
@@ -290,6 +287,12 @@ class ControllerConfig:
             raise ValueError("accuracy_table must cover 1..max_students")
 
 
+# the most nodes a cluster may have; each holds its own buffer, and a change of k
+# sweeps them all. 128 times serve-fanout's 32 and 64 times perfbench's largest
+# --scan-nodes run
+MAX_NODES = 4096
+
+
 @dataclass
 class ClusterConfig:
     controller: ControllerConfig
@@ -306,6 +309,8 @@ class ClusterConfig:
     def __post_init__(self):
         check_counts(self, dict.fromkeys(("nodes", "gpus_per_node", "group_size", "replicas_per_gpu",
                                                 "bin_width", "num_bins", "max_merge"), 1))
+        if self.nodes > MAX_NODES:
+            raise ValueError(f"nodes must be <= {MAX_NODES}, got {self.nodes}")
         if not self.controller.min_students <= self.group_size <= self.controller.max_students:
             raise ValueError("group_size must lie within the controller's [min, max] range")
         if self.batch_timeout_ms is not None:
@@ -615,7 +620,7 @@ class Simulation:
                 touched.add(own.index)
             nodes = [self.nodes[i] for i in sorted(touched)]
             # retries first, preserving arrival order ahead of newer rejects
-            for i in sorted(retrying):
+            for i in sorted(retrying) if retrying else ():
                 node = self.nodes[i]
                 retry = node.retry
                 while retry and self._try_push(node, retry[0], now) != REJECTED:

@@ -588,6 +588,9 @@ BAD_INPUTS = [
     ("simulate", ("accuracy_table", "base"), "x"),
     # an endless timeout (or idle window, below) used to beat heartbeats forever
     ("simulate", ("cluster", "batch_timeout_ms"), float("inf")),
+    # sizes that would allocate without bound, refused while parsing
+    ("simulate", ("workload", "rps"), 1e12),
+    ("simulate", ("cluster", "nodes"), 10**9),
 ]
 
 
@@ -674,6 +677,34 @@ def test_bad_rate_or_duration_names_the_key(tmp_path, capsys, workload, named):
     cfg["workload"] = workload
     err = assert_config_error(["simulate", "--config", write_config(tmp_path, "rate.json", cfg)], capsys)
     assert all(name in err for name in named), err
+
+
+@pytest.mark.parametrize("section, value, named", [
+    ("workload", {"kind": "poisson", "rps": 1e12}, ["workload:", "rps * duration_ms", "1e+13", "10,000,000"]),
+    ("workload", {"kind": "poisson", "rps": 1e300, "duration_ms": 1e300}, ["workload:", "inf requests"]),
+    # each phase expects 6e6 requests, under the limit; together they pass it
+    ("workload", {"kind": "phases", "phases": [{"rps": 1e6, "duration_ms": 6000.0}] * 2},
+     ["workload.phases:", "1.2e+07", "10,000,000"]),
+    ("cluster", {"nodes": 10**9}, ["nodes must be <= 4096", "1000000000"]),
+], ids=["rps", "overflow", "phases-summed", "nodes"])
+def test_runaway_sizes_exit_config_before_allocating(tmp_path, capsys, monkeypatch, section, value, named):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the size check")
+
+    monkeypatch.setattr(cli.sim, "generate_workload", refuse)
+    monkeypatch.setattr(cli.sim, "Simulation", refuse)
+    cfg = toy_payloads(tmp_path)["simulate"]
+    cfg[section] = {**cfg[section], **value} if section == "cluster" else value
+    err = assert_config_error(["simulate", "--config", write_config(tmp_path, "big.json", cfg)], capsys)
+    assert all(name in err for name in named), err
+
+
+def test_size_limits_lie_far_above_the_stock_and_benchmark_runs():
+    stock = json.loads((Path(__file__).resolve().parent.parent / "configs" / "simulate.json").read_text())
+    stock_requests = sum(p["rps"] * p["duration_ms"] / 1000 for p in stock["workload"]["phases"])
+    fanout_requests = 32_000 * 2_500 / 1000  # perfbench's serve-fanout: 32k rps for 2.5 s on 32 nodes
+    assert cli.sim.MAX_EXPECTED_REQUESTS >= 100 * max(stock_requests, fanout_requests)
+    assert cli.sim.MAX_NODES >= 64 * 64  # perfbench's --scan-nodes reaches 64 nodes
 
 
 def rewrapped_phases(phases, seed, cluster):

@@ -172,7 +172,7 @@ def test_stacked_bank_equals_per_student_loop(n, depth, m):
     state, rng = bank_state(m, depth, seed=1000 * depth + 10 * m + n)
     x = rng.normal(size=(n, 8))
     t_logits = 3.0 * rng.normal(size=(n, 2))
-    finals = dst._bank_forward(dst._bank_layers(state.students), x)
+    finals = dst._bank_forward(state.layers, x)
     for student, final in zip(state.students, finals):
         np.testing.assert_array_equal(final, ref_student_forward(student, x)[0])
         np.testing.assert_array_equal(final, student.forward(x)[0])
@@ -207,16 +207,53 @@ def test_stacked_bank_honours_identity_layers():
     assert loss == ref_loss
 
 
-def test_bank_views_alias_the_stacked_copy_and_the_tape():
-    state, rng = bank_state(3, 2, seed=6)
-    layers = dst._bank_layers(state.students)
-    bank = layers[0][0].base
-    while bank.base is not None:
-        bank = bank.base
-    for weight, bias, layer in layers:
+def assert_rows_of_the_bank_compute_like_the_loop(state, rng):
+    """Every student's flat buffer is a row of the state's bank, the stacked
+    layers view that bank, and the bank computes like the per-student loop."""
+    bank = state.bank
+    assert bank.shape == (len(state), state.students[0].flat.size)
+    for student, row in zip(state.students, bank):
+        assert student.flat.ctypes.data == row.ctypes.data and student.flat.shape == row.shape
+    for weight, bias, layer in state.layers:
         assert np.shares_memory(weight, bank) and np.shares_memory(bias, bank)
-        assert weight.shape == (3, *layer.weight.shape) and bias.shape == (3, 1, layer.out_dim)
-    assert not np.shares_memory(bank, state.students[0].flat)
+        assert weight.shape == (len(state), *layer.weight.shape) and bias.shape == (len(state), 1, layer.out_dim)
+    x, t_logits = rng.normal(size=(9, 8)), 3.0 * rng.normal(size=(9, 2))
+    for k in range(1, len(state) + 1):
+        np.testing.assert_array_equal(state.rep(x, k), looped_rep(state, x, k))
+    tape, loss = dst.accumulate_prefix_gradients(state, x, t_logits, temperature=2.0)
+    ref_grad, ref_loss = looped_prefix_gradients(state, x, t_logits, temperature=2.0)
+    np.testing.assert_array_equal(tape.flat, ref_grad)
+    assert loss == ref_loss
+
+
+def test_the_state_owns_one_bank_of_its_students():
+    state, rng = bank_state(3, 2, seed=6)
+    assert_rows_of_the_bank_compute_like_the_loop(state, rng)
+
+    added = nn.StudentModel.build(8, 16, 2, rng)
+    values = added.flat.copy()
+    state.add(added, 0.75)
+    assert len(state) == 4 and added is state.students[-1]
+    np.testing.assert_array_equal(added.flat, values)  # copied into its row
+    assert_rows_of_the_bank_compute_like_the_loop(state, rng)
+
+    dropped, values = state.students[-1], state.students[-1].flat.copy()
+    state.drop_last()
+    assert len(state) == 3 and not np.shares_memory(dropped.flat, state.bank)
+    state.bank *= 0.5  # the state's later writes do not reach the dropped student
+    np.testing.assert_array_equal(dropped.flat, values)
+    assert_rows_of_the_bank_compute_like_the_loop(state, rng)
+
+    loaded = dst.ensemble_from_dict(dst.ensemble_to_dict(state))
+    np.testing.assert_array_equal(loaded.bank, state.bank)
+    assert not np.shares_memory(loaded.bank, state.bank)
+    assert_rows_of_the_bank_compute_like_the_loop(loaded, rng)
+
+    values = state.bank.copy()
+    params = dst._PruningParams(state)
+    assert np.shares_memory(state.bank, params.flat)
+    np.testing.assert_array_equal(state.bank, values)
+    assert_rows_of_the_bank_compute_like_the_loop(state, rng)
 
 
 def test_rep_of_a_single_sample_keeps_its_shape():
@@ -419,12 +456,13 @@ def test_pruning_bank_views_the_parameter_buffer():
     params = dst._PruningParams(state)
     layout = dst._pruning_layout(state)
     opt = nn.Optimizer(kind=nn.ADAM, learning_rate=1e-2)
-    for weight, bias, _ in params.bank_layers:
+    for weight, bias, _ in state.layers:
         assert np.shares_memory(weight, params.flat) and np.shares_memory(bias, params.flat)
     for _ in range(3):  # the views follow the optimizer's in-place updates
         x, t_logits = rng.normal(size=(11, 8)), rng.normal(size=(11, 2))
-        tape, loss = dst.accumulate_prefix_gradients(state, x, t_logits, 2.0, layout, params.bank_layers)
-        copied, copied_loss = dst.accumulate_prefix_gradients(state, x, t_logits, 2.0)
+        tape, loss = dst.accumulate_prefix_gradients(state, x, t_logits, 2.0, layout)
+        copied, copied_loss = dst.accumulate_prefix_gradients(
+            dst.ensemble_from_dict(dst.ensemble_to_dict(state)), x, t_logits, 2.0)
         np.testing.assert_array_equal(tape.flat, copied.flat)
         assert loss == copied_loss
         opt.step(params, tape)

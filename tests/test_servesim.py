@@ -382,29 +382,6 @@ def test_constant_touches_across_sizes():
     assert worst <= 2
 
 
-# -- allocation --------------------------------------------------------------------
-
-
-def test_allocation_one_group_covers_gpus():
-    placement = sim.allocate_students(4, 4, 1)
-    assert placement == {(0, 0): 0, (0, 1): 1, (0, 2): 2, (0, 3): 3}
-
-
-def test_allocation_second_group_colocates():
-    placement = sim.allocate_students(4, 4, 2)
-    assert [placement[(1, i)] for i in range(4)] == [0, 1, 2, 3]
-
-
-def test_allocation_matches_brute_force():
-    s, g, replicas = 3, 4, 3
-    placement = sim.allocate_students(s, g, replicas)
-    total = max(1, replicas * g // s)
-    assert len(placement) == total * s
-    for j in range(total):
-        for i in range(s):
-            assert placement[(j, i)] == (i + j * s) % g
-
-
 # -- service time -------------------------------------------------------------------
 
 
