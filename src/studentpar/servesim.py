@@ -10,6 +10,17 @@ group when a buffer fills (starting more groups) and adds one back after a
 sustained idle window. A dynamic-batching baseline mode replaces immediate
 dispatch with a waiting queue and full-length padding, for ablation runs.
 
+In immediate mode an arriving request that finds its node's buffer empty and
+a group free starts at once, as a one-request element that never enters the
+buffer (the direct start). It is taken only where buffering the request
+would leave the same state: the push, the controller tick, the pop and the
+dispatch would all happen within this one event. That holds when no node has
+deferred requests, no buffer is full (else the tick may drop a student and
+sweep every node) and the buffer's capacity is above 1 (else the push fills
+it and the controller drops a student). The event still makes its one
+controller tick, which sees the node's buffer as occupied, as the push
+would leave it.
+
 The simulated clock is real-valued milliseconds. Arrivals do not enter the
 event heap: they are served from the workload stably sorted by arrival time,
 and an arrival goes ahead of every heap event at the same time. Heap events
@@ -37,7 +48,8 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from itertools import cycle, repeat
+from operator import attrgetter, itemgetter, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -83,9 +95,9 @@ DEFAULT_LENGTH_WEIGHTS = (1.0, 2.0, 3.0, 3.0, 2.0, 1.5, 1.0, 0.8, 0.6, 0.5, 0.4,
 
 def _uint32_words(bit_generator):
     """PCG64's 32-bit stream: the low, then the high half of each raw 64-bit word,
-    starting with the half the generator holds back, if any. ``random`` and
-    ``exponential`` take whole 64-bit words and leave that half alone, so they
-    may be drawn in between."""
+    starting with the half the generator holds back, if any. ``random_raw`` and
+    ``standard_exponential`` take whole 64-bit words and leave that half alone,
+    so they may be drawn in between."""
     state = bit_generator.state
     if state["has_uint32"]:
         yield state["uinteger"]
@@ -129,24 +141,27 @@ def generate_workload(kind, seed: int, max_len: int = 128, bin_width: int = 8, *
         cdf /= cdf[-1]
         cdf = cdf.tolist()
         duration_ms, scale = kind.duration_ms, 1000.0 / kind.rps
-        exponential, uniform = rng.exponential, rng.random
+        # scale * standard_exponential() is exponential(scale), and the top 53 bits of
+        # a raw word times 2**-53 are PCG64's next_double, so random(), bit for bit
+        std_exponential, raw = rng.standard_exponential, rng.bit_generator.random_raw
         next_word = _uint32_words(rng.bit_generator).__next__
         reject_below = (1 << 32) % bin_width  # Lemire's threshold (2**32 - w) mod w
-        requests = []
-        append = requests.append
-        rid = first_id
-        t = exponential(scale)
+        times, lengths = [], []
+        add_time, add_length = times.append, lengths.append
+        t = scale * std_exponential()
         while t <= duration_ms:
-            length = bisect_right(cdf, uniform()) * bin_width + 1
+            length = bisect_right(cdf, (raw() >> 11) * 2.0**-53) * bin_width + 1
             if bin_width > 1:
                 m = next_word() * bin_width
                 while m & 0xFFFFFFFF < reject_below:
                     m = next_word() * bin_width
                 length += m >> 32
-            append(Request(rid, t + offset_ms, length))
-            rid += 1
-            t += exponential(scale)
-        return requests
+            add_time(t + offset_ms)
+            add_length(length)
+            t += scale * std_exponential()
+        # what Request._make does, in one pass with no Python body per request
+        return list(map(tuple.__new__, repeat(Request),
+                        zip(range(first_id, first_id + len(times)), times, lengths)))
     if isinstance(kind, TraceFile):
         check_positive(kind, ("scale",))
         requests = []
@@ -243,12 +258,17 @@ class LengthAwareBuffer:
             return MERGED
         if self.is_full():
             return REJECTED
-        el = BufferElement(b, (b + 1) * self.bin_width, [req], now_ms)
+        el = BufferElement(b, (b + 1) * self.bin_width, [req], now_ms)  # as single() builds it
         self.op_touches = 1
         self.fifo.append(el)
         if self.max_merge > 1:  # a size-1 element is already full when max_merge == 1
             self.index[b] = el
         return APPENDED
+
+    def single(self, req: Request, now_ms: float) -> BufferElement:
+        """The element a push of ``req`` into this empty buffer would append, left out of it."""
+        b = self.num_bins - 1 if self.pad_to_max else self.bin_of(req.length_tokens)
+        return BufferElement(b, (b + 1) * self.bin_width, [req], now_ms)
 
     def pop(self) -> BufferElement:
         if not self.fifo:
@@ -487,7 +507,8 @@ class Simulation:
     def __init__(self, cluster: ClusterConfig, workload: list[Request], factors: ServiceFactors):
         if factors.model.t_unit is None:
             raise RuntimeError("perf model must be calibrated before simulation")
-        if not all(map(math.isfinite, map(attrgetter("arrival_ms"), workload))):
+        times = list(map(attrgetter("arrival_ms"), workload))
+        if not all(map(math.isfinite, times)):
             raise ValueError("every arrival_ms must be finite")  # else the event loop never ends
         self.cfg = cluster
         self.factors = factors
@@ -511,7 +532,7 @@ class Simulation:
         # arrivals stay out of the heap: (time, node index, request), stably sorted by
         # time and then reversed, so the next arrival is popped off the end
         self.arrivals: list[tuple[float, int, Request]] = sorted(
-            ((req.arrival_ms, i % cluster.nodes, req) for i, req in enumerate(workload)), key=itemgetter(0))
+            zip(times, cycle(range(cluster.nodes)), workload), key=itemgetter(0))
         self.arrivals.reverse()
         self.events: list[tuple[float, int, str, object]] = []
         self._seq = len(workload)  # heap events keep the numbers they had after the arrivals
@@ -560,15 +581,38 @@ class Simulation:
                 self.nonempty.discard(node.index)
             if left + 1 == buf.capacity:
                 self.full_buffers -= 1
-            self.element_waits.append(now - el.created_ms)
-            node.busy += 1
-            self.busy_groups += 1
-            key = (self.k, len(el.requests), el.padded_len, node.busy)
-            dt = self.service_ms.get(key)
-            if dt is None:
-                dt = self.service_ms[key] = service_time(el, self.k, self.cfg, self.factors,
-                                                         active_groups=node.busy)
-            self._push_event(now + dt, _COMPLETION, (node, el))
+            self._start(node, el, now)
+
+    def _start(self, node: _Node, el: BufferElement, now: float) -> None:
+        """Run an element on one of the node's free groups and schedule its completion."""
+        self.element_waits.append(now - el.created_ms)
+        node.busy += 1
+        self.busy_groups += 1
+        k = self.k
+        key = (k, len(el.requests), el.padded_len, node.busy)
+        dt = self.service_ms.get(key)
+        if dt is None:
+            dt = self.service_ms[key] = service_time(el, k, self.cfg, self.factors, active_groups=node.busy)
+        self._push_event(now + dt, _COMPLETION, (node, el))
+
+    def _arrive(self, node: _Node, req: Request, now: float) -> None:
+        """Start the request at once where buffering it would give the same run (the
+        direct start of the module docstring), else push or defer it and run the boundary."""
+        buf = node.buffer
+        if (self.batch_timeout_ms is None and not buf.fifo and node.busy < self.groups
+                and buf.capacity > 1 and not self.full_buffers and not self.retrying):
+            nonempty = self.nonempty
+            nonempty.add(node.index)  # the tick sees the request buffered, as the push leaves it
+            self.controller_tick(now)
+            nonempty.discard(node.index)
+            self._start(node, buf.single(req, now), now)
+            return
+        if node.retry or self._try_push(node, req, now) == REJECTED:
+            # a full buffer defers the request to the next event boundary
+            self.rejected_pushes += 1
+            node.retry.append(req)
+            self.retrying.add(node.index)
+        self._boundary(now, node)
 
     def _try_push(self, node: _Node, req: Request, now: float) -> str:
         buf = node.buffer
@@ -618,7 +662,7 @@ class Simulation:
                 touched |= self.nonempty
             if own is not None:
                 touched.add(own.index)
-            nodes = [self.nodes[i] for i in sorted(touched)]
+            nodes = [self.nodes[i] for i in (sorted(touched) if len(touched) > 1 else touched)]
             # retries first, preserving arrival order ahead of newer rejects
             for i in sorted(retrying) if retrying else ():
                 node = self.nodes[i]
@@ -627,8 +671,10 @@ class Simulation:
                     retry.popleft()
                 if not retry:
                     retrying.discard(i)
+        elif own is None or not (own.buffer.fifo or own.empty_since is None):
+            nodes = ()  # unless k changes, nothing to dispatch and no time to stamp
         else:
-            nodes = () if own is None else (own,)
+            nodes = (own,)
         k = self.k
         self.controller_tick(now)
         if self.k != k:  # every buffer's capacity and group count changed
@@ -669,19 +715,13 @@ class Simulation:
         return now + beats * HEARTBEAT_MS
 
     def run(self) -> SimMetrics:
-        events, arrivals, nodes = self.events, self.arrivals, self.nodes
+        events, arrivals, nodes, arrive = self.events, self.arrivals, self.nodes, self._arrive
         now = 0.0
         while events:  # a heartbeat stays pending while arrivals remain
             if arrivals and arrivals[-1][0] <= events[0][0]:
                 now, node_id, req = arrivals.pop()
                 self.last_event_ms = now
-                node = nodes[node_id]
-                if node.retry or self._try_push(node, req, now) == REJECTED:
-                    # a full buffer defers the request to the next event boundary
-                    self.rejected_pushes += 1
-                    node.retry.append(req)
-                    self.retrying.add(node_id)
-                self._boundary(now, node)
+                arrive(nodes[node_id], req, now)
                 continue
             now, _, kind, payload = heapq.heappop(events)
             node = None
@@ -742,11 +782,12 @@ class Simulation:
     def _metrics(self) -> SimMetrics:
         # by arrival, ties by id: two stable one-key sorts give the order of the
         # (arrival_ms, request_id) key without building a tuple per request
-        per_request = sorted(self.records, key=attrgetter("request_id"))
-        per_request.sort(key=attrgetter("arrival_ms"))
-        lats = [r.completion_ms - r.arrival_ms for r in self.records]
+        records, completion, arrival = self.records, attrgetter("completion_ms"), attrgetter("arrival_ms")
+        per_request = sorted(records, key=attrgetter("request_id"))
+        per_request.sort(key=arrival)
+        lats = list(map(sub, map(completion, records), map(arrival, records)))  # in completion order
         if lats:
-            span_ms = max(r.completion_ms for r in self.records) - min(r.arrival_ms for r in self.records)
+            span_ms = max(map(completion, records)) - min(map(arrival, records))
             total_gpus = self.cfg.nodes * self.cfg.gpus_per_node
             throughput = 1000.0 * len(lats) / (span_ms * total_gpus) if span_ms > 0 else None
             avg = float(np.mean(lats))
@@ -757,7 +798,7 @@ class Simulation:
             avg_latency_ms=avg,
             p95_latency_ms=p95,
             throughput_per_gpu=throughput,
-            completed=len(self.records),
+            completed=len(records),
             student_number_timeline=self.k_timeline,
             accuracy_timeline=self.acc_timeline,
             generated=self.generated,

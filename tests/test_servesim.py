@@ -5,7 +5,7 @@ from operator import attrgetter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from studentpar import distill as dst
@@ -863,17 +863,17 @@ def test_each_event_visits_at_most_one_node(monkeypatch):
     cluster = make_cluster(controller=ctl, nodes=32)
     workload = sim.generate_workload(sim.PoissonSpec(rps=32 * 200.0, duration_ms=300.0), seed=9)
     counts = {"events": 0, "visits": 0}
-    dispatch, tick = sim.Simulation._dispatch, sim.Simulation.controller_tick
+    start, tick = sim.Simulation._start, sim.Simulation.controller_tick
 
-    def counting_dispatch(self, node, now):
+    def counting_start(self, node, el, now):  # every dispatch and every direct start
         counts["visits"] += 1
-        dispatch(self, node, now)
+        start(self, node, el, now)
 
     def counting_tick(self, now):
         counts["events"] += 1
         return tick(self, now)
 
-    monkeypatch.setattr(sim.Simulation, "_dispatch", counting_dispatch)
+    monkeypatch.setattr(sim.Simulation, "_start", counting_start)
     monkeypatch.setattr(sim.Simulation, "controller_tick", counting_tick)
     metrics = sim.run_simulation(cluster, workload, calibrated_factors())
     assert metrics.rejected_pushes == 0 and len(metrics.student_number_timeline) == 1
@@ -886,3 +886,112 @@ def test_broken_counter_fails_end_of_run_check():
     simulation.busy_groups += 1
     with pytest.raises(RuntimeError, match="busy_groups == recount"):
         simulation.run()
+
+
+# -- direct start against the buffered path -------------------------------------------
+
+
+class BufferedArrivals(sim.Simulation):
+    """The oracle of the direct start: every arrival is pushed into its node's buffer
+    (or deferred) and reaches a group only through the boundary's dispatch."""
+
+    def _arrive(self, node, req, now):
+        if node.retry or self._try_push(node, req, now) == sim.REJECTED:
+            self.rejected_pushes += 1
+            node.retry.append(req)
+            self.retrying.add(node.index)
+        self._boundary(now, node)
+
+
+def end_state(simulation):
+    """Everything a run leaves behind, floats as their exact hex strings."""
+    m = simulation.run()
+    hexed = lambda values: [float.hex(v) for v in values]  # noqa: E731
+    return ([(r.request_id, r.arrival_ms.hex(), r.completion_ms.hex(), r.length_tokens) for r in m.per_request],
+            [(t.hex(), k) for t, k in m.student_number_timeline], m.rejected_pushes,
+            hexed(simulation.element_waits), simulation._seq, simulation.last_empty.hex(),
+            hexed(n.empty_since for n in simulation.nodes), sorted(simulation.service_ms.items()))
+
+
+def phased_workload(nodes, rps_per_node, seed, skewed=False):
+    """A burst, a lull longer than a 20 ms idle window, and a second burst. A skewed
+    workload gives node 0 only 128-token requests, so its buffer can fill while
+    other nodes idle and the controller drops a student."""
+    workload = []
+    offset = 0.0
+    for i, (rps, duration) in enumerate([(rps_per_node, 15.0), (rps_per_node / 20, 50.0),
+                                         (rps_per_node, 10.0)]):
+        workload += sim.generate_workload(sim.PoissonSpec(rps=rps * nodes, duration_ms=duration),
+                                          seed + i, offset_ms=offset, first_id=len(workload))
+        offset += duration
+    if skewed:  # the workload is served round-robin in arrival order
+        workload = [r._replace(length_tokens=128) if i % nodes == 0 else r for i, r in enumerate(workload)]
+    return workload
+
+
+def direct_start_cluster(nodes, gpus_per_node, replicas_per_gpu, max_merge, pad_to_max, batch_timeout_ms,
+                         students=3):
+    ctl = sim.ControllerConfig(max_students=students, accuracy_table=flat_table(students), min_students=1,
+                               idle_window_ms=20.0)
+    return make_cluster(controller=ctl, nodes=nodes, group_size=students, gpus_per_node=gpus_per_node,
+                        replicas_per_gpu=replicas_per_gpu, max_merge=max_merge, pad_to_max=pad_to_max,
+                        batch_timeout_ms=batch_timeout_ms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nodes=st.integers(1, 4), gpus_per_node=st.sampled_from([1, 2, 4]),
+       replicas_per_gpu=st.sampled_from([1, 3]), max_merge=st.sampled_from([1, 4]),
+       pad_to_max=st.booleans(), batch_timeout_ms=st.sampled_from([None, 2.0]),
+       rps_per_node=st.sampled_from([1_200.0, 6_000.0, 40_000.0]), skewed=st.booleans(),
+       seed=st.integers(0, 2**16))
+# node 0 has deferred requests while node 1 idles; the direct start must wait for them
+@example(nodes=2, gpus_per_node=2, replicas_per_gpu=3, max_merge=4, pad_to_max=False, batch_timeout_ms=None,
+         rps_per_node=40_000.0, skewed=True, seed=5)
+def test_direct_start_equals_buffered_arrivals(nodes, gpus_per_node, replicas_per_gpu, max_merge, pad_to_max,
+                                               batch_timeout_ms, rps_per_node, skewed, seed):
+    cluster = direct_start_cluster(nodes, gpus_per_node, replicas_per_gpu, max_merge, pad_to_max,
+                                   batch_timeout_ms)
+    workload = phased_workload(nodes, rps_per_node, seed, skewed)
+    factors = calibrated_factors()
+    assert end_state(sim.Simulation(cluster, workload, factors)) == \
+        end_state(BufferedArrivals(cluster, workload, factors))
+
+
+@pytest.mark.parametrize("gpus_per_node, batch_timeout_ms, rps_per_node, some_direct", [
+    (4, None, 40_000.0, True),   # overload: pushes are deferred and k is dropped and added back
+    (4, None, 1_200.0, True),
+    (1, None, 1_200.0, False),   # one group at every k: a push would fill the buffer
+    (4, 2.0, 1_200.0, False),    # waiting-queue mode buffers every request
+])
+def test_direct_start_runs_only_where_it_may(monkeypatch, gpus_per_node, batch_timeout_ms, rps_per_node,
+                                             some_direct):
+    direct = []
+    single = sim.LengthAwareBuffer.single
+
+    def counting(self, req, now_ms):
+        direct.append(req.id)
+        return single(self, req, now_ms)
+
+    monkeypatch.setattr(sim.LengthAwareBuffer, "single", counting)
+    cluster = direct_start_cluster(3, gpus_per_node, 1, 4, False, batch_timeout_ms)
+    workload = phased_workload(3, rps_per_node, seed=7)
+    simulation = sim.Simulation(cluster, workload, calibrated_factors())
+    got = end_state(simulation)
+    assert (0 < len(direct) < len(workload)) if some_direct else not direct
+    if rps_per_node > 2_000.0:
+        assert got[2] > 0 and len(got[1]) > 3  # deferred pushes, k dropped and added back
+    monkeypatch.setattr(sim.LengthAwareBuffer, "single", single)
+    assert got == end_state(BufferedArrivals(cluster, workload, calibrated_factors()))
+
+
+def test_direct_start_waits_while_a_full_buffer_drops_a_student():
+    # two groups per node at k = 4 and at k = 3: the drop at 0.47 ms leaves node 0's
+    # buffer full, so the tick of request 7, which finds node 1 idle, drops again and
+    # every node is swept; a direct start there would skip node 0's two queued elements
+    R = sim.Request
+    workload = [R(0, 0.0, 128), R(1, 0.0, 8), R(2, 0.0, 128), R(3, 0.0, 8),
+                R(4, 0.45, 8), R(5, 0.46, 8), R(6, 0.47, 8), R(7, 0.48, 8)]
+    cluster = direct_start_cluster(2, 8, 1, 1, False, None, students=4)
+    got = end_state(sim.Simulation(cluster, workload, calibrated_factors()))
+    assert got[1][:3] == [((0.0).hex(), 4), ((0.47).hex(), 3), ((0.48).hex(), 2)]
+    assert got == end_state(BufferedArrivals(cluster, workload, calibrated_factors()))
