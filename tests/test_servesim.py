@@ -905,8 +905,10 @@ class BufferedArrivals(sim.Simulation):
 
 def end_state(simulation):
     """Everything a run leaves behind, floats as their exact hex strings."""
+    def hexed(values):
+        return [float.hex(v) for v in values]
+
     m = simulation.run()
-    hexed = lambda values: [float.hex(v) for v in values]  # noqa: E731
     return ([(r.request_id, r.arrival_ms.hex(), r.completion_ms.hex(), r.length_tokens) for r in m.per_request],
             [(t.hex(), k) for t, k in m.student_number_timeline], m.rejected_pushes,
             hexed(simulation.element_waits), simulation._seq, simulation.last_empty.hex(),
@@ -915,8 +917,8 @@ def end_state(simulation):
 
 def phased_workload(nodes, rps_per_node, seed, skewed=False):
     """A burst, a lull longer than a 20 ms idle window, and a second burst. A skewed
-    workload gives node 0 only 128-token requests, so its buffer can fill while
-    other nodes idle and the controller drops a student."""
+    workload gives node 0 only 128-token requests, which take longer to serve, so
+    node 0 can hold deferred requests while another node idles."""
     workload = []
     offset = 0.0
     for i, (rps, duration) in enumerate([(rps_per_node, 15.0), (rps_per_node / 20, 50.0),
