@@ -45,8 +45,10 @@ import csv
 import heapq
 import json
 import math
+import warnings
 from bisect import bisect_right
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import cycle, repeat
 from operator import attrgetter, itemgetter, sub
@@ -164,6 +166,25 @@ def generate_workload(kind, seed: int, max_len: int = 128, bin_width: int = 8, *
                         zip(range(first_id, first_id + len(times)), times, lengths)))
     if isinstance(kind, TraceFile):
         check_positive(kind, ("scale",))
+        with open(kind.path, "rb") as fh:
+            head, _, body = fh.read().partition(b"\n")
+        ends = np.flatnonzero(np.frombuffer(body, np.uint8) == 10)  # of the lines after the header
+        # numpy's C reader takes rows of digits, signs, points, exponents, commas and blanks, with no
+        # \r outside \r\n and no line past csv's field limit: float() and int() read those alike. Its
+        # rows stand if it skipped no (blank) line and they pass the loop's checks
+        if (head in (b"arrival_ms,length_tokens", b"arrival_ms,length_tokens\r")
+                and not body.translate(None, b"0123456789+-.eE, \t\r\n")
+                and body.count(b"\r") == body.count(b"\r\n")
+                and np.diff(ends, prepend=-1, append=len(body)).max() <= csv.field_size_limit()):
+            with suppress(ValueError, Warning), warnings.catch_warnings():  # else the loop decides
+                warnings.simplefilter("error")  # no rows, t * scale overflowing, older numpy taking 5.0 as 5
+                rows = np.loadtxt(kind.path, delimiter=",", skiprows=1, comments=None, quotechar=None,
+                                  dtype=[("t", "f8"), ("l", "i8")], ndmin=1)
+                t, lengths, scaled = rows["t"], rows["l"], rows["t"] * kind.scale
+                if (len(rows) == len(ends) + (not body.endswith(b"\n")) and np.isfinite(scaled).all()
+                        and (t[1:] >= t[:-1]).all() and (lengths >= 1).all()):
+                    return list(map(tuple.__new__, repeat(Request),
+                                    zip(range(len(rows)), scaled.tolist(), lengths.tolist())))
         requests = []
         with open(kind.path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -178,6 +199,9 @@ def generate_workload(kind, seed: int, max_len: int = 128, bin_width: int = 8, *
                     raise ValueError(f"trace line {lineno}: malformed row {row!r}") from exc
                 if not math.isfinite(t):
                     raise ValueError(f"trace line {lineno}: arrival_ms must be finite, got {row[0]!r}")
+                if not math.isfinite(t * kind.scale):
+                    raise ValueError(f"trace line {lineno}: arrival_ms times scale must be finite, "
+                                     f"got {row[0]!r} * {kind.scale!r}")
                 if t < last_t:
                     raise ValueError(f"trace line {lineno}: arrival times must be nondecreasing")
                 if length < 1:
@@ -331,6 +355,8 @@ class ClusterConfig:
                                                 "bin_width", "num_bins", "max_merge"), 1))
         if self.nodes > MAX_NODES:
             raise ValueError(f"nodes must be <= {MAX_NODES}, got {self.nodes}")
+        if not isinstance(self.pad_to_max, bool):
+            raise ValueError(f"pad_to_max must be true or false, got {self.pad_to_max!r}")
         if not self.controller.min_students <= self.group_size <= self.controller.max_students:
             raise ValueError("group_size must lie within the controller's [min, max] range")
         if self.batch_timeout_ms is not None:
@@ -499,6 +525,12 @@ class _Node:
 
 _COMPLETION, _TIMER, _HEARTBEAT = "completion", "timer", "heartbeat"
 HEARTBEAT_MS = 100.0
+CLOCK_LIMIT_MS = 2.0**53  # from here on, a float millisecond has no integer resolution
+
+
+def _clock_error(t: float) -> FloatingPointError:
+    return FloatingPointError(f"the simulated clock reaches at least {t!r} ms, past 2**53 ms, where "
+                              "heartbeats and service times no longer add exactly")
 
 
 class Simulation:
@@ -709,6 +741,9 @@ class Simulation:
             until = min(until, idle_end)
         if until == math.inf:
             return until
+        # a beat at or past 2**53 ms ends the run (see run), so the search may stop below 2**55,
+        # where each step down still moves the sum; far above it, now + 100 rounds back to now
+        until = min(until, 4 * CLOCK_LIMIT_MS)
         beats = math.ceil((until - now) / HEARTBEAT_MS) - 1
         while beats > 1 and now + beats * HEARTBEAT_MS >= until:
             beats -= 1
@@ -738,6 +773,8 @@ class Simulation:
                 if self._beat_state() == before and not (self.nonempty and self.batch_timeout_ms is not None):
                     nxt = max(nxt, self._last_quiet_beat(now))
                 if more or nxt <= self.last_event_ms + self.ctl.idle_window_ms + 5 * HEARTBEAT_MS:
+                    if nxt >= CLOCK_LIMIT_MS:  # the clock only grows, so the run cannot end below it
+                        raise _clock_error(nxt)
                     heapq.heappush(events, (nxt, seq, _HEARTBEAT, None))
                 continue
             else:
@@ -751,11 +788,8 @@ class Simulation:
                 else:
                     node = payload
             self._boundary(now, node)
-        # the clock only grows, so the last event is its maximum; from 2**53 ms on,
-        # a float millisecond has no integer resolution
-        if now >= 2.0**53:
-            raise FloatingPointError(f"the simulated clock reached {now!r} ms, past 2**53 ms, where "
-                                     "heartbeats and service times no longer add exactly")
+        if now >= CLOCK_LIMIT_MS:  # the clock only grows, so the last event is its maximum
+            raise _clock_error(now)
         self._check_invariants()
         return self._metrics()
 

@@ -370,9 +370,11 @@ def test_simulate_bad_trace_exits_config(tmp_path):
     (1.0, "inf", "trace line 4"),
     (1.0, "nan", "trace line 4"),
     (1.0, "-inf", "trace line 2"),
+    (10.0, "1e308", "trace line 4"),
 ])
 def test_simulate_non_finite_trace_exits_config(tmp_path, capsys, scale, arrival, named):
-    # the infinite cases used to hang, the others to exit 0 with NaN or reversed arrivals
+    # the infinite cases used to hang, the others to exit 0 with NaN or reversed arrivals,
+    # and a finite time that overflows once scaled to end in a traceback
     trace = tmp_path / "trace.csv"
     rows = [f"{arrival},8", "0.5,4"] if arrival == "-inf" else ["0.5,4", "1.5,16", f"{arrival},8"]
     trace.write_text("arrival_ms,length_tokens\n" + "\n".join(rows) + "\n")
@@ -782,6 +784,33 @@ def test_clock_past_2_53_ms_exits_numeric(tmp_path, capsys):
     assert simulate_within(20, ["simulate", "--config", write_config(tmp_path, "far.json", cfg)]) == cli.EXIT_NUMERIC
     err = capsys.readouterr().err
     assert "numeric failure" in err and "2**53" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cluster, factors", [
+    ({"controller": {"idle_window_ms": 1e22}}, {}),
+    ({"controller": {"idle_window_ms": 1e300}}, {}),
+    ({}, {"gather_ms": 1e22}),
+    ({}, {"gather_ms": 1e300}),
+    ({"num_bins": 10**12, "pad_to_max": True}, {}),
+])
+def test_heartbeats_far_past_2_53_ms_exit_numeric(tmp_path, capsys, cluster, factors):
+    """Far past 2**53 ms, now + 100 rounds back to now: these runs used to spin on a
+    heartbeat that never moved the clock, and now stop at the first beat due past 2**53 ms."""
+    cfg = toy_payloads(tmp_path)["simulate"]
+    cfg["cluster"].update(cluster)
+    cfg["factors"].update(factors)
+    assert simulate_within(20, ["simulate", "--config", write_config(tmp_path, "far.json", cfg)]) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "2**53" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["yes", "false", 1.5, 1, 0, None, [True]])
+def test_non_bool_pad_to_max_exits_config(tmp_path, capsys, value):
+    """These were taken as true or false by their truth value."""
+    cfg = toy_payloads(tmp_path)["simulate"]
+    cfg["cluster"]["pad_to_max"] = value
+    err = assert_config_error(["simulate", "--config", write_config(tmp_path, "pad.json", cfg)], capsys)
+    assert "pad_to_max must be true or false" in err
 
 
 @pytest.mark.parametrize("mode", ["distill", "prune"])
