@@ -188,26 +188,29 @@ def generate_workload(kind, seed: int, max_len: int = 128, bin_width: int = 8, *
         requests = []
         with open(kind.path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["arrival_ms", "length_tokens"]:
-                raise ValueError(f"trace line 1: expected header arrival_ms,length_tokens, got {header}")
-            last_t = -math.inf
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    t, length = float(row[0]), int(row[1])
-                except (ValueError, IndexError) as exc:
-                    raise ValueError(f"trace line {lineno}: malformed row {row!r}") from exc
-                if not math.isfinite(t):
-                    raise ValueError(f"trace line {lineno}: arrival_ms must be finite, got {row[0]!r}")
-                if not math.isfinite(t * kind.scale):
-                    raise ValueError(f"trace line {lineno}: arrival_ms times scale must be finite, "
-                                     f"got {row[0]!r} * {kind.scale!r}")
-                if t < last_t:
-                    raise ValueError(f"trace line {lineno}: arrival times must be nondecreasing")
-                if length < 1:
-                    raise ValueError(f"trace line {lineno}: length must be >= 1")
-                last_t = t
-                requests.append(Request(len(requests), t * kind.scale, length))
+            try:
+                header = next(reader, None)
+                if header != ["arrival_ms", "length_tokens"]:
+                    raise ValueError(f"trace line 1: expected header arrival_ms,length_tokens, got {header}")
+                last_t = -math.inf
+                for lineno, row in enumerate(reader, start=2):
+                    try:
+                        t, length = float(row[0]), int(row[1])
+                    except (ValueError, IndexError) as exc:
+                        raise ValueError(f"trace line {lineno}: malformed row {row!r}") from exc
+                    if not math.isfinite(t):
+                        raise ValueError(f"trace line {lineno}: arrival_ms must be finite, got {row[0]!r}")
+                    if not math.isfinite(t * kind.scale):
+                        raise ValueError(f"trace line {lineno}: arrival_ms times scale must be finite, "
+                                         f"got {row[0]!r} * {kind.scale!r}")
+                    if t < last_t:
+                        raise ValueError(f"trace line {lineno}: arrival times must be nondecreasing")
+                    if length < 1:
+                        raise ValueError(f"trace line {lineno}: length must be >= 1")
+                    last_t = t
+                    requests.append(Request(len(requests), t * kind.scale, length))
+            except csv.Error as exc:  # a field past csv.field_size_limit(), say
+                raise ValueError(f"trace line {reader.line_num}: {exc}") from exc
         return requests
     raise TypeError(f"unknown workload kind {type(kind).__name__}")
 
@@ -303,9 +306,6 @@ class LengthAwareBuffer:
             del self.index[el.bin]
         return el
 
-    def head(self) -> BufferElement | None:
-        return self.fifo[0] if self.fifo else None
-
 
 # -- group counts and configuration --------------------------------------------
 
@@ -360,7 +360,7 @@ class ClusterConfig:
         if not self.controller.min_students <= self.group_size <= self.controller.max_students:
             raise ValueError("group_size must lie within the controller's [min, max] range")
         if self.batch_timeout_ms is not None:
-            check_finite(self, {"batch_timeout_ms": 0})  # an endless timeout would beat forever
+            check_finite(self, {"batch_timeout_ms": 0})  # an endless timeout never dispatches a part-filled element
 
     @property
     def max_len(self) -> int:
@@ -598,9 +598,12 @@ class Simulation:
         self.acc_timeline.append((now, self.ctl.accuracy_table.val_accuracy(new_k)))
 
     def _head_dispatchable(self, node: _Node, now: float) -> bool:
-        """Waiting-queue mode: the head element is full or has waited out the timeout."""
+        """Waiting-queue mode: the head element is full or has waited out the timeout.
+        It is due at its own timer at the latest, where far from 0 ms ``now - created_ms``
+        can round below the timeout less the tolerance."""
         el = node.buffer.fifo[0]
-        return len(el.requests) >= self.max_merge or now - el.created_ms >= self.batch_timeout_ms - 1e-9
+        return (len(el.requests) >= self.max_merge or now - el.created_ms >= self.batch_timeout_ms - 1e-9
+                or now >= el.created_ms + self.batch_timeout_ms)
 
     def _dispatch(self, node: _Node, now: float) -> None:
         buf = node.buffer
@@ -729,8 +732,9 @@ class Simulation:
     def _last_quiet_beat(self, now: float) -> float:
         """The last heartbeat time before the next event, the next arrival or the end
         of the idle window, whichever is first. After a heartbeat that changed nothing,
-        and with no waiting-queue head to time out, no beat before it can act: until
-        one of those, only the controller's idle test reads the clock."""
+        no beat before it can act: until one of those, only the controller's idle test
+        reads the clock. A waiting-queue head comes due at its timer at the latest, and
+        every buffered element's timer is a heap event."""
         until = math.inf
         if self.events:
             until = self.events[0][0]
@@ -770,7 +774,7 @@ class Simulation:
                 before = self._beat_state()
                 self._boundary(now, None)
                 nxt = now + HEARTBEAT_MS
-                if self._beat_state() == before and not (self.nonempty and self.batch_timeout_ms is not None):
+                if self._beat_state() == before:
                     nxt = max(nxt, self._last_quiet_beat(now))
                 if more or nxt <= self.last_event_ms + self.ctl.idle_window_ms + 5 * HEARTBEAT_MS:
                     if nxt >= CLOCK_LIMIT_MS:  # the clock only grows, so the run cannot end below it

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from studentpar import cli
+from studentpar import cli, servesim
 
 
 def write_config(tmp_path, name, payload):
@@ -792,16 +792,33 @@ def test_clock_past_2_53_ms_exits_numeric(tmp_path, capsys):
     ({}, {"gather_ms": 1e22}),
     ({}, {"gather_ms": 1e300}),
     ({"num_bins": 10**12, "pad_to_max": True}, {}),
+    ({"batch_timeout_ms": 1e300}, {}),
 ])
 def test_heartbeats_far_past_2_53_ms_exit_numeric(tmp_path, capsys, cluster, factors):
     """Far past 2**53 ms, now + 100 rounds back to now: these runs used to spin on a
-    heartbeat that never moved the clock, and now stop at the first beat due past 2**53 ms."""
+    heartbeat that never moved the clock, and now stop at the first beat due past 2**53 ms.
+    A waiting-queue element's timer at 1e300 ms used to be waited for 100 ms at a time."""
     cfg = toy_payloads(tmp_path)["simulate"]
     cfg["cluster"].update(cluster)
     cfg["factors"].update(factors)
     assert simulate_within(20, ["simulate", "--config", write_config(tmp_path, "far.json", cfg)]) == cli.EXIT_NUMERIC
     err = capsys.readouterr().err
     assert "numeric failure" in err and "2**53" in err and "Traceback" not in err
+
+
+def test_a_long_waiting_queue_timeout_does_not_slow_the_run(tmp_path, monkeypatch):
+    """A part-filled element waits out its 1e7 ms timeout; the heartbeats used to step
+    through that wait 100 ms at a time while any buffer held an element."""
+    cfg = toy_payloads(tmp_path)["simulate"]
+    cfg["cluster"]["batch_timeout_ms"] = 1e7
+    cfg["workload"]["duration_ms"] = 1_000.0
+    beats = []
+    beat_state = servesim.Simulation._beat_state
+    monkeypatch.setattr(servesim.Simulation, "_beat_state", lambda self: beats.append(1) or beat_state(self))
+    assert simulate_within(20, ["simulate", "--config", write_config(tmp_path, "long.json", cfg)]) == cli.EXIT_OK
+    assert len(beats) < 1_000  # the run spans 6e7 ms: 600,000 beats of 100 ms, each read twice
+    rows = read_csv(tmp_path / "sim_out" / "latencies.csv")[1:]
+    assert len(rows) > 100 and max(float(row[3]) for row in rows) > 1e7
 
 
 @pytest.mark.parametrize("value", ["yes", "false", 1.5, 1, 0, None, [True]])

@@ -240,14 +240,14 @@ def test_same_bin_merges_up_to_max():
     buf.push(req(0, 30))
     assert buf.push(req(1, 25)) == sim.MERGED  # both bin 3
     assert len(buf) == 1
-    assert buf.head().size == 2
+    assert buf.fifo[0].size == 2
 
 
 def test_full_element_spills_to_new_element():
     buf = new_buffer(max_merge=4)
     for i in range(4):
         buf.push(req(i, 50))
-    assert buf.head().size == 4
+    assert buf.fifo[0].size == 4
     assert buf.push(req(4, 52)) == sim.APPENDED  # cannot join the full element
     assert len(buf) == 2
 
@@ -279,7 +279,7 @@ def test_rejected_at_capacity():
 def test_padded_len_is_bin_upper_edge():
     buf = new_buffer()
     buf.push(req(0, 30))
-    assert buf.head().padded_len == 32
+    assert buf.fifo[0].padded_len == 32
 
 
 def test_pad_to_max_mode_uses_last_bin():
@@ -287,7 +287,7 @@ def test_pad_to_max_mode_uses_last_bin():
     buf.push(req(0, 5))
     buf.push(req(1, 120))
     assert len(buf) == 1
-    assert buf.head().padded_len == 128
+    assert buf.fifo[0].padded_len == 128
 
 
 def test_pop_empty_raises():
@@ -715,11 +715,12 @@ def served(cluster, workload, factors):
 
 
 @pytest.mark.parametrize("nodes", [1, 3])
-@pytest.mark.parametrize("batch_timeout_ms", [None, 2.0])
+@pytest.mark.parametrize("batch_timeout_ms", [None, 2.0, 2_000.0])
 @pytest.mark.parametrize("idle_window_ms, bin_width", [(20.0, 8), (250.0, 8), (20.0, 4096)])
 def test_quiet_heartbeats_are_skipped_without_changing_the_run(monkeypatch, nodes, batch_timeout_ms,
                                                                idle_window_ms, bin_width):
-    # the reference beats every 100 ms; the run under test jumps over beats that cannot act
+    # the reference beats every 100 ms; the run under test jumps over beats that cannot act.
+    # A 2 s waiting-queue timeout keeps part-filled elements buffered across many quiet beats
     ctl = sim.ControllerConfig(max_students=3, accuracy_table=flat_table(), min_students=1,
                                idle_window_ms=idle_window_ms)
     cluster = make_cluster(controller=ctl, nodes=nodes, replicas_per_gpu=1,
@@ -729,19 +730,31 @@ def test_quiet_heartbeats_are_skipped_without_changing_the_run(monkeypatch, node
     beat_state = sim.Simulation._beat_state
 
     def counting(self):
-        beats.append(None)
+        beats.append(bool(self.nonempty))
         return beat_state(self)
 
     monkeypatch.setattr(sim.Simulation, "_beat_state", counting)
     got = served(cluster, workload, calibrated_factors())
-    skipping = len(beats)
-    beats.clear()
+    skipping, beats[:] = beats[:], []
     monkeypatch.setattr(sim.Simulation, "_last_quiet_beat", lambda self, now: -float("inf"))
     expected = served(cluster, workload, calibrated_factors())
     assert got == expected
     assert len(got[1]) > 3  # students were dropped and added back
     # each beat reads its state twice; with short service times most of the gap is quiet
-    assert 3 * skipping < len(beats) if bin_width == 8 else skipping <= len(beats)
+    assert 3 * len(skipping) < len(beats) if bin_width == 8 else len(skipping) <= len(beats)
+    if batch_timeout_ms == 2_000.0 and bin_width == 8:  # beats were skipped while a buffer held elements
+        assert 3 * sum(skipping) < sum(beats)
+
+
+def test_a_waiting_queue_head_is_due_at_its_own_timer_far_from_0_ms():
+    # near 1e8 ms, now - created_ms at the head's timer rounds below the timeout less
+    # the 1e-9 tolerance; the head used to wait for the next heartbeat, 99.9 ms later
+    arrival, timeout = 1e8 + 0.1, 0.3
+    assert (arrival + timeout) - arrival < timeout - 1e-9
+    simulation = sim.Simulation(make_cluster(batch_timeout_ms=timeout), [sim.Request(0, arrival, 16)],
+                                calibrated_factors())
+    simulation.run()
+    assert simulation.element_waits == [(arrival + timeout) - arrival]
 
 
 def test_drops_go_on_one_per_heartbeat_while_a_buffer_stays_full(monkeypatch):

@@ -29,26 +29,29 @@ def oracle_trace(path, scale=1.0):
     requests = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["arrival_ms", "length_tokens"]:
-            raise ValueError(f"trace line 1: expected header arrival_ms,length_tokens, got {header}")
-        last_t = -math.inf
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                t, length = float(row[0]), int(row[1])
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"trace line {lineno}: malformed row {row!r}") from exc
-            if not math.isfinite(t):
-                raise ValueError(f"trace line {lineno}: arrival_ms must be finite, got {row[0]!r}")
-            if not math.isfinite(t * scale):
-                raise ValueError(f"trace line {lineno}: arrival_ms times scale must be finite, "
-                                 f"got {row[0]!r} * {scale!r}")
-            if t < last_t:
-                raise ValueError(f"trace line {lineno}: arrival times must be nondecreasing")
-            if length < 1:
-                raise ValueError(f"trace line {lineno}: length must be >= 1")
-            last_t = t
-            requests.append(sim.Request(len(requests), t * scale, length))
+        try:
+            header = next(reader, None)
+            if header != ["arrival_ms", "length_tokens"]:
+                raise ValueError(f"trace line 1: expected header arrival_ms,length_tokens, got {header}")
+            last_t = -math.inf
+            for lineno, row in enumerate(reader, start=2):
+                try:
+                    t, length = float(row[0]), int(row[1])
+                except (ValueError, IndexError) as exc:
+                    raise ValueError(f"trace line {lineno}: malformed row {row!r}") from exc
+                if not math.isfinite(t):
+                    raise ValueError(f"trace line {lineno}: arrival_ms must be finite, got {row[0]!r}")
+                if not math.isfinite(t * scale):
+                    raise ValueError(f"trace line {lineno}: arrival_ms times scale must be finite, "
+                                     f"got {row[0]!r} * {scale!r}")
+                if t < last_t:
+                    raise ValueError(f"trace line {lineno}: arrival times must be nondecreasing")
+                if length < 1:
+                    raise ValueError(f"trace line {lineno}: length must be >= 1")
+                last_t = t
+                requests.append(sim.Request(len(requests), t * scale, length))
+        except csv.Error as exc:
+            raise ValueError(f"trace line {reader.line_num}: {exc}") from exc
     return requests
 
 
@@ -56,7 +59,7 @@ def outcome(parse, path, scale):
     """``repr`` of the requests (exact floats, and the types of every field), or the error."""
     try:
         return "ok", repr(parse(path, scale))
-    except Exception as exc:  # the loop may raise ValueError, UnicodeDecodeError or csv.Error
+    except Exception as exc:  # the loop may raise ValueError or UnicodeDecodeError
         return type(exc).__name__, str(exc)
 
 
@@ -182,11 +185,12 @@ def test_numeric_fields_parse_as_the_streaming_loop_parses_them(trace_path, line
 
 
 def test_a_line_past_the_csv_field_limit_is_left_to_the_loop(tmp_path):
-    """numpy would parse this padded length; csv.reader refuses the field."""
+    """numpy would parse this padded length; csv.reader refuses the field, and the
+    loop names its line."""
     path = tmp_path / "long.csv"
     path.write_text(f"{HEADER}\n0.5,4{' ' * (csv.field_size_limit() + 1)}\n")
     want = outcome(oracle_trace, path, 1.0)
-    assert want[0] == "Error"
+    assert want == ("ValueError", f"trace line 2: field larger than field limit ({csv.field_size_limit()})")
     assert outcome(parse, path, 1.0) == want
 
 
@@ -256,6 +260,7 @@ def trace_simulate_config(root, scale):
 @given(text=trace_texts(), scale=SCALES)
 @example(text=b"arrival_ms,length_tokens\n0.5,4\n1.5,16\n1e308,8\n", scale=10.0)
 @example(text=b"arrival_ms,length_tokens\n0.5,4\n1e300,8\n", scale=1.0)
+@example(text=b"arrival_ms,length_tokens\n0.5,4" + b" " * 140_000 + b"\n", scale=1.0)  # past csv's field limit
 def test_fuzzed_traces_exit_cleanly(text, scale):
     """A trace the loop refuses exits 2; an accepted one runs (exit 0), or exits 3
     once its clock passes 2**53 ms. None ends in a traceback."""
