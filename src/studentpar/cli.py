@@ -200,7 +200,7 @@ def _parse_workload(obj, seed: int, cluster: sim.ClusterConfig) -> list[sim.Requ
         spec = sim.PoissonSpec(
             rps=obj.get("rps", 100.0),
             duration_ms=obj.get("duration_ms", 10_000.0),
-            length_weights=tuple(obj["length_weights"]) if obj.get("length_weights") else None,
+            length_weights=obj.get("length_weights"),
         )
         _check_expected_requests([spec], "workload")
         return sim.generate_workload(spec, fork_seed(seed, "workload"), **bins)
@@ -259,14 +259,22 @@ def cmd_distill(config_path: str, seed_override: int | None, out_override: str |
                 raise ConfigError("teacher checkpoint does not contain a teacher model")
             _check_input_width(teacher, splits, checkpoint)
         else:
-            teacher = nn.TeacherModel.build(
-                d_in=splits.train.inputs.shape[1], rep_dim=tobj.get("rep_dim", 16),
-                hidden_dim=tobj.get("hidden_dim", 32), depth=tobj.get("depth", 12),
-                n_classes=int(splits.train.labels.max()) + 1,
-                rng=dst.rng_for(seed, "teacher-init"),
-            )
+            dims = dict(d_in=splits.train.inputs.shape[1], rep_dim=tobj.get("rep_dim", 16),
+                        hidden_dim=tobj.get("hidden_dim", 32), depth=tobj.get("depth", 12),
+                        n_classes=int(splits.train.labels.max()) + 1)
+            dst.check_at_most("teacher.depth, rep_dim and hidden_dim", nn.TeacherModel.size(**dims),
+                              "parameters", dst.MAX_MODEL_FLOATS)
+            dst.check_steps("teacher.epochs", tobj.get("epochs", dst.TEACHER_EPOCHS), len(splits.train),
+                            dst.TEACHER_BATCH_SIZE)
+            teacher = nn.TeacherModel.build(**dims, rng=dst.rng_for(seed, "teacher-init"))
         cfg = _parse_distill_cfg(config.get("distill", {}), seed, len(splits.train))
         dst.check_counts(config, {"student_depth": 2})
+        student_size = nn.StudentModel.size(splits.train.inputs.shape[1], teacher.rep_dim,
+                                            config.get("student_depth", dst.STUDENT_DEPTH))
+        dst.check_at_most("distill.max_students and student_depth", cfg.max_students * student_size,
+                          "student parameters", dst.MAX_MODEL_FLOATS)
+        dst.check_steps("distill.max_students * epochs_per_student", cfg.max_students * cfg.epochs_per_student,
+                        len(splits.train), cfg.batch_size)
 
     if not checkpoint:
         dst.train_teacher(teacher, splits, seed=seed, **_present(tobj, "epochs", "learning_rate"),
@@ -311,6 +319,7 @@ def cmd_prune(config_path: str, seed_override: int | None, out_override: str | N
             raise ConfigError(f"{ensemble_path} holds no students")
         splits = _parse_task(config.get("task", {"kind": "gaussian"}), seed)
         cfg = _parse_distill_cfg(config.get("distill", {}), seed, len(splits.train))
+        dst.check_steps("distill.pruning_epochs", cfg.pruning_epochs, len(splits.train), cfg.batch_size)
         _check_input_width(teacher, splits, teacher_path)
         for student in state.students:
             _check_input_width(student, splits, ensemble_path)

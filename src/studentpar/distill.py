@@ -95,6 +95,29 @@ def check_finite(source, lows: dict[str, float]) -> None:
             raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
 
 
+# Bounds on the size of a training run, checked from its config before anything is
+# allocated or trained. The stock distill config holds a task of 10,240 floats, a teacher
+# of 13,042 parameters and 8 students of 688, and its students' stage may take up to
+# 19,200 optimizer steps (8 students, 150 epochs, 16 batches); each limit is over 500 times that
+MAX_TASK_FLOATS = 10_000_000      # (n_train + n_val + n_test) * d_in
+MAX_MODEL_FLOATS = 10_000_000     # the teacher's parameters, or all the students' together
+MAX_OPTIMIZER_STEPS = 10_000_000  # epochs times batches per epoch, in one training stage
+TEACHER_EPOCHS, TEACHER_BATCH_SIZE, STUDENT_DEPTH = 300, 32, 2  # defaults of the training functions
+
+
+def check_at_most(key: str, count: int, what: str, limit: int) -> None:
+    """Raise ValueError naming ``key`` if ``count`` (of ``what``) is above ``limit``."""
+    if count > limit:
+        raise ValueError(f"{key}: {count:,} {what}, above the limit of {limit:,}")
+
+
+def check_steps(key: str, epochs: int, n: int, batch_size: int) -> None:
+    """Bound the optimizer steps of ``epochs`` passes over ``n`` samples in batches of ``batch_size``."""
+    batches = -(-n // batch_size)
+    check_at_most(key, epochs * batches, f"optimizer steps ({epochs:,} epochs of {batches:,} batches)",
+                  MAX_OPTIMIZER_STEPS)
+
+
 def make_gaussian_task(
     n_classes: int = 2,
     d_in: int = 8,
@@ -111,6 +134,8 @@ def make_gaussian_task(
     ceiling) is controlled by class_sep.
     """
     check_counts(locals(), {"d_in": 1, "n_train": 1, "n_val": 1, "n_test": 1})
+    check_at_most("n_train, n_val, n_test and d_in", (n_train + n_val + n_test) * d_in, "input floats",
+                  MAX_TASK_FLOATS)
     check_finite(locals(), {"class_sep": -math.inf})
     if not 2 <= n_classes <= 8:
         raise ValueError("n_classes must be in [2, 8]")
@@ -425,7 +450,7 @@ def train_one_student(
     cfg: DistillConfig,
     round_index: int = 0,
     seed_student: nn.StudentModel | None = None,
-    student_depth: int = 2,
+    student_depth: int = STUDENT_DEPTH,
 ) -> tuple[nn.StudentModel, list[float]]:
     """Train the next student against the current ensemble's residual.
 
@@ -495,7 +520,7 @@ def sequential_training(
     splits: DataSplits,
     cfg: DistillConfig,
     seed_student: nn.StudentModel | None = None,
-    student_depth: int = 2,
+    student_depth: int = STUDENT_DEPTH,
 ) -> tuple[EnsembleState, list[ConvergenceRecord]]:
     """Grow the boosting ensemble until it overfits, halts, or hits the cap.
 
@@ -806,9 +831,9 @@ def load_ensemble(path) -> EnsembleState:
 def train_teacher(
     teacher: nn.TeacherModel,
     splits: DataSplits,
-    epochs: int = 300,
+    epochs: int = TEACHER_EPOCHS,
     learning_rate: float = 1e-3,
-    batch_size: int = 32,
+    batch_size: int = TEACHER_BATCH_SIZE,
     seed: int = 0,
     optimizer_kind: str = nn.ADAM,
 ) -> list[float]:

@@ -278,6 +278,12 @@ class TeacherModel:
         head = DenseLayer.init(n_classes, rep_dim, IDENTITY, rng)
         return cls(input_proj, blocks, head)
 
+    @staticmethod
+    def size(d_in: int, rep_dim: int, hidden_dim: int, depth: int, n_classes: int) -> int:
+        """The parameter count of a teacher that ``build`` makes with these dimensions."""
+        return ((d_in + 1) * rep_dim + depth * (2 * rep_dim * hidden_dim + hidden_dim + rep_dim)
+                + (rep_dim + 1) * n_classes)
+
     @property
     def depth(self) -> int:
         return len(self.blocks)
@@ -393,6 +399,11 @@ class StudentModel:
         input_proj = DenseLayer.init(rep_dim, d_in, TANH, rng)
         layers = [DenseLayer.init(rep_dim, rep_dim, TANH, rng) for _ in range(depth)]
         return cls(input_proj, layers)
+
+    @staticmethod
+    def size(d_in: int, rep_dim: int, depth: int) -> int:
+        """The parameter count of a student that ``build`` makes with these dimensions."""
+        return (d_in + 1) * rep_dim + depth * (rep_dim + 1) * rep_dim
 
     def move_to(self, flat: np.ndarray | None) -> None:
         """Copy the parameters into ``flat`` (a new buffer when None, or a slice of a

@@ -36,7 +36,9 @@ ascending index, which fixes the order completion events enter the heap.
 All nodes are swept only when the student count k changes, because every
 buffer's capacity changes with it. The controller reads aggregate counters
 kept exact wherever a buffer or a busy count changes, so the cost of an
-event does not grow with the node count.
+event does not grow with the node count. Its idle window runs on one
+cluster-wide clock: the time at which, at the end of an event, no buffer
+held an element any more, or the last time it added a student back.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distill import AccuracyTable, check_counts, check_finite, check_positive
+from .distill import AccuracyTable, _is_finite_number, check_counts, check_finite, check_positive
 from .perfmodel import DEFAULT_CAPACITY, DEFAULT_GATHER_MS, DEFAULT_PCIE_TOKENS_PER_MS, PerfFactors, PerfModel
 from .seeding import rng_for
 
@@ -79,11 +81,16 @@ class PoissonSpec:
 
     rps: float
     duration_ms: float
-    length_weights: tuple[float, ...] | None = None  # one weight per length bin
+    length_weights: tuple[float, ...] | list[float] | None = None  # one weight per length bin
 
     def __post_init__(self):
         check_positive(self, ("rps",))
         check_finite(self, {"duration_ms": 0})
+        weights = self.length_weights  # none or empty: the default weights
+        if weights and not (isinstance(weights, (list, tuple)) and all(map(_is_finite_number, weights))
+                            and min(weights) >= 0 and 0 < np.asarray(weights, dtype=np.float64).sum() < math.inf):
+            raise ValueError("length_weights must be a list of finite, non-negative numbers "
+                             f"with a positive sum, got {weights!r}")
 
 
 @dataclass(frozen=True)
@@ -133,10 +140,6 @@ def generate_workload(kind, seed: int, max_len: int = 128, bin_width: int = 8, *
         rng = rng_for(seed, "workload")
         weights = np.asarray(kind.length_weights or DEFAULT_LENGTH_WEIGHTS, dtype=np.float64)
         total = weights.sum()
-        if weights.ndim != 1 or not (np.isfinite(weights).all() and (weights >= 0).all()
-                                     and np.isfinite(total) and total > 0):
-            raise ValueError("length_weights must be a list of finite, non-negative numbers "
-                             "with a positive sum")
         if len(weights) * bin_width > max_len:
             raise ValueError("length_weights cover more than max_len tokens")
         cdf = (weights / total).cumsum()
@@ -382,8 +385,7 @@ class ServiceFactors:
     def __post_init__(self):
         check_counts(self, {"depth": 1, "width_per_student": 1})
         check_positive(self, ("capacity", "pcie_tokens_per_ms"))
-        if not self.gather_ms >= 0:
-            raise ValueError(f"gather_ms must be >= 0, got {self.gather_ms!r}")
+        check_finite(self, {"gather_ms": 0})
 
 
 def service_time(element: BufferElement, k_students: int, cfg: ClusterConfig,
@@ -414,34 +416,6 @@ def service_time(element: BufferElement, k_students: int, cfg: ClusterConfig,
 DROP_ONE = "drop_one"
 ADD_ONE = "add_one"
 HOLD = "hold"
-
-
-def decide_controller_action(
-    k: int,
-    min_students: int,
-    max_students: int,
-    any_buffer_full: bool,
-    all_buffers_idle_ms: float | None,
-    idle_students: int,
-    occupied_students: int,
-    idle_window_ms: float,
-) -> str:
-    """Pure adaptation rule evaluated at every event boundary.
-
-    Drop one student per group when a buffer has filled (more, cheaper
-    groups); add one back when every buffer has been empty for the idle
-    window and idle groups outweigh occupied ones.
-    """
-    if any_buffer_full and k > min_students:
-        return DROP_ONE
-    if (
-        k < max_students
-        and all_buffers_idle_ms is not None
-        and all_buffers_idle_ms >= idle_window_ms
-        and idle_students > occupied_students
-    ):
-        return ADD_ONE
-    return HOLD
 
 
 @dataclass(slots=True)
@@ -520,7 +494,6 @@ class _Node:
         self.buffer = buffer
         self.retry: deque[Request] = deque()
         self.busy = 0
-        self.empty_since: float | None = 0.0
 
 
 _COMPLETION, _TIMER, _HEARTBEAT = "completion", "timer", "heartbeat"
@@ -560,7 +533,8 @@ class Simulation:
         self.nonempty: set[int] = set()   # indices of nodes with a non-empty buffer
         self.retrying: set[int] = set()   # indices of nodes with deferred requests
         self.busy_groups = 0
-        self.last_empty = 0.0             # latest time any node's empty_since was set
+        self.buffered = False             # whether any buffer held an element at the last boundary's end
+        self.last_empty = 0.0             # when the cluster last turned idle, or the last ADD_ONE
         # arrivals stay out of the heap: (time, node index, request), stably sorted by
         # time and then reversed, so the next arrival is popped off the end
         self.arrivals: list[tuple[float, int, Request]] = sorted(
@@ -663,31 +637,19 @@ class Simulation:
         return result
 
     def controller_tick(self, now: float) -> str:
-        ctl = self.ctl
-        # HOLD unless the DROP_ONE or the ADD_ONE precondition holds
-        if not self.full_buffers and (self.nonempty or self.k >= ctl.max_students
-                                      or now - self.last_empty < ctl.idle_window_ms):
+        """The adaptation rule, evaluated at every event boundary: drop one student per
+        group when a buffer has filled (more, cheaper groups); add one back when every
+        buffer has been empty for the idle window and idle groups outnumber busy ones."""
+        ctl, k = self.ctl, self.k
+        if self.full_buffers and k > ctl.min_students:
+            self._set_k(k - 1, now)
+            return DROP_ONE
+        if (self.nonempty or k >= ctl.max_students or now - self.last_empty < ctl.idle_window_ms
+                or sum(max(0, self.groups - n.busy) for n in self.nodes) <= self.busy_groups):
             return HOLD
-        # a buffer empties only at a boundary's end, where empty_since is set, so
-        # when every buffer is empty each empty_since is set and last_empty is their max
-        idle_ms = None if self.nonempty else now - self.last_empty
-        idle_students = 0
-        if idle_ms is not None and idle_ms >= ctl.idle_window_ms and self.k < ctl.max_students:
-            # every other ADD_ONE condition holds; only now is the sweep worth it
-            idle_students = sum(max(0, self.groups - n.busy) for n in self.nodes) * self.k
-        action = decide_controller_action(
-            self.k, ctl.min_students, ctl.max_students, self.full_buffers > 0, idle_ms,
-            idle_students, self.busy_groups * self.k, ctl.idle_window_ms,
-        )
-        if action == DROP_ONE:
-            self._set_k(self.k - 1, now)
-        elif action == ADD_ONE:
-            self._set_k(self.k + 1, now)
-            for node in self.nodes:  # a fresh idle window must elapse before the next add
-                if node.empty_since is not None:
-                    node.empty_since = now
-            self.last_empty = now
-        return action
+        self._set_k(k + 1, now)
+        self.last_empty = now  # a fresh idle window must elapse before the next add
+        return ADD_ONE
 
     def _boundary(self, now: float, own: _Node | None) -> None:
         retrying = self.retrying
@@ -706,8 +668,8 @@ class Simulation:
                     retry.popleft()
                 if not retry:
                     retrying.discard(i)
-        elif own is None or not (own.buffer.fifo or own.empty_since is None):
-            nodes = ()  # unless k changes, nothing to dispatch and no time to stamp
+        elif own is None or not own.buffer.fifo:
+            nodes = ()  # unless k changes, nothing to dispatch
         else:
             nodes = (own,)
         k = self.k
@@ -716,13 +678,13 @@ class Simulation:
             nodes = self.nodes
         groups = self.groups
         for node in nodes:
-            fifo = node.buffer.fifo
-            if fifo and node.busy < groups:
+            if node.buffer.fifo and node.busy < groups:
                 self._dispatch(node, now)
-            if fifo:
-                node.empty_since = None
-            elif node.empty_since is None:
-                node.empty_since = self.last_empty = now
+        if self.nonempty:
+            self.buffered = True
+        elif self.buffered:  # the cluster turns idle: the idle window starts
+            self.buffered = False
+            self.last_empty = now
 
     def _beat_state(self) -> tuple[int, int, int]:
         """What a heartbeat's boundary can change: any event it pushes moves the
@@ -800,7 +762,6 @@ class Simulation:
     def _check_invariants(self) -> None:
         """Raise RuntimeError naming every end-of-run invariant that does not hold."""
         nodes = self.nodes
-        stamps = [n.empty_since for n in nodes]
         broken = [name for name, holds in (
             ("completed == generated", len(self.records) == self.generated),
             ("no group is busy", all(n.busy == 0 for n in nodes)),
@@ -810,7 +771,7 @@ class Simulation:
             ("nonempty == recount", self.nonempty == {n.index for n in nodes if n.buffer.fifo}),
             ("retrying == recount", self.retrying == {n.index for n in nodes if n.retry}),
             ("busy_groups == recount", self.busy_groups == sum(n.busy for n in nodes)),
-            ("last_empty == max(empty_since)", None not in stamps and self.last_empty == max(stamps)),
+            ("buffered == bool(nonempty)", self.buffered == bool(self.nonempty)),
             ("groups == group_count(k)", self.groups == group_count(
                 self.k, self.cfg.gpus_per_node, self.cfg.replicas_per_gpu)),
         ) if not holds]

@@ -542,6 +542,9 @@ BAD_INPUTS = [
     ("simulate", ("factors", "depth"), 0),
     ("simulate", ("factors", "width_per_student"), "x"),
     ("simulate", ("factors", "gather_ms"), -1),
+    ("simulate", ("factors", "gather_ms"), "x"),
+    ("simulate", ("factors", "gather_ms"), True),
+    ("simulate", ("factors", "gather_ms"), float("inf")),
     ("simulate", ("factors", "capacity_per_gpu"), 0),
     ("simulate", ("factors", "pcie_tokens_per_ms"), 0),
     ("simulate", ("factors", "calibration"), []),
@@ -593,6 +596,12 @@ BAD_INPUTS = [
     # sizes that would allocate without bound, refused while parsing
     ("simulate", ("workload", "rps"), 1e12),
     ("simulate", ("cluster", "nodes"), 10**9),
+    ("distill", ("task", "n_train"), 10**12),
+    ("distill", ("task", "d_in"), 10**12),
+    ("distill", ("teacher", "hidden_dim"), 10**9),
+    ("distill", ("teacher", "epochs"), 10**9),
+    ("distill", ("distill", "epochs_per_student"), 10**9),
+    ("distill", ("student_depth",), 10**9),
 ]
 
 
@@ -657,7 +666,7 @@ def test_seed_flag_must_be_non_negative(tmp_path, capsys):
     assert "seed" in err
 
 
-@pytest.mark.parametrize("weights", [[1, -1], [0, 0], [1, "NaN"]], ids=repr)
+@pytest.mark.parametrize("weights", [[1, -1], [0, 0], [1, "NaN"], [True, 1], "x", [1, "x"], 1.5], ids=repr)
 def test_bad_length_weights_name_the_key(tmp_path, capsys, weights):
     cfg = toy_payloads(tmp_path)["simulate"]
     cfg["workload"]["length_weights"] = weights
@@ -828,6 +837,31 @@ def test_non_bool_pad_to_max_exits_config(tmp_path, capsys, value):
     cfg["cluster"]["pad_to_max"] = value
     err = assert_config_error(["simulate", "--config", write_config(tmp_path, "pad.json", cfg)], capsys)
     assert "pad_to_max must be true or false" in err
+
+
+@pytest.mark.parametrize("mode, path, value, named", [
+    ("distill", ("task", "n_train"), 10**12, "n_train"),
+    ("distill", ("task", "d_in"), 10**12, "d_in"),
+    ("distill", ("teacher", "hidden_dim"), 10**9, "teacher.depth, rep_dim and hidden_dim"),
+    ("distill", ("teacher", "epochs"), 10**9, "teacher.epochs"),
+    ("distill", ("distill", "epochs_per_student"), 10**9, "epochs_per_student"),
+    ("distill", ("student_depth",), 10**9, "student_depth"),
+    ("prune", ("task", "n_train"), 10**12, "n_train"),
+    ("prune", ("distill", "pruning_epochs"), 10**9, "distill.pruning_epochs"),
+], ids=repr)
+def test_training_sizes_past_their_limits_name_the_key(tmp_path, capsys, distilled, mode, path, value, named):
+    """These used to allocate terabytes (and fail with a raw traceback) or train for days."""
+    if mode == "distill":
+        cfg = toy_payloads(tmp_path)["distill"]
+    else:
+        cfg = {"mode": "prune", "seed": 5, "out_dir": str(tmp_path / "prune_out"),
+               "distill_dir": str(distilled), "task": {"kind": "gaussian", "d_in": 4}, "distill": {}}
+    section = cfg
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    err = assert_config_error([mode, "--config", write_config(tmp_path, "big.json", cfg)], capsys)
+    assert named in err and "above the limit of" in err, err
 
 
 @pytest.mark.parametrize("mode", ["distill", "prune"])

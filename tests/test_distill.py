@@ -56,6 +56,15 @@ def fast_cfg(**overrides):
     return dst.DistillConfig(**base)
 
 
+def test_training_bounds_take_their_limit_and_refuse_past_it():
+    dst.check_steps("epochs", dst.MAX_OPTIMIZER_STEPS, 32, 32)  # one batch an epoch
+    with pytest.raises(ValueError, match=f"epochs: {2 * dst.MAX_OPTIMIZER_STEPS:,} optimizer steps "
+                                         rf"\({dst.MAX_OPTIMIZER_STEPS:,} epochs of 2 batches\)"):
+        dst.check_steps("epochs", dst.MAX_OPTIMIZER_STEPS, 33, 32)
+    with pytest.raises(ValueError, match="n_train, n_val, n_test and d_in"):  # refused before any draw
+        dst.make_gaussian_task(d_in=10, n_train=dst.MAX_TASK_FLOATS // 10, n_val=1, n_test=1)
+
+
 # -- EnsembleState.rep -----------------------------------------------------------
 
 

@@ -165,6 +165,15 @@ def test_student_n2_taps_first_layer():
     np.testing.assert_array_equal(mid_rep, s.layers[0].forward(s.input_proj.forward(x)))
 
 
+@pytest.mark.parametrize("d_in, rep_dim, hidden_dim, depth, n_classes", [(8, 16, 32, 12, 2), (3, 5, 7, 1, 4)])
+def test_model_sizes_count_the_parameters_build_makes(d_in, rep_dim, hidden_dim, depth, n_classes):
+    rng = make_rng(10)
+    teacher = nn.TeacherModel.build(d_in, rep_dim, hidden_dim, depth, n_classes, rng)
+    assert nn.TeacherModel.size(d_in, rep_dim, hidden_dim, depth, n_classes) == teacher.flat.size
+    student = nn.StudentModel.build(d_in, rep_dim, depth + 1, rng)
+    assert nn.StudentModel.size(d_in, rep_dim, depth + 1) == student.flat.size
+
+
 # -- backward ------------------------------------------------------------------
 
 

@@ -160,9 +160,8 @@ def test_length_draw_width_limit():
 @pytest.mark.parametrize("rps", [1_000.0, 1e-7], ids=["draws", "draws-nothing"])
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_bad_length_weights_rejected_up_front(weights, rps):
-    spec = sim.PoissonSpec(rps=rps, duration_ms=100.0, length_weights=weights)
     with pytest.raises(ValueError, match="length_weights"):
-        sim.generate_workload(spec, seed=0)
+        sim.generate_workload(sim.PoissonSpec(rps=rps, duration_ms=100.0, length_weights=weights), seed=0)
 
 
 def test_trace_round_trip(tmp_path):
@@ -423,25 +422,34 @@ def test_doubling_batch_doubles_saturated_compute():
 # -- controller rule ----------------------------------------------------------------
 
 
-def test_drop_one_fires_on_full_buffer():
-    assert sim.decide_controller_action(3, 1, 3, True, None, 0, 12, 1000.0) == sim.DROP_ONE
-
-
-def test_drop_one_respects_min():
-    assert sim.decide_controller_action(1, 1, 3, True, None, 0, 12, 1000.0) == sim.HOLD
-
-
-def test_add_one_needs_full_window():
-    assert sim.decide_controller_action(2, 1, 3, False, 60_000.0, 9, 3, 120_000.0) == sim.HOLD
-    assert sim.decide_controller_action(2, 1, 3, False, 120_000.0, 9, 3, 120_000.0) == sim.ADD_ONE
-
-
-def test_add_one_needs_idle_majority():
-    assert sim.decide_controller_action(2, 1, 3, False, 200_000.0, 3, 9, 120_000.0) == sim.HOLD
-
-
-def test_add_one_respects_max():
-    assert sim.decide_controller_action(3, 1, 3, False, 200_000.0, 9, 3, 120_000.0) == sim.HOLD
+@pytest.mark.parametrize("k, full, busy, idle_ms, action", [
+    (3, True, 0, 0.0, sim.DROP_ONE),
+    (1, True, 0, 0.0, sim.HOLD),
+    (2, False, 1, 60_000.0, sim.HOLD),
+    (2, False, 1, 120_000.0, sim.ADD_ONE),
+    (2, False, 4, 200_000.0, sim.HOLD),
+    (2, False, 3, 200_000.0, sim.HOLD),
+    (3, False, 1, 200_000.0, sim.HOLD),
+], ids=["drop_one_fires_on_full_buffer", "drop_one_respects_min", "add_one_needs_full_window-60s",
+        "add_one_needs_full_window-120s", "add_one_needs_idle_majority", "add_one_needs_idle_majority-tie",
+        "add_one_respects_max"])
+def test_controller_tick_rule(k, full, busy, idle_ms, action):
+    """One node, min 1 and max 3 students, a 120 s idle window; 12 groups at k = 1,
+    6 at k = 2 and 4 at k = 3. A full buffer holds one element per group; otherwise
+    ``busy`` groups run an element and every buffer is empty."""
+    simulation = sim.Simulation(make_cluster(group_size=k), [], calibrated_factors())
+    node = simulation.nodes[0]
+    for i in range(simulation.groups if full else busy):
+        assert simulation._try_push(node, req(i, 8 * (i + 1)), 0.0) == sim.APPENDED  # one bin each
+        if not full:
+            simulation._dispatch(node, 0.0)
+    assert node.buffer.is_full() == full and node.busy == (0 if full else busy)
+    now = 200_000.0
+    simulation.last_empty = now - idle_ms
+    assert simulation.controller_tick(now) == action
+    k_after = {sim.DROP_ONE: k - 1, sim.ADD_ONE: k + 1, sim.HOLD: k}[action]
+    assert simulation.k == k_after and simulation.k_timeline[-1] == ((0.0, k) if action == sim.HOLD else (now, k_after))
+    assert simulation.last_empty == (now if action == sim.ADD_ONE else now - idle_ms)
 
 
 # -- end-to-end simulation ------------------------------------------------------------
@@ -925,7 +933,7 @@ def end_state(simulation):
     return ([(r.request_id, r.arrival_ms.hex(), r.completion_ms.hex(), r.length_tokens) for r in m.per_request],
             [(t.hex(), k) for t, k in m.student_number_timeline], m.rejected_pushes,
             hexed(simulation.element_waits), simulation._seq, simulation.last_empty.hex(),
-            hexed(n.empty_since for n in simulation.nodes), sorted(simulation.service_ms.items()))
+            simulation.buffered, sorted(simulation.service_ms.items()))
 
 
 def phased_workload(nodes, rps_per_node, seed, skewed=False):

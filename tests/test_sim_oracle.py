@@ -13,7 +13,8 @@ simulator's spec:
   retry node by node, the controller acts once, and every node dispatches;
 - a heartbeat fires every 100 ms while other events remain, then for an idle
   window plus five beats after the last of them;
-- the controller's inputs are recounted from the nodes at every event;
+- the controller's inputs are recounted from the nodes at every event, its rule is
+  written out here, and each node keeps the time its buffer last turned empty;
 - ``service_time`` is called on every dispatch;
 - in waiting-queue mode a head element is dispatched once it is full or has
   waited out the timeout, and at its own timer at the latest.
@@ -85,16 +86,13 @@ class ReferenceSimulation:
 
     def controller_tick(self, now):
         nodes, groups, k = self.nodes, self.groups(), self.k
-        idle = not any(node.buffer.fifo for node in nodes)
-        action = sim.decide_controller_action(
-            k, self.ctl.min_students, self.ctl.max_students,
-            any(len(node.buffer.fifo) >= groups for node in nodes),
-            now - max(node.empty_since for node in nodes) if idle else None,
-            sum(max(0, groups - node.busy) for node in nodes) * k,
-            sum(node.busy for node in nodes) * k, self.ctl.idle_window_ms)
-        if action == sim.DROP_ONE:
+        # drop one student per group when a buffer is full; add one back when every buffer
+        # has been empty for the idle window and idle students outnumber occupied ones
+        if any(len(node.buffer.fifo) >= groups for node in nodes) and k > self.ctl.min_students:
             self.set_k(k - 1, now)
-        elif action == sim.ADD_ONE:
+        elif (k < self.ctl.max_students and not any(node.buffer.fifo for node in nodes)
+              and now - max(node.empty_since for node in nodes) >= self.ctl.idle_window_ms
+              and sum(max(0, groups - node.busy) for node in nodes) * k > sum(node.busy for node in nodes) * k):
             self.set_k(k + 1, now)
             for node in nodes:  # the idle window starts again
                 node.empty_since = now
