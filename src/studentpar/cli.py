@@ -160,16 +160,23 @@ def _parse_factors(obj) -> sim.ServiceFactors:
     return sim.ServiceFactors(model=_calibrated(cal, reference), **kwargs)
 
 
+# the most rows a flat accuracy table may have; it is built row by row. 1,250 times the
+# stock distill config's 8 students
+MAX_TABLE_STUDENTS = 10_000
+
+
 def _parse_accuracy_table(obj) -> dst.AccuracyTable:
     _require_keys(obj, {"kind", "path", "students", "base", "step"}, {"kind"}, "accuracy_table")
     if obj["kind"] == "csv":
         return dst.load_accuracy_table(Path(obj["path"]))
     if obj["kind"] == "flat":
         dst.check_counts(obj, {"students": 1})
+        students = obj.get("students", 3)
+        dst.check_at_most("accuracy_table.students", students, "students", MAX_TABLE_STUDENTS)
         dst.check_finite(obj, {"base": -math.inf, "step": -math.inf})
         base, step = obj.get("base", 0.93), obj.get("step", 0.01)
         return dst.AccuracyTable([(k, min(1.0, base + step * (k - 1)), min(1.0, base + step * (k - 1)))
-                                  for k in range(1, obj.get("students", 3) + 1)])
+                                  for k in range(1, students + 1)])
     raise ConfigError(f"unknown accuracy_table kind '{obj['kind']}'")
 
 

@@ -17,9 +17,10 @@ would leave the same state: the push, the controller tick, the pop and the
 dispatch would all happen within this one event. That holds when no node has
 deferred requests, no buffer is full (else the tick may drop a student and
 sweep every node) and the buffer's capacity is above 1 (else the push fills
-it and the controller drops a student). The event still makes its one
-controller tick, which sees the node's buffer as occupied, as the push
-would leave it.
+it and the controller drops a student). The event makes no controller tick:
+the tick would see no full buffer, so it could not drop a student, and it
+would see this node's buffer occupied, as the push leaves it, so it could not
+add one back; holding changes nothing.
 
 The simulated clock is real-valued milliseconds. Arrivals do not enter the
 event heap: they are served from the workload stably sorted by arrival time,
@@ -86,9 +87,10 @@ class PoissonSpec:
     def __post_init__(self):
         check_positive(self, ("rps",))
         check_finite(self, {"duration_ms": 0})
-        weights = self.length_weights  # none or empty: the default weights
-        if weights and not (isinstance(weights, (list, tuple)) and all(map(_is_finite_number, weights))
-                            and min(weights) >= 0 and 0 < np.asarray(weights, dtype=np.float64).sum() < math.inf):
+        weights = self.length_weights  # none or an empty list: the default weights
+        if weights is not None and not (isinstance(weights, (list, tuple)) and (
+                not weights or all(map(_is_finite_number, weights)) and min(weights) >= 0
+                and 0 < np.asarray(weights, dtype=np.float64).sum() < math.inf)):
             raise ValueError("length_weights must be a list of finite, non-negative numbers "
                              f"with a positive sum, got {weights!r}")
 
@@ -288,17 +290,12 @@ class LengthAwareBuffer:
             return MERGED
         if self.is_full():
             return REJECTED
-        el = BufferElement(b, (b + 1) * self.bin_width, [req], now_ms)  # as single() builds it
+        el = BufferElement(b, (b + 1) * self.bin_width, [req], now_ms)
         self.op_touches = 1
         self.fifo.append(el)
         if self.max_merge > 1:  # a size-1 element is already full when max_merge == 1
             self.index[b] = el
         return APPENDED
-
-    def single(self, req: Request, now_ms: float) -> BufferElement:
-        """The element a push of ``req`` into this empty buffer would append, left out of it."""
-        b = self.num_bins - 1 if self.pad_to_max else self.bin_of(req.length_tokens)
-        return BufferElement(b, (b + 1) * self.bin_width, [req], now_ms)
 
     def pop(self) -> BufferElement:
         if not self.fifo:
@@ -545,6 +542,14 @@ class Simulation:
         self.records: list[CompletionRecord] = []
         self.element_waits: list[float] = []  # buffer residence per dispatched element
         self.rejected_pushes = 0
+        self.direct_starts = 0
+        # the padded length of each length in the workload, as a push pads it: a direct
+        # start reads it here. bin_of refuses a length below 1, in either padding mode
+        bin_of = self.nodes[0].buffer.bin_of
+        self.padded_lens = {n: (bin_of(n) + 1) * cluster.bin_width
+                            for n in set(map(attrgetter("length_tokens"), workload))}
+        if cluster.pad_to_max:
+            self.padded_lens = dict.fromkeys(self.padded_lens, cluster.max_len)
         # service_time is a pure function of (k, size, padded_len, active groups) for
         # this cluster and these factors, so each distinct dispatch shape is modelled once
         self.service_ms: dict[tuple[int, int, int, int], float] = {}
@@ -590,19 +595,22 @@ class Simulation:
                 self.nonempty.discard(node.index)
             if left + 1 == buf.capacity:
                 self.full_buffers -= 1
-            self._start(node, el, now)
+            self._start(node, el.requests, el.padded_len, el.created_ms, now)
 
-    def _start(self, node: _Node, el: BufferElement, now: float) -> None:
-        """Run an element on one of the node's free groups and schedule its completion."""
-        self.element_waits.append(now - el.created_ms)
+    def _start(self, node: _Node, requests: list[Request], padded_len: int, created_ms: float,
+               now: float) -> None:
+        """Run an element's requests on one of the node's free groups and schedule their completion."""
+        self.element_waits.append(now - created_ms)
         node.busy += 1
         self.busy_groups += 1
         k = self.k
-        key = (k, len(el.requests), el.padded_len, node.busy)
+        key = (k, len(requests), padded_len, node.busy)
         dt = self.service_ms.get(key)
         if dt is None:
+            el = BufferElement(padded_len // self.cfg.bin_width - 1, padded_len, requests, created_ms)
             dt = self.service_ms[key] = service_time(el, k, self.cfg, self.factors, active_groups=node.busy)
-        self._push_event(now + dt, _COMPLETION, (node, el))
+        heapq.heappush(self.events, (now + dt, self._seq, _COMPLETION, (node, requests)))
+        self._seq += 1
 
     def _arrive(self, node: _Node, req: Request, now: float) -> None:
         """Start the request at once where buffering it would give the same run (the
@@ -610,11 +618,8 @@ class Simulation:
         buf = node.buffer
         if (self.batch_timeout_ms is None and not buf.fifo and node.busy < self.groups
                 and buf.capacity > 1 and not self.full_buffers and not self.retrying):
-            nonempty = self.nonempty
-            nonempty.add(node.index)  # the tick sees the request buffered, as the push leaves it
-            self.controller_tick(now)
-            nonempty.discard(node.index)
-            self._start(node, buf.single(req, now), now)
+            self.direct_starts += 1
+            self._start(node, [req], self.padded_lens[req.length_tokens], now, now)
             return
         if node.retry or self._try_push(node, req, now) == REJECTED:
             # a full buffer defers the request to the next event boundary
@@ -746,10 +751,10 @@ class Simulation:
             else:
                 self.last_event_ms = now
                 if kind == _COMPLETION:
-                    node, el = payload
+                    node, requests = payload
                     node.busy -= 1
                     self.busy_groups -= 1
-                    for req in el.requests:
+                    for req in requests:
                         self.records.append(CompletionRecord(req.id, req.arrival_ms, now, req.length_tokens))
                 else:
                     node = payload

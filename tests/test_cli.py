@@ -602,6 +602,7 @@ BAD_INPUTS = [
     ("distill", ("teacher", "epochs"), 10**9),
     ("distill", ("distill", "epochs_per_student"), 10**9),
     ("distill", ("student_depth",), 10**9),
+    ("simulate", ("accuracy_table", "students"), 10**12),
 ]
 
 
@@ -666,7 +667,9 @@ def test_seed_flag_must_be_non_negative(tmp_path, capsys):
     assert "seed" in err
 
 
-@pytest.mark.parametrize("weights", [[1, -1], [0, 0], [1, "NaN"], [True, 1], "x", [1, "x"], 1.5], ids=repr)
+# a falsy value that is not a list used to run with the default weights
+@pytest.mark.parametrize("weights", [[1, -1], [0, 0], [1, "NaN"], [True, 1], "x", [1, "x"], 1.5,
+                                     False, 0, "", {}], ids=repr)
 def test_bad_length_weights_name_the_key(tmp_path, capsys, weights):
     cfg = toy_payloads(tmp_path)["simulate"]
     cfg["workload"]["length_weights"] = weights

@@ -164,6 +164,14 @@ def test_bad_length_weights_rejected_up_front(weights, rps):
         sim.generate_workload(sim.PoissonSpec(rps=rps, duration_ms=100.0, length_weights=weights), seed=0)
 
 
+@pytest.mark.parametrize("weights", [[], ()], ids=repr)
+def test_empty_length_weights_are_the_defaults(weights):
+    def draw(**kw):
+        return sim.generate_workload(sim.PoissonSpec(rps=2_000.0, duration_ms=50.0, **kw), seed=3)
+
+    assert draw(length_weights=weights) == draw()
+
+
 def test_trace_round_trip(tmp_path):
     spec = sim.PoissonSpec(rps=200.0, duration_ms=2_000.0)
     reqs = sim.generate_workload(spec, seed=2)
@@ -886,9 +894,9 @@ def test_each_event_visits_at_most_one_node(monkeypatch):
     counts = {"events": 0, "visits": 0}
     start, tick = sim.Simulation._start, sim.Simulation.controller_tick
 
-    def counting_start(self, node, el, now):  # every dispatch and every direct start
+    def counting_start(self, *args):  # every dispatch and every direct start
         counts["visits"] += 1
-        start(self, node, el, now)
+        start(self, *args)
 
     def counting_tick(self, now):
         counts["events"] += 1
@@ -986,24 +994,16 @@ def test_direct_start_equals_buffered_arrivals(nodes, gpus_per_node, replicas_pe
     (1, None, 1_200.0, False),   # one group at every k: a push would fill the buffer
     (4, 2.0, 1_200.0, False),    # waiting-queue mode buffers every request
 ])
-def test_direct_start_runs_only_where_it_may(monkeypatch, gpus_per_node, batch_timeout_ms, rps_per_node,
+def test_direct_start_runs_only_where_it_may(gpus_per_node, batch_timeout_ms, rps_per_node,
                                              some_direct):
-    direct = []
-    single = sim.LengthAwareBuffer.single
-
-    def counting(self, req, now_ms):
-        direct.append(req.id)
-        return single(self, req, now_ms)
-
-    monkeypatch.setattr(sim.LengthAwareBuffer, "single", counting)
     cluster = direct_start_cluster(3, gpus_per_node, 1, 4, False, batch_timeout_ms)
     workload = phased_workload(3, rps_per_node, seed=7)
     simulation = sim.Simulation(cluster, workload, calibrated_factors())
     got = end_state(simulation)
-    assert (0 < len(direct) < len(workload)) if some_direct else not direct
+    direct = simulation.direct_starts
+    assert (0 < direct < len(workload)) if some_direct else not direct
     if rps_per_node > 2_000.0:
         assert got[2] > 0 and len(got[1]) > 3  # deferred pushes, k dropped and added back
-    monkeypatch.setattr(sim.LengthAwareBuffer, "single", single)
     assert got == end_state(BufferedArrivals(cluster, workload, calibrated_factors()))
 
 
@@ -1018,3 +1018,21 @@ def test_direct_start_waits_while_a_full_buffer_drops_a_student():
     got = end_state(sim.Simulation(cluster, workload, calibrated_factors()))
     assert got[1][:3] == [((0.0).hex(), 4), ((0.47).hex(), 3), ((0.48).hex(), 2)]
     assert got == end_state(BufferedArrivals(cluster, workload, calibrated_factors()))
+
+
+@pytest.mark.parametrize("pad_to_max", [False, True])
+def test_padded_length_table_pads_as_a_push(pad_to_max):
+    cluster = make_cluster(bin_width=8, num_bins=16, pad_to_max=pad_to_max)
+    lengths = range(1, cluster.max_len + 11)
+    simulation = sim.Simulation(cluster, [sim.Request(n, 0.0, n) for n in lengths], calibrated_factors())
+    bin_of = simulation.nodes[0].buffer.bin_of
+    want = {n: cluster.max_len if pad_to_max else (bin_of(n) + 1) * cluster.bin_width for n in lengths}
+    assert simulation.padded_lens == want
+    assert want[cluster.max_len + 10] == cluster.max_len
+
+
+@pytest.mark.parametrize("pad_to_max", [False, True])
+def test_length_below_one_is_refused_before_the_run(pad_to_max):
+    workload = [sim.Request(0, 0.0, 8), sim.Request(1, 1.0, 0)]
+    with pytest.raises(ValueError, match="length must be >= 1"):
+        sim.Simulation(make_cluster(pad_to_max=pad_to_max), workload, calibrated_factors())
