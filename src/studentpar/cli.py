@@ -63,6 +63,18 @@ def _require_keys(obj, allowed: set[str], required: set[str], ctx: str) -> None:
             raise ConfigError(f"missing key '{key}' in {ctx}")
 
 
+def _require_kind(obj, kinds: dict[str, tuple[set[str], set[str]]], ctx: str) -> str:
+    """The kind ``obj`` names, after checking that ``kinds`` allows that kind each of
+    ``obj``'s other keys and that every key the kind requires is present."""
+    _require_keys(obj, {"kind", *(key for allowed, _ in kinds.values() for key in allowed)}, {"kind"}, ctx)
+    kind = obj["kind"]
+    if not (isinstance(kind, str) and kind in kinds):
+        raise ConfigError(f"unknown {ctx} kind '{kind}'")
+    allowed, required = kinds[kind]
+    _require_keys(obj, {"kind", *allowed}, required, f"{ctx} of kind '{kind}'")
+    return kind
+
+
 def _present(obj: dict, *keys: str) -> dict:
     """The named keys that ``obj`` sets, so that unset ones take the callee's defaults."""
     return {k: obj[k] for k in keys if k in obj}
@@ -166,18 +178,17 @@ MAX_TABLE_STUDENTS = 10_000
 
 
 def _parse_accuracy_table(obj) -> dst.AccuracyTable:
-    _require_keys(obj, {"kind", "path", "students", "base", "step"}, {"kind"}, "accuracy_table")
-    if obj["kind"] == "csv":
+    kind = _require_kind(obj, {"csv": ({"path"}, {"path"}), "flat": ({"students", "base", "step"}, set())},
+                         "accuracy_table")
+    if kind == "csv":
         return dst.load_accuracy_table(Path(obj["path"]))
-    if obj["kind"] == "flat":
-        dst.check_counts(obj, {"students": 1})
-        students = obj.get("students", 3)
-        dst.check_at_most("accuracy_table.students", students, "students", MAX_TABLE_STUDENTS)
-        dst.check_finite(obj, {"base": -math.inf, "step": -math.inf})
-        base, step = obj.get("base", 0.93), obj.get("step", 0.01)
-        return dst.AccuracyTable([(k, min(1.0, base + step * (k - 1)), min(1.0, base + step * (k - 1)))
-                                  for k in range(1, students + 1)])
-    raise ConfigError(f"unknown accuracy_table kind '{obj['kind']}'")
+    dst.check_counts(obj, {"students": 1})
+    students = obj.get("students", 3)
+    dst.check_at_most("accuracy_table.students", students, "students", MAX_TABLE_STUDENTS)
+    dst.check_finite(obj, {"base": -math.inf, "step": -math.inf})
+    base, step = obj.get("base", 0.93), obj.get("step", 0.01)
+    return dst.AccuracyTable([(k, min(1.0, base + step * (k - 1)), min(1.0, base + step * (k - 1)))
+                              for k in range(1, students + 1)])
 
 
 def _parse_cluster(obj, accuracy_table: dst.AccuracyTable) -> sim.ClusterConfig:
@@ -199,9 +210,9 @@ def _check_expected_requests(specs: list[sim.PoissonSpec], key: str) -> None:
 
 
 def _parse_workload(obj, seed: int, cluster: sim.ClusterConfig) -> list[sim.Request]:
-    allowed = {"kind", "rps", "duration_ms", "length_weights", "path", "scale", "phases"}
-    _require_keys(obj, allowed, {"kind"}, "workload")
-    kind = obj["kind"]
+    kind = _require_kind(obj, {"poisson": ({"rps", "duration_ms", "length_weights"}, set()),
+                               "trace": ({"path", "scale"}, {"path"}), "phases": ({"phases"}, set())},
+                         "workload")
     bins = {"max_len": cluster.max_len, "bin_width": cluster.bin_width}
     if kind == "poisson":
         spec = sim.PoissonSpec(
@@ -212,28 +223,24 @@ def _parse_workload(obj, seed: int, cluster: sim.ClusterConfig) -> list[sim.Requ
         _check_expected_requests([spec], "workload")
         return sim.generate_workload(spec, fork_seed(seed, "workload"), **bins)
     if kind == "trace":
-        if "path" not in obj:
-            raise ConfigError("trace workload requires 'path'")
         return sim.generate_workload(sim.TraceFile(Path(obj["path"]), **_present(obj, "scale")),
                                      fork_seed(seed, "workload"))
-    if kind == "phases":
-        specs: list[sim.PoissonSpec] = []
-        for i, phase in enumerate(obj.get("phases", [])):
-            ctx = f"workload.phases[{i}]"
-            _require_keys(phase, {"rps", "duration_ms"}, {"rps", "duration_ms"}, ctx)
-            try:
-                specs.append(sim.PoissonSpec(rps=phase["rps"], duration_ms=phase["duration_ms"]))
-            except ValueError as exc:
-                raise ConfigError(f"{ctx}: {exc}") from exc
-        _check_expected_requests(specs, "workload.phases")
-        requests: list[sim.Request] = []
-        offset = 0.0
-        for i, spec in enumerate(specs):
-            requests += sim.generate_workload(spec, fork_seed(seed, f"workload-phase-{i}"), **bins,
-                                              offset_ms=offset, first_id=len(requests))
-            offset += spec.duration_ms
-        return requests
-    raise ConfigError(f"unknown workload kind '{kind}'")
+    specs: list[sim.PoissonSpec] = []
+    for i, phase in enumerate(obj.get("phases", [])):
+        ctx = f"workload.phases[{i}]"
+        _require_keys(phase, {"rps", "duration_ms"}, {"rps", "duration_ms"}, ctx)
+        try:
+            specs.append(sim.PoissonSpec(rps=phase["rps"], duration_ms=phase["duration_ms"]))
+        except ValueError as exc:
+            raise ConfigError(f"{ctx}: {exc}") from exc
+    _check_expected_requests(specs, "workload.phases")
+    requests: list[sim.Request] = []
+    offset = 0.0
+    for i, spec in enumerate(specs):
+        requests += sim.generate_workload(spec, fork_seed(seed, f"workload-phase-{i}"), **bins,
+                                          offset_ms=offset, first_id=len(requests))
+        offset += spec.duration_ms
+    return requests
 
 
 def _check_input_width(model, splits, path) -> None:
@@ -409,6 +416,23 @@ def _run_names(metric_paths: list[str]) -> list[str]:
     return names
 
 
+def _check_metrics(data: dict) -> None:
+    """Raise ValueError naming the first key ``report`` reads whose value has the wrong
+    type or lies out of range. Keys it does not read may hold anything."""
+    figures = ("avg_latency_ms", "p95_latency_ms", "throughput_per_gpu")
+    dst.check_finite({key: data[key] for key in figures if data[key] is not None},
+                     dict.fromkeys(figures, -math.inf))
+    dst.check_counts(data, {"completed": 0})
+    for key, is_value, what in (
+            ("student_number_timeline", lambda k: type(k) is int and k >= 1, "an integer k >= 1"),
+            ("accuracy_timeline", lambda a: dst._is_finite_number(a) and 0 <= a <= 1, "an accuracy in [0, 1]")):
+        series = data[key]
+        if not (isinstance(series, list) and all(isinstance(pair, list) and len(pair) == 2
+                                                 and dst._is_finite_number(pair[0]) and is_value(pair[1])
+                                                 for pair in series)):
+            raise ValueError(f"{key} must be a list of [finite time, {what}] pairs")
+
+
 def cmd_report(metric_paths: list[str], out_override: str | None) -> int:
     started = time.monotonic()
     with _bad_input():
@@ -427,6 +451,10 @@ def cmd_report(metric_paths: list[str], out_override: str | None) -> int:
             missing = required - data.keys()
             if missing:
                 raise ConfigError(f"{path}: metrics schema mismatch, missing {sorted(missing)}")
+            try:
+                _check_metrics(data)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: {exc}") from exc
             runs.append(data)
         names = _run_names(metric_paths)
 

@@ -35,9 +35,10 @@ and, in waiting-queue mode, every node with a non-empty buffer, since its
 head can become dispatchable by time alone. Touched nodes are visited in
 ascending index, which fixes the order completion events enter the heap.
 All nodes are swept only when the student count k changes, because every
-buffer's capacity changes with it. The controller reads aggregate counters
-kept exact wherever a buffer or a busy count changes, so the cost of an
-event does not grow with the node count. Its idle window runs on one
+buffer's capacity changes with it. The controller's drop test reads counts
+of full and of non-empty buffers, kept exact wherever a buffer changes; its
+add-back test, reached only once every buffer is empty past the idle window,
+sums idle and busy groups over every node. The idle window runs on one
 cluster-wide clock: the time at which, at the end of an event, no buffer
 held an element any more, or the last time it added a student back.
 """
@@ -277,9 +278,13 @@ class LengthAwareBuffer:
         length = min(length, self.max_len)  # longer samples are clipped
         return (length + self.bin_width - 1) // self.bin_width - 1
 
+    def push_bin(self, length: int) -> int:
+        """The bin a push files a length in; bin_of refuses a length below 1 in both padding modes."""
+        return self.num_bins - 1 if self.pad_to_max and length >= 1 else self.bin_of(length)
+
     def push(self, req: Request, now_ms: float = 0.0) -> str:
         self.op_touches = 0
-        b = self.num_bins - 1 if self.pad_to_max else self.bin_of(req.length_tokens)
+        b = self.push_bin(req.length_tokens)
         el = self.index.get(b)
         if el is not None:
             self.op_touches = 1
@@ -529,7 +534,6 @@ class Simulation:
         self.full_buffers = 0
         self.nonempty: set[int] = set()   # indices of nodes with a non-empty buffer
         self.retrying: set[int] = set()   # indices of nodes with deferred requests
-        self.busy_groups = 0
         self.buffered = False             # whether any buffer held an element at the last boundary's end
         self.last_empty = 0.0             # when the cluster last turned idle, or the last ADD_ONE
         # arrivals stay out of the heap: (time, node index, request), stably sorted by
@@ -538,27 +542,24 @@ class Simulation:
             zip(times, cycle(range(cluster.nodes)), workload), key=itemgetter(0))
         self.arrivals.reverse()
         self.events: list[tuple[float, int, str, object]] = []
-        self._seq = len(workload)  # heap events keep the numbers they had after the arrivals
+        self._seq = 0
         self.records: list[CompletionRecord] = []
         self.element_waits: list[float] = []  # buffer residence per dispatched element
         self.rejected_pushes = 0
         self.direct_starts = 0
         # the padded length of each length in the workload, as a push pads it: a direct
-        # start reads it here. bin_of refuses a length below 1, in either padding mode
-        bin_of = self.nodes[0].buffer.bin_of
-        self.padded_lens = {n: (bin_of(n) + 1) * cluster.bin_width
+        # start reads it here
+        push_bin = self.nodes[0].buffer.push_bin
+        self.padded_lens = {n: (push_bin(n) + 1) * cluster.bin_width
                             for n in set(map(attrgetter("length_tokens"), workload))}
-        if cluster.pad_to_max:
-            self.padded_lens = dict.fromkeys(self.padded_lens, cluster.max_len)
         # service_time is a pure function of (k, size, padded_len, active groups) for
         # this cluster and these factors, so each distinct dispatch shape is modelled once
         self.service_ms: dict[tuple[int, int, int, int], float] = {}
         self.generated = len(workload)
         self.k_timeline: list[tuple[float, int]] = [(0.0, self.k)]
-        self.acc_timeline: list[tuple[float, float]] = [
-            (0.0, cluster.controller.accuracy_table.val_accuracy(self.k))
-        ]
-        self.last_event_ms = 0.0  # time of the latest event that is not a heartbeat
+        # time of the latest completion or timer, read only by a heartbeat once no event or arrival
+        # remains: by then each arrival's completion, at or after the arrival, has written it
+        self.last_event_ms = 0.0
         self._push_event(0.0, _HEARTBEAT, None)
 
     def _push_event(self, t: float, kind: str, payload) -> None:
@@ -574,7 +575,6 @@ class Simulation:
             node.buffer.capacity = self.groups
         self.full_buffers = sum(len(node.buffer) >= self.groups for node in self.nodes)
         self.k_timeline.append((now, new_k))
-        self.acc_timeline.append((now, self.ctl.accuracy_table.val_accuracy(new_k)))
 
     def _head_dispatchable(self, node: _Node, now: float) -> bool:
         """Waiting-queue mode: the head element is full or has waited out the timeout.
@@ -602,7 +602,6 @@ class Simulation:
         """Run an element's requests on one of the node's free groups and schedule their completion."""
         self.element_waits.append(now - created_ms)
         node.busy += 1
-        self.busy_groups += 1
         k = self.k
         key = (k, len(requests), padded_len, node.busy)
         dt = self.service_ms.get(key)
@@ -650,7 +649,7 @@ class Simulation:
             self._set_k(k - 1, now)
             return DROP_ONE
         if (self.nonempty or k >= ctl.max_students or now - self.last_empty < ctl.idle_window_ms
-                or sum(max(0, self.groups - n.busy) for n in self.nodes) <= self.busy_groups):
+                or sum(max(0, self.groups - n.busy) - n.busy for n in self.nodes) <= 0):
             return HOLD
         self._set_k(k + 1, now)
         self.last_empty = now  # a fresh idle window must elapse before the next add
@@ -677,9 +676,7 @@ class Simulation:
             nodes = ()  # unless k changes, nothing to dispatch
         else:
             nodes = (own,)
-        k = self.k
-        self.controller_tick(now)
-        if self.k != k:  # every buffer's capacity and group count changed
+        if self.controller_tick(now) != HOLD:  # every buffer's capacity and group count changed
             nodes = self.nodes
         groups = self.groups
         for node in nodes:
@@ -726,7 +723,6 @@ class Simulation:
         while events:  # a heartbeat stays pending while arrivals remain
             if arrivals and arrivals[-1][0] <= events[0][0]:
                 now, node_id, req = arrivals.pop()
-                self.last_event_ms = now
                 arrive(nodes[node_id], req, now)
                 continue
             now, _, kind, payload = heapq.heappop(events)
@@ -753,7 +749,6 @@ class Simulation:
                 if kind == _COMPLETION:
                     node, requests = payload
                     node.busy -= 1
-                    self.busy_groups -= 1
                     for req in requests:
                         self.records.append(CompletionRecord(req.id, req.arrival_ms, now, req.length_tokens))
                 else:
@@ -775,7 +770,6 @@ class Simulation:
             ("full_buffers == recount", self.full_buffers == sum(n.buffer.is_full() for n in nodes)),
             ("nonempty == recount", self.nonempty == {n.index for n in nodes if n.buffer.fifo}),
             ("retrying == recount", self.retrying == {n.index for n in nodes if n.retry}),
-            ("busy_groups == recount", self.busy_groups == sum(n.busy for n in nodes)),
             ("buffered == bool(nonempty)", self.buffered == bool(self.nonempty)),
             ("groups == group_count(k)", self.groups == group_count(
                 self.k, self.cfg.gpus_per_node, self.cfg.replicas_per_gpu)),
@@ -804,7 +798,7 @@ class Simulation:
             throughput_per_gpu=throughput,
             completed=len(records),
             student_number_timeline=self.k_timeline,
-            accuracy_timeline=self.acc_timeline,
+            accuracy_timeline=[(t, self.ctl.accuracy_table.val_accuracy(k)) for t, k in self.k_timeline],
             generated=self.generated,
             rejected_pushes=self.rejected_pushes,
             per_request=per_request,

@@ -661,6 +661,57 @@ def test_report_malformed_metrics_exits_config(tmp_path, capsys, payload):
     assert_config_error(["report", str(bad), "--out", str(tmp_path / "rep")], capsys)
 
 
+# each of these used to exit 0 and be written into comparison.csv or long.csv
+@pytest.mark.parametrize("key, value", [
+    ("completed", "lots"), ("completed", -5), ("completed", 1.5), ("completed", True),
+    ("student_number_timeline", [[0.0, "x"]]), ("student_number_timeline", [[0.0, 0]]),
+    ("student_number_timeline", [[0.0, 3.0]]), ("student_number_timeline", [["x", 3]]),
+    ("student_number_timeline", [[0.0]]), ("student_number_timeline", "x"),
+    ("avg_latency_ms", True), ("avg_latency_ms", float("nan")), ("p95_latency_ms", float("inf")),
+    ("throughput_per_gpu", [1.0]), ("accuracy_timeline", [[0.0, 7.0]]), ("accuracy_timeline", [[0.0, -0.1]]),
+    ("accuracy_timeline", [[float("nan"), 0.9]]), ("accuracy_timeline", {}),
+], ids=repr)
+def test_report_bad_metric_value_names_the_file_and_key(tmp_path, capsys, key, value):
+    bad = tmp_path / "bad.json"
+    fake_metrics(bad, avg=2.5)
+    data = json.loads(bad.read_text())
+    data[key] = value
+    bad.write_text(json.dumps(data))
+    err = assert_config_error(["report", str(bad), "--out", str(tmp_path / "rep")], capsys)
+    assert f"{bad}: {key}" in err, err
+
+
+def test_report_reads_null_figures_and_ignores_extra_keys(tmp_path):
+    m = tmp_path / "m.json"
+    fake_metrics(m, avg=2.5)
+    data = json.loads(m.read_text())
+    data.update(avg_latency_ms=None, throughput_per_gpu=None, generated="anything", completed=0)
+    m.write_text(json.dumps(data))
+    assert cli.main(["report", str(m), "--out", str(tmp_path / "rep")]) == cli.EXIT_OK
+    assert read_csv(tmp_path / "rep" / "comparison.csv")[1][1:] == ["", "3.000000", "", "0", ""]
+
+
+# each of these used to run, ignoring the key
+@pytest.mark.parametrize("section, value, named", [
+    ("workload", {"kind": "trace", "path": "trace.csv", "rps": 9e9, "phases": "junk", "length_weights": "junk"},
+     "unknown key 'rps' in workload of kind 'trace'"),
+    ("workload", {"kind": "poisson", "scale": -3, "path": 7}, "unknown key 'scale' in workload of kind 'poisson'"),
+    ("workload", {"kind": "phases", "phases": [{"rps": 200.0, "duration_ms": 100.0}], "length_weights": [1, 2]},
+     "unknown key 'length_weights' in workload of kind 'phases'"),
+    ("workload", {"kind": "trace"}, "missing key 'path' in workload of kind 'trace'"),
+    ("workload", {"kind": "open"}, "unknown workload kind 'open'"),
+    ("workload", {"kind": ["poisson"]}, "unknown workload kind"),
+    ("accuracy_table", {"kind": "flat", "path": "nope.csv"}, "unknown key 'path' in accuracy_table of kind 'flat'"),
+    ("accuracy_table", {"kind": "csv", "students": 3}, "unknown key 'students' in accuracy_table of kind 'csv'"),
+    ("accuracy_table", {"kind": "csv"}, "missing key 'path' in accuracy_table of kind 'csv'"),
+], ids=repr)
+def test_a_key_of_another_kind_is_refused(tmp_path, capsys, section, value, named):
+    cfg = toy_payloads(tmp_path)["simulate"]
+    cfg[section] = value
+    err = assert_config_error(["simulate", "--config", write_config(tmp_path, "kind.json", cfg)], capsys)
+    assert named in err, err
+
+
 def test_seed_flag_must_be_non_negative(tmp_path, capsys):
     cfg = simulate_config(tmp_path)
     err = assert_config_error(["simulate", "--config", cfg, "--seed", "-1"], capsys)
@@ -906,7 +957,7 @@ def test_controller_readds_students_after_a_late_draining_backlog(tmp_path):
 
 # -- fuzz: mutated toy configs never end in a traceback -------------------------------------
 
-MUTANT_VALUES = [None, "x", [], {}, -1, 0, 1.5, True]
+MUTANT_VALUES = [None, "x", [], {}, -1, 0, 1.5, True, 1e300, 10**12]
 
 
 def fuzz_payloads(root, distilled):

@@ -460,6 +460,24 @@ def test_controller_tick_rule(k, full, busy, idle_ms, action):
     assert simulation.last_empty == (now if action == sim.ADD_ONE else now - idle_ms)
 
 
+@pytest.mark.parametrize("k, busy, action", [
+    (2, (7, 0), sim.HOLD),     # node 0 runs 7 of 6 groups, as after an add: 0 + 6 idle, 7 busy
+    (1, (13, 0), sim.HOLD),    # 0 + 12 idle, 13 busy
+    (2, (4, 2), sim.HOLD),     # 2 + 4 idle, 4 + 2 busy: a tie holds
+    (2, (4, 1), sim.ADD_ONE),  # 2 + 5 idle, 4 + 1 busy
+    (2, (11, 0, 0), sim.ADD_ONE),  # 0 + 6 + 6 idle, 11 busy; counted from -5, node 0 would hold it
+], ids=["idle-clamps-at-0", "idle-clamps-at-0-k1", "tie", "idle-majority", "clamp-decides"])
+def test_controller_tick_sums_idle_and_busy_over_the_nodes(k, busy, action):
+    """One node per busy count, every buffer empty past the idle window; 12 groups per node
+    at k = 1, 6 at k = 2. A node's idle groups count from 0, however many of its groups are busy."""
+    simulation = sim.Simulation(make_cluster(group_size=k, nodes=len(busy)), [], calibrated_factors())
+    for node, b in zip(simulation.nodes, busy):
+        node.busy = b
+    simulation.last_empty = -simulation.ctl.idle_window_ms
+    assert simulation.controller_tick(0.0) == action
+    assert simulation.k == (k + 1 if action == sim.ADD_ONE else k)
+
+
 # -- end-to-end simulation ------------------------------------------------------------
 
 
@@ -910,10 +928,13 @@ def test_each_event_visits_at_most_one_node(monkeypatch):
 
 
 def test_broken_counter_fails_end_of_run_check():
+    # a phantom index for node 1, whose buffer stays empty: every request here starts
+    # directly, so no pop discards it. A miscounted full_buffers would heal, since the
+    # drop of a student it triggers recounts it
     workload = sim.generate_workload(sim.PoissonSpec(rps=500.0, duration_ms=200.0), seed=11)
     simulation = sim.Simulation(make_cluster(nodes=2), workload, calibrated_factors())
-    simulation.busy_groups += 1
-    with pytest.raises(RuntimeError, match="busy_groups == recount"):
+    simulation.nonempty.add(1)
+    with pytest.raises(RuntimeError, match="nonempty == recount"):
         simulation.run()
 
 
