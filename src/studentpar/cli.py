@@ -27,6 +27,8 @@ from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from . import distill as dst
 from . import nnkernel as nn
@@ -73,6 +75,14 @@ def _require_kind(obj, kinds: dict[str, tuple[set[str], set[str]]], ctx: str) ->
     allowed, required = kinds[kind]
     _require_keys(obj, {"kind", *allowed}, required, f"{ctx} of kind '{kind}'")
     return kind
+
+
+def _float_errors_raise():
+    """The run phase of ``distill`` and ``prune``: a float overflow, invalid operation or
+    division by zero raises FloatingPointError, which exits 3, where numpy would only
+    warn and train on. ``simulate`` is not wrapped: its trace parse overflows by design
+    before its loop names the line."""
+    return np.errstate(over="raise", invalid="raise", divide="raise")
 
 
 def _present(obj: dict, *keys: str) -> dict:
@@ -211,7 +221,7 @@ def _check_expected_requests(specs: list[sim.PoissonSpec], key: str) -> None:
 
 def _parse_workload(obj, seed: int, cluster: sim.ClusterConfig) -> list[sim.Request]:
     kind = _require_kind(obj, {"poisson": ({"rps", "duration_ms", "length_weights"}, set()),
-                               "trace": ({"path", "scale"}, {"path"}), "phases": ({"phases"}, set())},
+                               "trace": ({"path", "scale"}, {"path"}), "phases": ({"phases"}, {"phases"})},
                          "workload")
     bins = {"max_len": cluster.max_len, "bin_width": cluster.bin_width}
     if kind == "poisson":
@@ -225,8 +235,10 @@ def _parse_workload(obj, seed: int, cluster: sim.ClusterConfig) -> list[sim.Requ
     if kind == "trace":
         return sim.generate_workload(sim.TraceFile(Path(obj["path"]), **_present(obj, "scale")),
                                      fork_seed(seed, "workload"))
+    if not (isinstance(obj["phases"], list) and obj["phases"]):
+        raise ConfigError(f"workload.phases must be a non-empty list of phases, got {json.dumps(obj['phases'])[:60]}")
     specs: list[sim.PoissonSpec] = []
-    for i, phase in enumerate(obj.get("phases", [])):
+    for i, phase in enumerate(obj["phases"]):
         ctx = f"workload.phases[{i}]"
         _require_keys(phase, {"rps", "duration_ms"}, {"rps", "duration_ms"}, ctx)
         try:
@@ -290,28 +302,29 @@ def cmd_distill(config_path: str, seed_override: int | None, out_override: str |
         dst.check_steps("distill.max_students * epochs_per_student", cfg.max_students * cfg.epochs_per_student,
                         len(splits.train), cfg.batch_size)
 
-    if not checkpoint:
-        dst.train_teacher(teacher, splits, seed=seed, **_present(tobj, "epochs", "learning_rate"),
-                          optimizer_kind=optimizer)
-    state, records = dst.sequential_training(teacher, splits, cfg, **_present(config, "student_depth"))
+    with _float_errors_raise():
+        if not checkpoint:
+            dst.train_teacher(teacher, splits, seed=seed, **_present(tobj, "epochs", "learning_rate"),
+                              optimizer_kind=optimizer)
+        state, records = dst.sequential_training(teacher, splits, cfg, **_present(config, "student_depth"))
 
-    nn.save_model(teacher, out_dir / "teacher.json")
-    dst.save_ensemble(state, out_dir / "ensemble.json")
-    run_summary = {
-        "seed": seed,
-        "config": asdict(cfg),
-        "checkpoints": {"teacher": "teacher.json", "ensemble": "ensemble.json"},
-        "students": len(state),
-        "multipliers": state.multipliers,
-        "teacher_test_accuracy": dst.teacher_accuracy(teacher, splits.test),
-        "ensemble_test_accuracy_teacher_head": dst.ensemble_accuracy_via_teacher_head(
-            teacher, state, splits.test),
-        "final_validation_residual_mse": dst.residual_mse(teacher, state, splits.validation),
-        "records": [asdict(r) for r in records],
-    }
-    _json_dump(out_dir / "convergence.json", run_summary)
-    _write_manifest(out_dir, config, [out_dir / "teacher.json", out_dir / "ensemble.json",
-                                      out_dir / "convergence.json"], started)
+        nn.save_model(teacher, out_dir / "teacher.json")
+        dst.save_ensemble(state, out_dir / "ensemble.json")
+        run_summary = {
+            "seed": seed,
+            "config": asdict(cfg),
+            "checkpoints": {"teacher": "teacher.json", "ensemble": "ensemble.json"},
+            "students": len(state),
+            "multipliers": state.multipliers,
+            "teacher_test_accuracy": dst.teacher_accuracy(teacher, splits.test),
+            "ensemble_test_accuracy_teacher_head": dst.ensemble_accuracy_via_teacher_head(
+                teacher, state, splits.test),
+            "final_validation_residual_mse": dst.residual_mse(teacher, state, splits.validation),
+            "records": [asdict(r) for r in records],
+        }
+        _json_dump(out_dir / "convergence.json", run_summary)
+        _write_manifest(out_dir, config, [out_dir / "teacher.json", out_dir / "ensemble.json",
+                                          out_dir / "convergence.json"], started)
     return EXIT_OK
 
 
@@ -341,19 +354,20 @@ def cmd_prune(config_path: str, seed_override: int | None, out_override: str | N
                 raise ConfigError(f"{ensemble_path} holds students of width {student.rep_dim}, "
                                   f"the teacher's representation has width {teacher.rep_dim}")
 
-    state, table, best_k = dst.adaptive_pruning(teacher, state, splits, cfg)
+    with _float_errors_raise():
+        state, table, best_k = dst.adaptive_pruning(teacher, state, splits, cfg)
 
-    dst.save_ensemble(state, out_dir / "ensemble_pruned.json")
-    dst.export_accuracy_table(table, out_dir / "accuracy.csv")
-    _json_dump(out_dir / "prune_result.json", {
-        "seed": seed,
-        "distill_dir": str(distill_dir),
-        "checkpoints": {"ensemble_pruned": "ensemble_pruned.json"},
-        "best_k": best_k,
-        "rows": table.rows,
-    })
-    _write_manifest(out_dir, config, [out_dir / "ensemble_pruned.json", out_dir / "accuracy.csv",
-                                      out_dir / "prune_result.json"], started)
+        dst.save_ensemble(state, out_dir / "ensemble_pruned.json")
+        dst.export_accuracy_table(table, out_dir / "accuracy.csv")
+        _json_dump(out_dir / "prune_result.json", {
+            "seed": seed,
+            "distill_dir": str(distill_dir),
+            "checkpoints": {"ensemble_pruned": "ensemble_pruned.json"},
+            "best_k": best_k,
+            "rows": table.rows,
+        })
+        _write_manifest(out_dir, config, [out_dir / "ensemble_pruned.json", out_dir / "accuracy.csv",
+                                          out_dir / "prune_result.json"], started)
     return EXIT_OK
 
 
@@ -369,7 +383,7 @@ def cmd_simulate(config_path: str, seed_override: int | None, out_override: str 
 
     metrics = sim.run_simulation(cluster, workload, factors)
     sim.write_metrics_json(metrics, out_dir / "metrics.json")
-    sim.write_latency_csv(metrics.per_request, out_dir / "latencies.csv")
+    sim.write_latency_csv(metrics.columns, out_dir / "latencies.csv")
     _write_manifest(out_dir, config, [out_dir / "metrics.json", out_dir / "latencies.csv"], started)
     return EXIT_OK
 

@@ -41,6 +41,10 @@ add-back test, reached only once every buffer is empty past the idle window,
 sums idle and busy groups over every node. The idle window runs on one
 cluster-wide clock: the time at which, at the end of an event, no buffer
 held an element any more, or the last time it added a student back.
+
+Each request is kept once. A completion appends its requests to one flat
+list and its time and size to two more; the metrics and ``latencies.csv``
+are built from numpy columns of those lists once the run has ended.
 """
 
 from __future__ import annotations
@@ -54,8 +58,8 @@ from bisect import bisect_right
 from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import cycle, repeat
-from operator import attrgetter, itemgetter, sub
+from itertools import repeat
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -432,6 +436,25 @@ class CompletionRecord:
         return self.completion_ms - self.arrival_ms
 
 
+class LatencyColumns(NamedTuple):
+    """Per-request results, one array per column of ``latencies.csv`` but the latency.
+    Ids and lengths are int64, or Python ints in an object array where one falls
+    outside int64."""
+
+    request_id: np.ndarray
+    arrival_ms: np.ndarray
+    completion_ms: np.ndarray
+    length_tokens: np.ndarray
+
+
+def _int_array(values) -> np.ndarray:
+    """The values as int64, or as Python ints in an object array where one falls outside int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
 @dataclass
 class SimMetrics:
     avg_latency_ms: float | None
@@ -440,18 +463,38 @@ class SimMetrics:
     completed: int
     student_number_timeline: list[tuple[float, int]]
     accuracy_timeline: list[tuple[float, float]]
+    columns: LatencyColumns = field(repr=False)  # by arrival, ties by id, whole-key ties in completion order
     generated: int = 0
-    rejected_pushes: int = 0
-    per_request: list[CompletionRecord] = field(default_factory=list, repr=False)
+    rejected_pushes: int = 0      # arrivals deferred: their buffer was full, or deferred requests were ahead
+    direct_starts: int = 0        # requests started without entering a buffer
+    dispatches: int = 0           # buffer elements popped and started
+    # nearest-rank p50 and p95 and the max of the buffered elements' waits; none if none was buffered
+    buffer_wait_p50_ms: float | None = None
+    buffer_wait_p95_ms: float | None = None
+    buffer_wait_max_ms: float | None = None
+    max_buffer_occupancy: int = 0  # the most elements one buffer held
+
+    @property
+    def requests_per_dispatch(self) -> float | None:
+        """Requests per popped element; direct starts are not dispatches."""
+        return (self.completed - self.direct_starts) / self.dispatches if self.dispatches else None
+
+    @property
+    def per_request(self) -> list[CompletionRecord]:
+        """The columns as records, built on each read."""
+        return list(map(CompletionRecord, *(column.tolist() for column in self.columns)))
 
 
-def nearest_rank_percentile(values: list[float], pct: float) -> float:
+def _nearest_rank(ordered: np.ndarray, pct: float) -> float:
+    """nearest_rank_percentile of a non-empty array that is already sorted."""
+    return float(ordered[max(1, math.ceil(pct / 100.0 * len(ordered))) - 1])
+
+
+def nearest_rank_percentile(values, pct: float) -> float:
     """Nearest-rank percentile: the ceil(pct/100 * n)-th smallest value."""
-    if not values:
+    if not len(values):
         raise ValueError("no values")
-    ordered = sorted(values)
-    rank = max(1, math.ceil(pct / 100.0 * len(ordered)))
-    return ordered[rank - 1]
+    return _nearest_rank(np.sort(values), pct)
 
 
 def _round6(x):
@@ -464,6 +507,15 @@ def metrics_to_json_dict(m: SimMetrics) -> dict:
         "p95_latency_ms": _round6(m.p95_latency_ms),
         "throughput_per_gpu": _round6(m.throughput_per_gpu),
         "completed": m.completed,
+        "generated": m.generated,
+        "deferred": m.rejected_pushes,
+        "direct_starts": m.direct_starts,
+        "dispatches": m.dispatches,
+        "requests_per_dispatch": _round6(m.requests_per_dispatch),
+        "buffer_wait_p50_ms": _round6(m.buffer_wait_p50_ms),
+        "buffer_wait_p95_ms": _round6(m.buffer_wait_p95_ms),
+        "buffer_wait_max_ms": _round6(m.buffer_wait_max_ms),
+        "max_buffer_occupancy": m.max_buffer_occupancy,
         "student_number_timeline": [[_round6(t), k] for t, k in m.student_number_timeline],
         "accuracy_timeline": [[_round6(t), _round6(a)] for t, a in m.accuracy_timeline],
     }
@@ -475,19 +527,114 @@ def write_metrics_json(m: SimMetrics, path) -> None:
         fh.write("\n")
 
 
-LATENCY_CSV_CHUNK = 4096  # rows joined per write: few calls, a flat peak in memory
+LATENCY_CSV_CHUNK = 4096  # rows formatted per write: few numpy calls, a flat peak in memory
+# "000".."999" and the same with leading zeros as 0, but "0" alone; built by broadcasting, with
+# no arithmetic, so that importing the module touches no integer-division code of numpy's
+_DIGIT = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+_DIGITS = np.empty((10, 10, 10, 3), np.uint8)
+_DIGITS[..., 0] = _DIGIT[:, None, None]
+_DIGITS[..., 1] = _DIGIT[:, None]
+_DIGITS[..., 2] = _DIGIT
+_DIGITS = _DIGITS.reshape(1000, 3)
+_LEADING = _DIGITS.copy()
+_LEADING[:100, 0] = _LEADING[:10, 1] = 0
+# a row is written as 4-byte cells whose 0 bytes are pad, then dropped. A group of three digits is
+# the cell of kind * 1000 + its value, by kind: 0 every digit, 1 a number's first group, 2 a group
+# left of a number, all pad, 3 a fraction's first group after the point, 4 and 5 as 0 and 1 with
+# the comma that ends a field. A minus sign and a line end have a cell each
+_CELLS = np.zeros((6002, 4), np.uint8)
+_CELLS[0:1000, :3] = _CELLS[4000:5000, :3] = _DIGITS
+_CELLS[1000:2000, :3] = _CELLS[5000:6000, :3] = _LEADING
+_CELLS[3000:4000, 0], _CELLS[3000:4000, 1:] = ord("."), _DIGITS
+_CELLS[4000:6000, 3] = ord(",")
+_CELLS[6000:] = np.frombuffer(b"\0\0\0-\0\0\r\n", np.uint8).reshape(2, 4)
+_CELLS = _CELLS.view(np.uint32).ravel()
+_NO_SIGN, _POINT, _COMMA, _MINUS, _CRLF = 2000, 3000, 4000, 6000, 6001
 
 
-def write_latency_csv(records: list[CompletionRecord], path) -> None:
-    """The bytes ``csv.writer`` would write (CRLF line ends, nothing needs quoting).
+def _int_cells(cells: list, magnitude: np.ndarray, negative: np.ndarray, end: int) -> None:
+    """Append the cells of the decimal integers of uint64 magnitudes and their signs: as many
+    3-digit groups as the largest needs, the last one ending in ``_COMMA`` or nothing (0)."""
+    if negative.any():
+        cells.append(np.where(negative, _MINUS, _NO_SIGN))
+    groups = []
+    rest = magnitude
+    for _ in range(-(-len(str(int(magnitude.max()))) // 3)):  # from the last group
+        high = rest // 1000
+        kind = (high == 0).astype(np.uint64)
+        if groups:
+            kind += kind.astype(bool) & (rest == 0)
+        groups.append(kind * 1000 + (rest - high * 1000))
+        rest = high
+    groups[0] += end
+    cells += reversed(groups)
 
-    Ids and lengths are ints, which ``%d`` renders as ``str`` does."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("request_id,arrival_ms,completion_ms,latency_ms,length_tokens\r\n")
-        for start in range(0, len(records), LATENCY_CSV_CHUNK):
-            fh.write("".join(["%d,%.6f,%.6f,%.6f,%d\r\n" % (
-                r.request_id, r.arrival_ms, r.completion_ms, r.completion_ms - r.arrival_ms, r.length_tokens)
-                for r in records[start:start + LATENCY_CSV_CHUNK]]))
+
+def _fixed6_cells(cells: list, x: np.ndarray) -> None:
+    """Append the cells of ``%.6f`` of float64 values below 2**63 in magnitude, and a comma.
+
+    |x| is split into ``floor(|x|)`` and its fraction f, both exact. The product
+    f * 10**6 is rounded to p and p to an integer, half-even. Where p is a tie, the
+    exact product may not be: there Dekker's two-product with a Veltkamp split of f
+    gives the exact error e of p (10**6 needs no split: it has 14 significant bits),
+    and e says which way the product lies. A fraction that rounds up to 10**6
+    carries into the integer part."""
+    magnitude = np.abs(x)
+    whole = np.floor(magnitude)
+    f = magnitude - whole
+    p = f * 1e6
+    micros = np.rint(p)
+    d = p - micros  # exact: |d| <= 0.5, and both are multiples of p's last place
+    ties = np.flatnonzero(np.abs(d) == 0.5)
+    if len(ties):
+        f, p, d = f[ties], p[ties], d[ties]
+        split = f * 134217729.0  # 2**27 + 1
+        high = split - (split - f)
+        e = (high * 1e6 - p) + (f - high) * 1e6  # p + e == f * 10**6 exactly
+        micros[ties] += np.sign(d) * (e * d > 0)
+    carry = micros == 1e6
+    micros[carry] = 0.0
+    _int_cells(cells, whole.astype(np.uint64) + carry, np.signbit(x), 0)
+    thousands = np.floor(micros / 1000.0)  # exact: micros is an integer below 10**6
+    cells += (thousands + _POINT, micros - thousands * 1000.0 + _COMMA)
+
+
+def _int64_cells(cells: list, values: np.ndarray, end: int) -> None:
+    """Append the cells of ``%d`` of int64 values."""
+    negative = values < 0
+    magnitude = values.view(np.uint64)
+    _int_cells(cells, np.where(negative, -magnitude, magnitude), negative, end)
+
+
+def write_latency_csv(columns: LatencyColumns, path) -> None:
+    """The bytes ``csv.writer`` would write (CRLF line ends, nothing needs quoting) of the rows
+    ``%d,%.6f,%.6f,%.6f,%d`` of id, arrival, completion, latency and length.
+
+    Each chunk of rows is formatted in numpy as a matrix of cells, looked up in one
+    table, whose pad bytes are then dropped. A chunk holding a value outside what
+    that formatting proves exact (an id or length outside int64, a time or latency
+    not below 2**63 in magnitude) is formatted by ``%``."""
+    with open(path, "wb") as fh:
+        fh.write(b"request_id,arrival_ms,completion_ms,latency_ms,length_tokens\r\n")
+        for start in range(0, len(columns.request_id), LATENCY_CSV_CHUNK):
+            chunk = slice(start, start + LATENCY_CSV_CHUNK)
+            ids, arrival, completion, lengths = (column[chunk] for column in columns)
+            ids, lengths = _int_array(ids), _int_array(lengths)
+            times = (arrival, completion, completion - arrival)
+            if not (ids.dtype == lengths.dtype == np.int64 and all((np.abs(t) < 2.0**63).all() for t in times)):
+                fh.write("".join(["%d,%.6f,%.6f,%.6f,%d\r\n" % row for row in zip(
+                    ids.tolist(), *(t.tolist() for t in times), lengths.tolist())]).encode())
+                continue
+            cells: list = []
+            _int64_cells(cells, ids, _COMMA)
+            for t in times:
+                _fixed6_cells(cells, t)
+            _int64_cells(cells, lengths, 0)
+            cells.append(_CRLF)
+            index = np.empty((len(ids), len(cells)), np.intp)
+            for i, cell in enumerate(cells):
+                index[:, i] = cell
+            fh.write(_CELLS.take(index).tobytes().translate(None, b"\0"))
 
 
 class _Node:
@@ -536,17 +683,23 @@ class Simulation:
         self.retrying: set[int] = set()   # indices of nodes with deferred requests
         self.buffered = False             # whether any buffer held an element at the last boundary's end
         self.last_empty = 0.0             # when the cluster last turned idle, or the last ADD_ONE
-        # arrivals stay out of the heap: (time, node index, request), stably sorted by
-        # time and then reversed, so the next arrival is popped off the end
-        self.arrivals: list[tuple[float, int, Request]] = sorted(
-            zip(times, cycle(range(cluster.nodes)), workload), key=itemgetter(0))
-        self.arrivals.reverse()
+        # arrivals stay out of the heap: the requests stably sorted by time, with the nodes
+        # that round-robin in workload order gives them, reversed so the next is popped off the end
+        order = sorted(range(len(times)), key=times.__getitem__)
+        order.reverse()
+        self.arrivals: list[Request] = list(map(workload.__getitem__, order))
+        nodes = self.nodes
+        self.arrival_nodes: list[_Node] = [nodes[i % cluster.nodes] for i in order]
         self.events: list[tuple[float, int, str, object]] = []
         self._seq = 0
-        self.records: list[CompletionRecord] = []
-        self.element_waits: list[float] = []  # buffer residence per dispatched element
+        # each completion's requests, time and size, in completion order
+        self.finished: list[Request] = []
+        self.finish_ms: list[float] = []
+        self.finish_sizes: list[int] = []
+        self.element_waits: list[float] = []  # buffer residence per started element, 0 for a direct start
         self.rejected_pushes = 0
         self.direct_starts = 0
+        self.max_occupancy = 0
         # the padded length of each length in the workload, as a push pads it: a direct
         # start reads it here
         push_bin = self.nodes[0].buffer.push_bin
@@ -634,6 +787,8 @@ class Simulation:
             size = len(buf.fifo)
             if size == 1:
                 self.nonempty.add(node.index)
+            if size > self.max_occupancy:
+                self.max_occupancy = size
             if size == buf.capacity:
                 self.full_buffers += 1
             if self.batch_timeout_ms is not None:
@@ -703,7 +858,7 @@ class Simulation:
         if self.events:
             until = self.events[0][0]
         if self.arrivals:
-            until = min(until, self.arrivals[-1][0])
+            until = min(until, self.arrivals[-1].arrival_ms)
         idle_end = self.last_empty + self.ctl.idle_window_ms
         if idle_end > now:
             until = min(until, idle_end)
@@ -718,12 +873,14 @@ class Simulation:
         return now + beats * HEARTBEAT_MS
 
     def run(self) -> SimMetrics:
-        events, arrivals, nodes, arrive = self.events, self.arrivals, self.nodes, self._arrive
+        events, arrivals, arrival_nodes, arrive = self.events, self.arrivals, self.arrival_nodes, self._arrive
+        finish, finish_ms, finish_sizes = self.finished.extend, self.finish_ms.append, self.finish_sizes.append
         now = 0.0
         while events:  # a heartbeat stays pending while arrivals remain
-            if arrivals and arrivals[-1][0] <= events[0][0]:
-                now, node_id, req = arrivals.pop()
-                arrive(nodes[node_id], req, now)
+            if arrivals and arrivals[-1].arrival_ms <= events[0][0]:
+                req = arrivals.pop()
+                now = req.arrival_ms
+                arrive(arrival_nodes.pop(), req, now)
                 continue
             now, _, kind, payload = heapq.heappop(events)
             node = None
@@ -749,8 +906,9 @@ class Simulation:
                 if kind == _COMPLETION:
                     node, requests = payload
                     node.busy -= 1
-                    for req in requests:
-                        self.records.append(CompletionRecord(req.id, req.arrival_ms, now, req.length_tokens))
+                    finish(requests)
+                    finish_ms(now)
+                    finish_sizes(len(requests))
                 else:
                     node = payload
             self._boundary(now, node)
@@ -763,7 +921,7 @@ class Simulation:
         """Raise RuntimeError naming every end-of-run invariant that does not hold."""
         nodes = self.nodes
         broken = [name for name, holds in (
-            ("completed == generated", len(self.records) == self.generated),
+            ("completed == generated", len(self.finished) == self.generated),
             ("no group is busy", all(n.busy == 0 for n in nodes)),
             ("every buffer is empty", all(not n.buffer.fifo for n in nodes)),
             ("every retry queue is empty", all(not n.retry for n in nodes)),
@@ -778,30 +936,48 @@ class Simulation:
             raise RuntimeError("simulation invariant broken: " + ", ".join(broken))
 
     def _metrics(self) -> SimMetrics:
-        # by arrival, ties by id: two stable one-key sorts give the order of the
-        # (arrival_ms, request_id) key without building a tuple per request
-        records, completion, arrival = self.records, attrgetter("completion_ms"), attrgetter("arrival_ms")
-        per_request = sorted(records, key=attrgetter("request_id"))
-        per_request.sort(key=arrival)
-        lats = list(map(sub, map(completion, records), map(arrival, records)))  # in completion order
-        if lats:
-            span_ms = max(map(completion, records)) - min(map(arrival, records))
+        # the columns are built and reordered one at a time, and the latencies dropped once
+        # read, to keep the peak in memory low
+        finished = self.finished
+        ids = _int_array(list(map(itemgetter(0), finished)))
+        arrival = np.fromiter(map(itemgetter(1), finished), np.float64, len(finished))
+        completion = np.repeat(self.finish_ms, self.finish_sizes)
+        lengths = _int_array(list(map(itemgetter(2), finished)))
+        avg = p95 = throughput = None
+        if finished:
+            span_ms = float(completion.max() - arrival.min())
             total_gpus = self.cfg.nodes * self.cfg.gpus_per_node
-            throughput = 1000.0 * len(lats) / (span_ms * total_gpus) if span_ms > 0 else None
-            avg = float(np.mean(lats))
-            p95 = nearest_rank_percentile(lats, 95.0)
-        else:
-            avg = p95 = throughput = None
+            throughput = 1000.0 * len(finished) / (span_ms * total_gpus) if span_ms > 0 else None
+            latencies = completion - arrival  # in completion order, which np.mean's pairwise sum follows
+            avg = float(np.mean(latencies))
+            latencies.sort()
+            p95 = _nearest_rank(latencies, 95.0)
+            del latencies
+            # by arrival, ties by id; lexsort is stable, so whole-key ties keep completion order
+            order = np.lexsort((ids, arrival))
+            for column in (ids, arrival, completion, lengths):
+                column[:] = column[order]
+        # a direct start waits exactly 0 ms, the least a wait can be, so dropping that many of
+        # the smallest waits leaves the buffered elements' waits
+        waits = np.array(self.element_waits)
+        waits.sort()
+        waits = waits[self.direct_starts:]
         return SimMetrics(
             avg_latency_ms=avg,
             p95_latency_ms=p95,
             throughput_per_gpu=throughput,
-            completed=len(records),
+            completed=len(finished),
             student_number_timeline=self.k_timeline,
             accuracy_timeline=[(t, self.ctl.accuracy_table.val_accuracy(k)) for t, k in self.k_timeline],
             generated=self.generated,
             rejected_pushes=self.rejected_pushes,
-            per_request=per_request,
+            direct_starts=self.direct_starts,
+            dispatches=len(waits),
+            buffer_wait_p50_ms=_nearest_rank(waits, 50.0) if len(waits) else None,
+            buffer_wait_p95_ms=_nearest_rank(waits, 95.0) if len(waits) else None,
+            buffer_wait_max_ms=float(waits[-1]) if len(waits) else None,
+            max_buffer_occupancy=self.max_occupancy,
+            columns=LatencyColumns(ids, arrival, completion, lengths),
         )
 
 

@@ -95,6 +95,27 @@ def test_divergent_training_exits_numeric(tmp_path):
     assert cli.main(["distill", "--config", cfg]) == cli.EXIT_NUMERIC
 
 
+def test_training_overflow_exits_numeric(tmp_path, capsys):
+    # numpy used to warn of the overflow in the stacking loss and train on to exit 0
+    cfg = toy_payloads(tmp_path)["distill"]
+    cfg["distill"]["lambda_stack"] = 1e300
+    assert cli.main(["distill", "--config", write_config(tmp_path, "overflow.json", cfg)]) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "overflow" in err and "Traceback" not in err
+
+
+# each of these used to run an empty workload and exit 0
+@pytest.mark.parametrize("workload, named", [
+    ({"kind": "phases"}, "missing key 'phases' in workload of kind 'phases'"),
+    ({"kind": "phases", "phases": []}, "workload.phases must be a non-empty list"),
+], ids=["missing", "empty"])
+def test_phases_workload_needs_phases(tmp_path, capsys, workload, named):
+    cfg = toy_payloads(tmp_path)["simulate"]
+    cfg["workload"] = workload
+    err = assert_config_error(["simulate", "--config", write_config(tmp_path, "phases.json", cfg)], capsys)
+    assert named in err, err
+
+
 # -- perf -----------------------------------------------------------------------
 
 

@@ -1,7 +1,7 @@
 import csv
 import hashlib
 import json
-from operator import attrgetter
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -593,9 +593,43 @@ def test_metrics_keys_and_rounding(tmp_path):
     sim.write_metrics_json(sim.run_simulation(cluster, workload, factors), path)
     data = json.loads(path.read_text())
     assert set(data) == {"avg_latency_ms", "p95_latency_ms", "throughput_per_gpu",
-                         "completed", "student_number_timeline", "accuracy_timeline"}
+                         "completed", "student_number_timeline", "accuracy_timeline",
+                         "generated", "deferred", "direct_starts", "dispatches", "requests_per_dispatch",
+                         "buffer_wait_p50_ms", "buffer_wait_p95_ms", "buffer_wait_max_ms", "max_buffer_occupancy"}
     for value in (data["avg_latency_ms"], data["p95_latency_ms"]):
         assert round(value, 6) == value
+    for key in ("requests_per_dispatch", "buffer_wait_p50_ms", "buffer_wait_p95_ms", "buffer_wait_max_ms"):
+        assert data[key] is None or round(data[key], 6) == data[key]
+    assert data["generated"] == data["completed"] == len(workload)
+
+
+def test_run_counts_explain_where_requests_waited():
+    # two groups: requests 0 and 1 start at once; 2 and 3 arrive while both run and wait
+    # as one merged element, 4 as a second element in another bin, which fills the buffer
+    ctl = sim.ControllerConfig(max_students=3, accuracy_table=flat_table(), min_students=3)
+    cluster = make_cluster(replicas_per_gpu=2, gpus_per_node=3, group_size=3, controller=ctl)
+    workload = [sim.Request(0, 0.0, 20), sim.Request(1, 0.01, 128), sim.Request(2, 0.1, 21),
+                sim.Request(3, 0.2, 22), sim.Request(4, 0.25, 100)]
+    simulation = sim.Simulation(cluster, workload, calibrated_factors())
+    m = simulation.run()
+    by_id = {r.request_id: r for r in m.per_request}
+    assert by_id[2].completion_ms == by_id[3].completion_ms  # merged
+    assert (m.generated, m.rejected_pushes, m.direct_starts, m.dispatches) == (5, 0, 2, 2)
+    assert m.requests_per_dispatch == 1.5 and m.max_buffer_occupancy == 2
+    waits = sorted(simulation.element_waits)
+    # the merged element, made by request 2, starts when the first group frees
+    assert waits[:2] == [0.0, 0.0] and min(by_id[0].completion_ms, by_id[1].completion_ms) - 0.1 in waits[2:]
+    assert (m.buffer_wait_p50_ms, m.buffer_wait_p95_ms, m.buffer_wait_max_ms) == (waits[2], waits[3], waits[3])
+    data = sim.metrics_to_json_dict(m)
+    assert (data["generated"], data["deferred"], data["direct_starts"], data["dispatches"]) == (5, 0, 2, 2)
+    assert (data["requests_per_dispatch"], data["max_buffer_occupancy"]) == (1.5, 2)
+    assert data["buffer_wait_max_ms"] == round(waits[3], 6)
+
+
+def test_a_run_without_buffered_elements_has_no_wait_figures():
+    m = sim.run_simulation(make_cluster(), [sim.Request(0, 5.0, 20)], calibrated_factors())
+    assert (m.direct_starts, m.dispatches, m.max_buffer_occupancy) == (1, 0, 0)
+    assert m.requests_per_dispatch is m.buffer_wait_p50_ms is m.buffer_wait_p95_ms is m.buffer_wait_max_ms is None
 
 
 def test_empty_workload_yields_null_metrics():
@@ -862,6 +896,19 @@ def reference_latency_csv(records, path):
                              f"{r.latency_ms:.6f}", r.length_tokens])
 
 
+def columns_of(records):
+    """The records as columns; ids and lengths as Python ints, which the writer takes per chunk."""
+    return sim.LatencyColumns(*(np.array([getattr(r, name) for r in records], dtype=dtype) for name, dtype in
+                                zip(sim.LatencyColumns._fields, (object, np.float64, np.float64, object))))
+
+
+def assert_csv_matches_reference(tmp_path, records):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    sim.write_latency_csv(columns_of(records), got)
+    reference_latency_csv(records, want)
+    assert got.read_bytes() == want.read_bytes()
+
+
 def test_latency_csv_bytes_equal_csv_writer(tmp_path):
     workload = sim.generate_workload(sim.PoissonSpec(rps=3_000.0, duration_ms=300.0), seed=4)
     records = sim.run_simulation(make_cluster(), workload, calibrated_factors()).per_request
@@ -875,18 +922,68 @@ def test_latency_csv_bytes_equal_csv_writer(tmp_path):
         zip(arrivals, rng.exponential(40.0, len(arrivals)).tolist(), rng.integers(1, 129, len(arrivals))))]
     assert len(many) > 2 * chunk and len(many) % chunk
     for rows in (records, [], many):
-        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        sim.write_latency_csv(rows, got)
-        reference_latency_csv(rows, want)
-        assert got.read_bytes() == want.read_bytes()
+        assert_csv_matches_reference(tmp_path, rows)
+
+
+def test_simulate_writes_the_columns_the_records_hold(tmp_path):
+    workload = sim.generate_workload(sim.PoissonSpec(rps=3_000.0, duration_ms=300.0), seed=4)
+    m = sim.run_simulation(make_cluster(), workload, calibrated_factors())
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    sim.write_latency_csv(m.columns, got)
+    reference_latency_csv(m.per_request, want)
+    assert got.read_bytes() == want.read_bytes()
+    assert m.columns.request_id.dtype == m.columns.length_tokens.dtype == np.int64
+
+
+def _just_past(x, toward):
+    return float(np.nextafter(x, toward))
+
+
+# %.6f has exact ties only at odd multiples of 1/128; k + 0.0000005 is no float, so it and
+# its neighbours round either way, and for small k f * 10**6 often rounds onto a tie that the
+# exact product is not; 2**53 and up hold no fraction
+_times = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, min_value=-1e7, max_value=1e7),
+    st.builds(lambda k, m: k + m / 128.0, st.integers(-10**6, 10**6), st.integers(0, 63).map(lambda j: 2 * j + 1)),
+    st.builds(lambda k, j: k + (j + 0.5) / 1e6, st.integers(-8, 8), st.integers(0, 999_999)),
+    st.builds(_just_past, st.integers(-10**6, 10**6).map(lambda k: k + 0.0000005),
+              st.sampled_from([-np.inf, np.inf])),
+    st.builds(_just_past, st.integers(0, 10**6).map(lambda k: k + 0.9999995), st.sampled_from([-np.inf, np.inf])),
+    st.sampled_from([0.0, -0.0, -1e-9, 2.0**53, 2.0**53 + 2, 2.0**63 - 1024, -(2.0**63 - 1024),
+                     9.999999999999999e18]),
+    st.floats(min_value=2.0**53, max_value=2.0**63 - 1024).flatmap(lambda x: st.sampled_from([x, -x])),
+)
+_ints = st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from([10**12, -1, 0, -2**63, 2**63 - 1]))
+_records = st.builds(sim.CompletionRecord, _ints, _times, _times, _ints)
+# one such row sends its chunk to the % fallback: a time of 2**63 or more, or an id or length outside int64
+_beyond_int64 = st.one_of(st.integers(2**63, 2**70), st.integers(-2**70, -2**63 - 1))
+_outside = st.one_of(
+    st.builds(sim.CompletionRecord, _ints, st.sampled_from([2.0**63, -2.0**63, 1e300, 2.0**64]), _times, _ints),
+    st.builds(sim.CompletionRecord, _beyond_int64, _times, _times, _ints),
+    st.builds(sim.CompletionRecord, _ints, _times, _times, _beyond_int64),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_records, max_size=40), outside=st.none() | _outside, copies=st.sampled_from([0, 1, 150]))
+@example(rows=[], outside=None, copies=0)
+@example(rows=[sim.CompletionRecord(7, 2.5e-6, 3.0016235, 5)], outside=sim.CompletionRecord(2**63, 0.5, 1.0, 3),
+         copies=1)
+def test_latency_csv_writer_equals_the_csv_writer_oracle(tmp_path_factory, rows, outside, copies):
+    # a block of plain rows ahead of the drawn ones moves them across a chunk boundary;
+    # a row outside the numpy formatting's domain goes last, so only the last chunk falls back
+    chunk = sim.LATENCY_CSV_CHUNK
+    plain = [sim.CompletionRecord(i, i / 3, i / 3 + 1.5, 1 + i % 128) for i in range(chunk - copies)] if copies else []
+    rows = plain + rows * max(1, copies) + ([outside] if outside else [])
+    assert_csv_matches_reference(tmp_path_factory.mktemp("csv"), rows)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("batch_timeout_ms", [None, 2.0])
 def test_per_request_is_ordered_by_arrival_then_id(seed, batch_timeout_ms):
-    # the oracle is the (arrival_ms, request_id) tuple-key sort; the workload is
-    # shuffled, ties arrivals at 0.5 ms, numbers requests out of arrival order
-    # with repeated ids and holds exact repeats of some requests
+    # the oracle is the (arrival_ms, request_id) tuple-key sort of the requests in completion
+    # order; the workload is shuffled, ties arrivals at 0.5 ms, numbers requests out of
+    # arrival order with repeated ids and holds exact repeats of some requests
     rng = np.random.default_rng(seed)
     drawn = sim.generate_workload(sim.PoissonSpec(rps=6_000.0, duration_ms=200.0), seed=seed)
     ids = rng.integers(0, len(drawn) // 3, size=len(drawn)).tolist()
@@ -896,13 +993,18 @@ def test_per_request_is_ordered_by_arrival_then_id(seed, batch_timeout_ms):
     workload = [workload[j] for j in rng.permutation(len(workload))]
     simulation = sim.Simulation(make_cluster(nodes=2, batch_timeout_ms=batch_timeout_ms), workload,
                                 calibrated_factors())
-    got = simulation.run().per_request
-    want = sorted(simulation.records, key=attrgetter("arrival_ms", "request_id"))
-    assert [id(r) for r in got] == [id(r) for r in want]
-    keys = [(r.arrival_ms, r.request_id) for r in got]
-    assert len(set(r.arrival_ms for r in got)) < len(got)  # tied arrivals
+    got = [(r.request_id, r.arrival_ms.hex(), r.completion_ms.hex(), r.length_tokens)
+           for r in simulation.run().per_request]
+    completion_ms = [t for t, size in zip(simulation.finish_ms, simulation.finish_sizes) for _ in range(size)]
+    finished = [(r.id, r.arrival_ms, t, r.length_tokens) for r, t in zip(simulation.finished, completion_ms)]
+    want = [(i, a.hex(), t.hex(), n) for i, a, t, n in sorted(finished, key=itemgetter(1, 0))]
+    assert got == want
+    keys = [(arrival, request_id) for request_id, arrival, _, _ in got]
+    assert len(set(arrival for _, arrival in keys)) < len(got)  # tied arrivals
     assert len(set(keys)) < len(got)  # whole-key ties, kept in completion order
-    assert [r.request_id for r in got] != sorted(r.request_id for r in got)
+    assert [request_id for _, request_id in keys] != sorted(request_id for _, request_id in keys)
+    # whole-key ties whose completions differ, so their order is tested
+    assert any(a[:2] == b[:2] and a[2] != b[2] for a, b in zip(got, got[1:]))
 
 
 def test_each_event_visits_at_most_one_node(monkeypatch):
