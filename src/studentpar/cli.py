@@ -114,12 +114,8 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _json_dump(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=1) + "\n", encoding="utf-8")
-
-
 def _write_manifest(out_dir: Path, config, outputs: list[Path], started: float) -> None:
-    _json_dump(out_dir / "manifest.json", {
+    nn.write_json(out_dir / "manifest.json", {
         "version": __version__,
         "config": config,
         "duration_ms": (time.monotonic() - started) * 1000.0,
@@ -322,7 +318,7 @@ def cmd_distill(config_path: str, seed_override: int | None, out_override: str |
             "final_validation_residual_mse": dst.residual_mse(teacher, state, splits.validation),
             "records": [asdict(r) for r in records],
         }
-        _json_dump(out_dir / "convergence.json", run_summary)
+        nn.write_json(out_dir / "convergence.json", run_summary)
         _write_manifest(out_dir, config, [out_dir / "teacher.json", out_dir / "ensemble.json",
                                           out_dir / "convergence.json"], started)
     return EXIT_OK
@@ -359,7 +355,7 @@ def cmd_prune(config_path: str, seed_override: int | None, out_override: str | N
 
         dst.save_ensemble(state, out_dir / "ensemble_pruned.json")
         dst.export_accuracy_table(table, out_dir / "accuracy.csv")
-        _json_dump(out_dir / "prune_result.json", {
+        nn.write_json(out_dir / "prune_result.json", {
             "seed": seed,
             "distill_dir": str(distill_dir),
             "checkpoints": {"ensemble_pruned": "ensemble_pruned.json"},

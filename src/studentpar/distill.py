@@ -786,33 +786,30 @@ def load_accuracy_table(path) -> AccuracyTable:
     return AccuracyTable(rows)
 
 
-def ensemble_to_dict(state: EnsembleState, mode: str = "binary") -> dict:
+def ensemble_to_dict(state: EnsembleState) -> dict:
     return {
         "schema": "ensemble-checkpoint-v1",
-        "mode": mode,
+        "mode": nn._MODE,
         "multipliers": state.multipliers,
-        "students": [nn.model_to_dict(s, mode) for s in state.students],
-        "classifier": None if state.classifier is None else nn._layer_to_dict(state.classifier, mode),
+        "students": [nn.model_to_dict(s) for s in state.students],
+        "classifier": None if state.classifier is None else nn._layer_to_dict(state.classifier),
     }
 
 
 def ensemble_from_dict(d: dict) -> EnsembleState:
-    if not isinstance(d, dict) or d.get("schema") != "ensemble-checkpoint-v1":
-        raise ValueError("not an ensemble checkpoint")
+    nn._check_header(d, "ensemble-checkpoint-v1")
     students = [nn.model_from_dict(s) for s in d["students"]]
     if not all(isinstance(s, nn.StudentModel) for s in students):
         raise ValueError("ensemble checkpoint holds a model that is not a student")
     multipliers = [float(a) for a in d["multipliers"]]
     if not np.isfinite(multipliers).all():
         raise ValueError("ensemble checkpoint holds non-finite multipliers")
-    classifier = None if d["classifier"] is None else nn._layer_from_dict(d["classifier"], d["mode"])
+    classifier = None if d["classifier"] is None else nn._layer_from_dict(d["classifier"])
     return EnsembleState(students, multipliers, classifier)
 
 
-def save_ensemble(state: EnsembleState, path, mode: str = "binary") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ensemble_to_dict(state, mode), fh, indent=1)
-        fh.write("\n")
+def save_ensemble(state: EnsembleState, path) -> None:
+    nn.write_json(path, ensemble_to_dict(state))
 
 
 def load_ensemble(path) -> EnsembleState:

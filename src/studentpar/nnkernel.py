@@ -584,98 +584,96 @@ def finite_diff_check(model, loss_fn, step: float = 1e-5, tol: float = 1e-4) -> 
 
 # -- checkpoint file -------------------------------------------------------
 #
-# One JSON container for both modes. "binary" stores little-endian float64
-# bytes base64-encoded (bit-exact round trip); "json" stores decimal lists
-# (value-exact because json uses repr, the shortest round-trip form).
+# JSON whose arrays are little-endian float64 bytes, base64-encoded: a bit-exact
+# round trip. Every file records "mode": "binary", and a reader refuses any other.
 
 _SCHEMA = "dense-model-checkpoint-v1"
+_MODE = "binary"
 
 
-def _encode_array(arr: np.ndarray, mode: str):
-    if mode == "binary":
-        return base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")
-    return arr.tolist()
+def _encode_array(arr: np.ndarray) -> str:
+    return base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")
 
 
-def _decode_array(data, shape: tuple[int, ...], mode: str) -> np.ndarray:
-    if mode == "binary":
-        arr = np.frombuffer(base64.b64decode(data), dtype="<f8").astype(np.float64)
-    else:
-        arr = np.asarray(data, dtype=np.float64)
-    arr = arr.reshape(shape)
+def _decode_array(data, shape: tuple[int, ...]) -> np.ndarray:
+    arr = np.frombuffer(base64.b64decode(data), dtype="<f8").astype(np.float64).reshape(shape)
     if not np.isfinite(arr).all():
         raise ValueError("checkpoint contains non-finite values")
     return arr
 
 
-def _layer_to_dict(layer: DenseLayer, mode: str) -> dict:
+def _check_header(d, schema: str) -> None:
+    found = d.get("schema") if isinstance(d, dict) else None
+    if found != schema:
+        raise ValueError(f"expected a {schema!r} checkpoint, got schema {found!r}")
+    if d["mode"] != _MODE:
+        raise ValueError(f"unknown checkpoint mode {d['mode']!r}")
+
+
+def _layer_to_dict(layer: DenseLayer) -> dict:
     return {
         "out_dim": layer.out_dim,
         "in_dim": layer.in_dim,
         "activation": layer.activation,
-        "weight": _encode_array(layer.weight, mode),
-        "bias": _encode_array(layer.bias, mode),
+        "weight": _encode_array(layer.weight),
+        "bias": _encode_array(layer.bias),
     }
 
 
-def _layer_from_dict(d: dict, mode: str) -> DenseLayer:
+def _layer_from_dict(d: dict) -> DenseLayer:
     shape = (d["out_dim"], d["in_dim"])
     if not all(type(n) is int and n > 0 for n in shape):
         raise ValueError(f"layer dimensions must be positive integers, got {shape}")
-    weight = _decode_array(d["weight"], shape, mode)
-    bias = _decode_array(d["bias"], (d["out_dim"],), mode)
+    weight = _decode_array(d["weight"], shape)
+    bias = _decode_array(d["bias"], (d["out_dim"],))
     return DenseLayer(weight, bias, d["activation"])
 
 
-def model_to_dict(model: TeacherModel | StudentModel, mode: str = "binary") -> dict:
-    if mode not in ("binary", "json"):
-        raise ValueError(f"unknown checkpoint mode {mode!r}")
+def model_to_dict(model: TeacherModel | StudentModel) -> dict:
     if isinstance(model, TeacherModel):
-        return {
-            "schema": _SCHEMA,
-            "mode": mode,
+        body = {
             "kind": "teacher",
-            "input_proj": _layer_to_dict(model.input_proj, mode),
+            "input_proj": _layer_to_dict(model.input_proj),
             "blocks": [
-                {"expand": _layer_to_dict(b.expand, mode), "project": _layer_to_dict(b.project, mode)}
+                {"expand": _layer_to_dict(b.expand), "project": _layer_to_dict(b.project)}
                 for b in model.blocks
             ],
-            "head": _layer_to_dict(model.head, mode),
+            "head": _layer_to_dict(model.head),
         }
-    if isinstance(model, StudentModel):
-        return {
-            "schema": _SCHEMA,
-            "mode": mode,
+    elif isinstance(model, StudentModel):
+        body = {
             "kind": "student",
-            "input_proj": _layer_to_dict(model.input_proj, mode),
-            "layers": [_layer_to_dict(l, mode) for l in model.layers],
+            "input_proj": _layer_to_dict(model.input_proj),
+            "layers": [_layer_to_dict(l) for l in model.layers],
         }
-    raise TypeError(f"cannot checkpoint {type(model).__name__}")
+    else:
+        raise TypeError(f"cannot checkpoint {type(model).__name__}")
+    return {"schema": _SCHEMA, "mode": _MODE, **body}
 
 
 def model_from_dict(d: dict) -> TeacherModel | StudentModel:
-    schema = d.get("schema") if isinstance(d, dict) else None
-    if schema != _SCHEMA:
-        raise ValueError(f"not a model checkpoint (schema {schema!r})")
-    mode = d["mode"]
-    if mode not in ("binary", "json"):
-        raise ValueError(f"unknown checkpoint mode {mode!r}")
+    _check_header(d, _SCHEMA)
     if d["kind"] == "teacher":
         blocks = [
-            _ResidualBlock(_layer_from_dict(b["expand"], mode), _layer_from_dict(b["project"], mode))
+            _ResidualBlock(_layer_from_dict(b["expand"]), _layer_from_dict(b["project"]))
             for b in d["blocks"]
         ]
-        return TeacherModel(_layer_from_dict(d["input_proj"], mode), blocks, _layer_from_dict(d["head"], mode))
+        return TeacherModel(_layer_from_dict(d["input_proj"]), blocks, _layer_from_dict(d["head"]))
     if d["kind"] == "student":
-        layers = [_layer_from_dict(l, mode) for l in d["layers"]]
-        return StudentModel(_layer_from_dict(d["input_proj"], mode), layers)
+        layers = [_layer_from_dict(l) for l in d["layers"]]
+        return StudentModel(_layer_from_dict(d["input_proj"]), layers)
     raise ValueError(f"unknown checkpoint kind {d['kind']!r}")
 
 
-def save_model(model, path, mode: str = "binary") -> None:
+def write_json(path, obj) -> None:
+    """Write a JSON artifact, as every one is written: indented by one space, with a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model, mode), fh, indent=1)
+        json.dump(obj, fh, indent=1)
         fh.write("\n")
+
+
+def save_model(model, path) -> None:
+    write_json(path, model_to_dict(model))
 
 
 def load_model(path) -> TeacherModel | StudentModel:

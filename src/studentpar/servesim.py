@@ -26,8 +26,9 @@ The simulated clock is real-valued milliseconds. Arrivals do not enter the
 event heap: they are served from the workload stably sorted by arrival time,
 and an arrival goes ahead of every heap event at the same time. Heap events
 at equal times run in the order they were pushed, so identical inputs give
-identical outputs. A run whose clock reaches 2**53 ms, where a float millisecond
-has no integer resolution, raises FloatingPointError.
+identical outputs. From 2**53 ms in magnitude on, a float millisecond has no
+integer resolution: an arrival at or below -2**53 ms, or a clock that reaches
+2**53 ms, raises FloatingPointError.
 
 Each event touches only the nodes whose state it can change: its own node
 (none for a heartbeat), every node with deferred requests waiting to retry
@@ -51,7 +52,6 @@ from __future__ import annotations
 
 import csv
 import heapq
-import json
 import math
 import warnings
 from bisect import bisect_right
@@ -65,6 +65,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distill import AccuracyTable, _is_finite_number, check_counts, check_finite, check_positive
+from .nnkernel import write_json
 from .perfmodel import DEFAULT_CAPACITY, DEFAULT_GATHER_MS, DEFAULT_PCIE_TOKENS_PER_MS, PerfFactors, PerfModel
 from .seeding import rng_for
 
@@ -215,8 +216,8 @@ def generate_workload(kind, seed: int, max_len: int = 128, bin_width: int = 8, *
                                          f"got {row[0]!r} * {kind.scale!r}")
                     if t < last_t:
                         raise ValueError(f"trace line {lineno}: arrival times must be nondecreasing")
-                    if length < 1:
-                        raise ValueError(f"trace line {lineno}: length must be >= 1")
+                    if not 1 <= length < 2**63:  # an int64, as the latency columns hold it
+                        raise ValueError(f"trace line {lineno}: length must lie in [1, 2**63 - 1], got {row[1]!r}")
                     last_t = t
                     requests.append(Request(len(requests), t * kind.scale, length))
             except csv.Error as exc:  # a field past csv.field_size_limit(), say
@@ -437,22 +438,12 @@ class CompletionRecord:
 
 
 class LatencyColumns(NamedTuple):
-    """Per-request results, one array per column of ``latencies.csv`` but the latency.
-    Ids and lengths are int64, or Python ints in an object array where one falls
-    outside int64."""
+    """Per-request results as int64 ids and lengths and float64 times: ``latencies.csv`` less its latency."""
 
     request_id: np.ndarray
     arrival_ms: np.ndarray
     completion_ms: np.ndarray
     length_tokens: np.ndarray
-
-
-def _int_array(values) -> np.ndarray:
-    """The values as int64, or as Python ints in an object array where one falls outside int64."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
 
 
 @dataclass
@@ -522,9 +513,7 @@ def metrics_to_json_dict(m: SimMetrics) -> dict:
 
 
 def write_metrics_json(m: SimMetrics, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(metrics_to_json_dict(m), fh, indent=1)
-        fh.write("\n")
+    write_json(path, metrics_to_json_dict(m))
 
 
 LATENCY_CSV_CHUNK = 4096  # rows formatted per write: few numpy calls, a flat peak in memory
@@ -610,21 +599,19 @@ def write_latency_csv(columns: LatencyColumns, path) -> None:
     """The bytes ``csv.writer`` would write (CRLF line ends, nothing needs quoting) of the rows
     ``%d,%.6f,%.6f,%.6f,%d`` of id, arrival, completion, latency and length.
 
-    Each chunk of rows is formatted in numpy as a matrix of cells, looked up in one
-    table, whose pad bytes are then dropped. A chunk holding a value outside what
-    that formatting proves exact (an id or length outside int64, a time or latency
-    not below 2**63 in magnitude) is formatted by ``%``."""
+    Each chunk of rows is formatted in numpy as a matrix of cells, looked up in one table, whose
+    pad bytes are then dropped. That formatting is proven exact for int64 ids and lengths and
+    for times below 2**63 in magnitude; other columns raise ValueError before the file opens."""
+    ids, arrival, completion, lengths = columns
+    if not (ids.dtype == lengths.dtype == np.int64
+            and all((np.abs(t) < 2.0**63).all() for t in (arrival, completion, completion - arrival))):
+        raise ValueError("latencies.csv takes int64 ids and lengths, and times below 2**63 ms in magnitude")
     with open(path, "wb") as fh:
         fh.write(b"request_id,arrival_ms,completion_ms,latency_ms,length_tokens\r\n")
         for start in range(0, len(columns.request_id), LATENCY_CSV_CHUNK):
             chunk = slice(start, start + LATENCY_CSV_CHUNK)
             ids, arrival, completion, lengths = (column[chunk] for column in columns)
-            ids, lengths = _int_array(ids), _int_array(lengths)
             times = (arrival, completion, completion - arrival)
-            if not (ids.dtype == lengths.dtype == np.int64 and all((np.abs(t) < 2.0**63).all() for t in times)):
-                fh.write("".join(["%d,%.6f,%.6f,%.6f,%d\r\n" % row for row in zip(
-                    ids.tolist(), *(t.tolist() for t in times), lengths.tolist())]).encode())
-                continue
             cells: list = []
             _int64_cells(cells, ids, _COMMA)
             for t in times:
@@ -651,7 +638,7 @@ CLOCK_LIMIT_MS = 2.0**53  # from here on, a float millisecond has no integer res
 
 
 def _clock_error(t: float) -> FloatingPointError:
-    return FloatingPointError(f"the simulated clock reaches at least {t!r} ms, past 2**53 ms, where "
+    return FloatingPointError(f"the simulated clock reaches {t!r} ms, outside (-2**53, 2**53) ms, where "
                               "heartbeats and service times no longer add exactly")
 
 
@@ -688,6 +675,8 @@ class Simulation:
         order = sorted(range(len(times)), key=times.__getitem__)
         order.reverse()
         self.arrivals: list[Request] = list(map(workload.__getitem__, order))
+        if self.arrivals and self.arrivals[-1].arrival_ms <= -CLOCK_LIMIT_MS:
+            raise _clock_error(self.arrivals[-1].arrival_ms)
         nodes = self.nodes
         self.arrival_nodes: list[_Node] = [nodes[i % cluster.nodes] for i in order]
         self.events: list[tuple[float, int, str, object]] = []
@@ -939,10 +928,10 @@ class Simulation:
         # the columns are built and reordered one at a time, and the latencies dropped once
         # read, to keep the peak in memory low
         finished = self.finished
-        ids = _int_array(list(map(itemgetter(0), finished)))
+        ids = np.fromiter(map(itemgetter(0), finished), np.int64, len(finished))
         arrival = np.fromiter(map(itemgetter(1), finished), np.float64, len(finished))
         completion = np.repeat(self.finish_ms, self.finish_sizes)
-        lengths = _int_array(list(map(itemgetter(2), finished)))
+        lengths = np.fromiter(map(itemgetter(2), finished), np.int64, len(finished))
         avg = p95 = throughput = None
         if finished:
             span_ms = float(completion.max() - arrival.min())

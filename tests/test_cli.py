@@ -235,6 +235,7 @@ CHECKPOINT_CORRUPTIONS = {
     "teacher-ragged-blocks": lambda t, e: t["blocks"][0].update(
         expand=e["students"][0]["layers"][0], project=e["students"][0]["layers"][1]),
     "ensemble-bad-schema": lambda t, e: e.update(schema="nope"),
+    "ensemble-json-mode": lambda t, e: e.update(mode="json"),  # the decimal encoding, since removed
     "ensemble-truncated-base64": lambda t, e: truncate_weight(e["students"][0]["layers"][0]),
     "ensemble-nan-multiplier": lambda t, e: e["multipliers"].__setitem__(0, float("nan")),
     "ensemble-missing-key": lambda t, e: e.pop("multipliers"),
@@ -320,6 +321,19 @@ def test_distill_corrupt_teacher_checkpoint_exits_config(tmp_path, capsys, disti
     assert "config error" in err and "Traceback" not in err
 
 
+def test_distill_refuses_a_decimal_teacher_checkpoint(tmp_path, capsys, distilled):
+    """A checkpoint has one encoding, base64 float64, recorded as "mode": "binary"; a file
+    that claims the removed decimal "json" mode is refused by name."""
+    teacher = json.loads((distilled / "teacher.json").read_text())
+    teacher["mode"] = "json"
+    (tmp_path / "teacher.json").write_text(json.dumps(teacher))
+    cfg_path = small_distill_config(tmp_path)
+    cfg = json.loads(Path(cfg_path).read_text())
+    cfg["teacher"] = {"checkpoint": str(tmp_path / "teacher.json")}
+    Path(cfg_path).write_text(json.dumps(cfg))
+    assert "unknown checkpoint mode 'json'" in assert_config_error(["distill", "--config", cfg_path], capsys)
+
+
 @pytest.mark.parametrize("mode", ["distill", "prune"])
 @pytest.mark.parametrize("knob, value", [
     ("batch_size", 0), ("batch_size", 1.5), ("learning_rate", -1), ("learning_rate", 0),
@@ -403,6 +417,35 @@ def test_simulate_non_finite_trace_exits_config(tmp_path, capsys, scale, arrival
     cfg = json.loads(Path(cfg_path).read_text())
     cfg["workload"] = {"kind": "trace", "path": str(trace), "scale": scale}
     assert named in assert_config_error(["simulate", "--config", write_config(tmp_path, "t.json", cfg)], capsys)
+
+
+def test_a_trace_length_past_int64_exits_config(tmp_path, capsys):
+    # the streaming loop used to take it as a Python int, which no int64 column holds
+    trace = tmp_path / "trace.csv"
+    trace.write_text(f"arrival_ms,length_tokens\n0.5,{2**63}\n1.5,4\n")
+    cfg_path = simulate_config(tmp_path, out_name="trace_long")
+    cfg = json.loads(Path(cfg_path).read_text())
+    cfg["workload"] = {"kind": "trace", "path": str(trace)}
+    err = assert_config_error(["simulate", "--config", write_config(tmp_path, "t.json", cfg)], capsys)
+    assert "trace line 2" in err and str(2**63) in err
+
+
+@pytest.mark.parametrize("arrival, code", [("-1e300", cli.EXIT_NUMERIC), ("-9007199254740991", cli.EXIT_OK)])
+def test_arrivals_at_or_below_minus_2_53_ms_exit_numeric(tmp_path, capsys, arrival, code):
+    """At -1e300 ms the run used to exit 0, with latencies of 0 where a 0.69 ms service
+    time was rounded away; -(2**53 - 1) ms still has integer resolution."""
+    trace = tmp_path / "trace.csv"
+    trace.write_text(f"arrival_ms,length_tokens\n{arrival},8\n0.5,4\n")
+    cfg_path = simulate_config(tmp_path, out_name="trace_early")
+    cfg = json.loads(Path(cfg_path).read_text())
+    cfg["workload"] = {"kind": "trace", "path": str(trace)}
+    assert cli.main(["simulate", "--config", write_config(tmp_path, "t.json", cfg)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == cli.EXIT_NUMERIC:
+        assert "numeric failure" in err and "2**53" in err
+    else:
+        assert len(read_csv(tmp_path / "trace_early" / "latencies.csv")) == 3
 
 
 @pytest.mark.parametrize("section, value", [

@@ -384,26 +384,24 @@ def teacher_and_student(seed):
     return nn.TeacherModel.build(4, 6, 8, 2, 3, rng), nn.StudentModel.build(4, 6, 3, rng)
 
 
-def loaded_copies(tmp_path, mode):
+def loaded_copies(tmp_path):
     loaded = []
     for i, model in enumerate(teacher_and_student(23)):
-        nn.save_model(model, tmp_path / f"{i}.json", mode=mode)
+        nn.save_model(model, tmp_path / f"{i}.json")
         loaded.append(nn.load_model(tmp_path / f"{i}.json"))
     return loaded
 
 
-@pytest.mark.parametrize("origin", ["build", "copy", "load-binary", "load-json", "round-trip"])
+@pytest.mark.parametrize("origin", ["build", "copy", "load-binary", "round-trip"])
 def test_parameters_are_views_of_one_flat_buffer(tmp_path, origin):
     if origin == "build":
         models = teacher_and_student(24)
     elif origin == "copy":
         models = [m.copy() for m in teacher_and_student(24)]
     elif origin == "load-binary":
-        models = loaded_copies(tmp_path, "binary")
-    elif origin == "load-json":
-        models = loaded_copies(tmp_path, "json")
+        models = loaded_copies(tmp_path)
     else:
-        first = loaded_copies(tmp_path, "binary")
+        first = loaded_copies(tmp_path)
         models = []
         for i, model in enumerate(first):
             nn.save_model(model, tmp_path / f"again-{i}.json")
@@ -438,15 +436,15 @@ def test_forward_backward_deterministic():
     assert all(np.array_equal(t1.grads[k], t2.grads[k]) for k in t1.grads)
 
 
-@pytest.mark.parametrize("mode", ["binary", "json"])
-def test_checkpoint_round_trip(tmp_path, mode):
+def test_checkpoint_round_trip(tmp_path):
     rng = make_rng(19)
     t = nn.TeacherModel.build(5, 8, 12, 3, 2, rng)
     path = tmp_path / "teacher.json"
-    nn.save_model(t, path, mode=mode)
+    nn.save_model(t, path)
+    assert json.loads(path.read_text())["mode"] == "binary"
     loaded = nn.load_model(path)
     for name, arr in t.parameters().items():
-        assert np.array_equal(arr, loaded.parameters()[name]), f"{name} not bit-exact in {mode} mode"
+        assert np.array_equal(arr, loaded.parameters()[name]), f"{name} not bit-exact"
 
 
 def test_checkpoint_student_round_trip(tmp_path):

@@ -847,6 +847,17 @@ def test_non_finite_arrival_rejected(bad):
         sim.Simulation(make_cluster(), workload, calibrated_factors())
 
 
+@pytest.mark.parametrize("earliest, refused", [(-2.0**53, True), (-1e300, True), (-(2.0**53 - 1), False)])
+def test_an_arrival_at_or_below_minus_2_53_ms_is_refused(earliest, refused):
+    # from 2**53 ms in magnitude on, a float millisecond has no integer resolution
+    workload = [sim.Request(0, 1.0, 8), sim.Request(1, earliest, 8)]
+    if refused:
+        with pytest.raises(FloatingPointError, match=r"2\*\*53"):
+            sim.Simulation(make_cluster(), workload, calibrated_factors())
+    else:
+        assert sim.Simulation(make_cluster(), workload, calibrated_factors()).run().completed == 2
+
+
 class _Forgetful(dict):
     """A memo that stores nothing, so every dispatch calls service_time."""
 
@@ -897,9 +908,10 @@ def reference_latency_csv(records, path):
 
 
 def columns_of(records):
-    """The records as columns; ids and lengths as Python ints, which the writer takes per chunk."""
-    return sim.LatencyColumns(*(np.array([getattr(r, name) for r in records], dtype=dtype) for name, dtype in
-                                zip(sim.LatencyColumns._fields, (object, np.float64, np.float64, object))))
+    """The records as columns, built as _metrics builds them: an id or length outside int64 raises OverflowError."""
+    return sim.LatencyColumns(*(np.fromiter((getattr(r, name) for r in records), dtype, len(records))
+                                for name, dtype in zip(sim.LatencyColumns._fields,
+                                                       (np.int64, np.float64, np.float64, np.int64))))
 
 
 def assert_csv_matches_reference(tmp_path, records):
@@ -955,7 +967,8 @@ _times = st.one_of(
 )
 _ints = st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from([10**12, -1, 0, -2**63, 2**63 - 1]))
 _records = st.builds(sim.CompletionRecord, _ints, _times, _times, _ints)
-# one such row sends its chunk to the % fallback: a time of 2**63 or more, or an id or length outside int64
+# one such row puts the columns outside the writer's domain: a time of 2**63 or more in magnitude,
+# or an id or length outside int64
 _beyond_int64 = st.one_of(st.integers(2**63, 2**70), st.integers(-2**70, -2**63 - 1))
 _outside = st.one_of(
     st.builds(sim.CompletionRecord, _ints, st.sampled_from([2.0**63, -2.0**63, 1e300, 2.0**64]), _times, _ints),
@@ -970,12 +983,30 @@ _outside = st.one_of(
 @example(rows=[sim.CompletionRecord(7, 2.5e-6, 3.0016235, 5)], outside=sim.CompletionRecord(2**63, 0.5, 1.0, 3),
          copies=1)
 def test_latency_csv_writer_equals_the_csv_writer_oracle(tmp_path_factory, rows, outside, copies):
-    # a block of plain rows ahead of the drawn ones moves them across a chunk boundary;
-    # a row outside the numpy formatting's domain goes last, so only the last chunk falls back
+    # a block of plain rows ahead of the drawn ones moves them across a chunk boundary. Columns
+    # holding a row outside the numpy formatting's domain, drawn (a latency of 2**63 or more in
+    # magnitude) or added last, are refused before the file is opened, or cannot be built as int64
     chunk = sim.LATENCY_CSV_CHUNK
     plain = [sim.CompletionRecord(i, i / 3, i / 3 + 1.5, 1 + i % 128) for i in range(chunk - copies)] if copies else []
     rows = plain + rows * max(1, copies) + ([outside] if outside else [])
-    assert_csv_matches_reference(tmp_path_factory.mktemp("csv"), rows)
+    tmp_path = tmp_path_factory.mktemp("csv")
+    if outside or any(abs(r.latency_ms) >= 2.0**63 for r in rows):
+        with pytest.raises((ValueError, OverflowError)):
+            sim.write_latency_csv(columns_of(rows), tmp_path / "got.csv")
+        assert not (tmp_path / "got.csv").exists()
+    else:
+        assert_csv_matches_reference(tmp_path, rows)
+
+
+@pytest.mark.parametrize("column, values", [
+    ("request_id", np.array([0.0, 1.0])), ("length_tokens", np.array([3, 4], dtype=object)),
+    ("arrival_ms", np.array([0.5, np.nan])), ("completion_ms", np.array([1.5, np.inf])),
+])
+def test_latency_csv_writer_refuses_columns_outside_its_domain(tmp_path, column, values):
+    columns = sim.LatencyColumns(np.array([0, 1]), np.array([0.5, 1.0]), np.array([1.5, 2.0]), np.array([3, 4]))
+    with pytest.raises(ValueError, match="int64"):
+        sim.write_latency_csv(columns._replace(**{column: values}), tmp_path / "got.csv")
+    assert not (tmp_path / "got.csv").exists()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

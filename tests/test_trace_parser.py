@@ -46,8 +46,8 @@ def oracle_trace(path, scale=1.0):
                                      f"got {row[0]!r} * {scale!r}")
                 if t < last_t:
                     raise ValueError(f"trace line {lineno}: arrival times must be nondecreasing")
-                if length < 1:
-                    raise ValueError(f"trace line {lineno}: length must be >= 1")
+                if not 1 <= length < 2**63:  # an int64, as the latency columns hold it
+                    raise ValueError(f"trace line {lineno}: length must lie in [1, 2**63 - 1], got {row[1]!r}")
                 last_t = t
                 requests.append(sim.Request(len(requests), t * scale, length))
         except csv.Error as exc:
