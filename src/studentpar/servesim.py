@@ -57,7 +57,7 @@ import warnings
 from bisect import bisect_right
 from collections import deque
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
@@ -425,18 +425,6 @@ ADD_ONE = "add_one"
 HOLD = "hold"
 
 
-@dataclass(slots=True)
-class CompletionRecord:
-    request_id: int
-    arrival_ms: float
-    completion_ms: float
-    length_tokens: int
-
-    @property
-    def latency_ms(self) -> float:
-        return self.completion_ms - self.arrival_ms
-
-
 class LatencyColumns(NamedTuple):
     """Per-request results as int64 ids and lengths and float64 times: ``latencies.csv`` less its latency."""
 
@@ -448,68 +436,44 @@ class LatencyColumns(NamedTuple):
 
 @dataclass
 class SimMetrics:
+    """A run's results. Every field but ``columns`` is a key of ``metrics.json``, in this order;
+    times and accuracies are floats, or None where the run has nothing to measure."""
+
     avg_latency_ms: float | None
     p95_latency_ms: float | None
     throughput_per_gpu: float | None
     completed: int
+    generated: int
+    deferred: int                 # arrivals deferred: their buffer was full, or deferred requests were ahead
+    direct_starts: int            # requests started without entering a buffer
+    dispatches: int               # buffer elements popped and started
+    requests_per_dispatch: float | None  # requests per popped element; direct starts are not dispatches
+    # nearest-rank p50 and p95 and the max of the buffered elements' waits
+    buffer_wait_p50_ms: float | None
+    buffer_wait_p95_ms: float | None
+    buffer_wait_max_ms: float | None
+    max_buffer_occupancy: int     # the most elements one buffer held
     student_number_timeline: list[tuple[float, int]]
     accuracy_timeline: list[tuple[float, float]]
     columns: LatencyColumns = field(repr=False)  # by arrival, ties by id, whole-key ties in completion order
-    generated: int = 0
-    rejected_pushes: int = 0      # arrivals deferred: their buffer was full, or deferred requests were ahead
-    direct_starts: int = 0        # requests started without entering a buffer
-    dispatches: int = 0           # buffer elements popped and started
-    # nearest-rank p50 and p95 and the max of the buffered elements' waits; none if none was buffered
-    buffer_wait_p50_ms: float | None = None
-    buffer_wait_p95_ms: float | None = None
-    buffer_wait_max_ms: float | None = None
-    max_buffer_occupancy: int = 0  # the most elements one buffer held
-
-    @property
-    def requests_per_dispatch(self) -> float | None:
-        """Requests per popped element; direct starts are not dispatches."""
-        return (self.completed - self.direct_starts) / self.dispatches if self.dispatches else None
-
-    @property
-    def per_request(self) -> list[CompletionRecord]:
-        """The columns as records, built on each read."""
-        return list(map(CompletionRecord, *(column.tolist() for column in self.columns)))
 
 
-def _nearest_rank(ordered: np.ndarray, pct: float) -> float:
-    """nearest_rank_percentile of a non-empty array that is already sorted."""
+def nearest_rank(ordered: np.ndarray, pct: float) -> float:
+    """Nearest-rank percentile of a non-empty sorted array: its ceil(pct/100 * n)-th smallest value."""
     return float(ordered[max(1, math.ceil(pct / 100.0 * len(ordered))) - 1])
 
 
-def nearest_rank_percentile(values, pct: float) -> float:
-    """Nearest-rank percentile: the ceil(pct/100 * n)-th smallest value."""
-    if not len(values):
-        raise ValueError("no values")
-    return _nearest_rank(np.sort(values), pct)
-
-
-def _round6(x):
-    return None if x is None else round(float(x), 6)
+def _json_value(x):
+    if isinstance(x, float):
+        return round(x, 6)
+    if isinstance(x, (list, tuple)):
+        return [_json_value(v) for v in x]
+    return x
 
 
 def metrics_to_json_dict(m: SimMetrics) -> dict:
-    return {
-        "avg_latency_ms": _round6(m.avg_latency_ms),
-        "p95_latency_ms": _round6(m.p95_latency_ms),
-        "throughput_per_gpu": _round6(m.throughput_per_gpu),
-        "completed": m.completed,
-        "generated": m.generated,
-        "deferred": m.rejected_pushes,
-        "direct_starts": m.direct_starts,
-        "dispatches": m.dispatches,
-        "requests_per_dispatch": _round6(m.requests_per_dispatch),
-        "buffer_wait_p50_ms": _round6(m.buffer_wait_p50_ms),
-        "buffer_wait_p95_ms": _round6(m.buffer_wait_p95_ms),
-        "buffer_wait_max_ms": _round6(m.buffer_wait_max_ms),
-        "max_buffer_occupancy": m.max_buffer_occupancy,
-        "student_number_timeline": [[_round6(t), k] for t, k in m.student_number_timeline],
-        "accuracy_timeline": [[_round6(t), _round6(a)] for t, a in m.accuracy_timeline],
-    }
+    """The fields of ``m`` but ``columns``: floats rounded to six decimals, tuples written as lists."""
+    return {f.name: _json_value(getattr(m, f.name)) for f in fields(m) if f.name != "columns"}
 
 
 def write_metrics_json(m: SimMetrics, path) -> None:
@@ -686,7 +650,7 @@ class Simulation:
         self.finish_ms: list[float] = []
         self.finish_sizes: list[int] = []
         self.element_waits: list[float] = []  # buffer residence per started element, 0 for a direct start
-        self.rejected_pushes = 0
+        self.deferred = 0
         self.direct_starts = 0
         self.max_occupancy = 0
         # the padded length of each length in the workload, as a push pads it: a direct
@@ -764,7 +728,7 @@ class Simulation:
             return
         if node.retry or self._try_push(node, req, now) == REJECTED:
             # a full buffer defers the request to the next event boundary
-            self.rejected_pushes += 1
+            self.deferred += 1
             node.retry.append(req)
             self.retrying.add(node.index)
         self._boundary(now, node)
@@ -940,7 +904,7 @@ class Simulation:
             latencies = completion - arrival  # in completion order, which np.mean's pairwise sum follows
             avg = float(np.mean(latencies))
             latencies.sort()
-            p95 = _nearest_rank(latencies, 95.0)
+            p95 = nearest_rank(latencies, 95.0)
             del latencies
             # by arrival, ties by id; lexsort is stable, so whole-key ties keep completion order
             order = np.lexsort((ids, arrival))
@@ -951,21 +915,24 @@ class Simulation:
         waits = np.array(self.element_waits)
         waits.sort()
         waits = waits[self.direct_starts:]
+        # times and accuracies as floats: a library Request's arrival_ms, or a flat table's rows, may be ints
+        timeline = [(float(t), k) for t, k in self.k_timeline]
         return SimMetrics(
             avg_latency_ms=avg,
             p95_latency_ms=p95,
             throughput_per_gpu=throughput,
             completed=len(finished),
-            student_number_timeline=self.k_timeline,
-            accuracy_timeline=[(t, self.ctl.accuracy_table.val_accuracy(k)) for t, k in self.k_timeline],
             generated=self.generated,
-            rejected_pushes=self.rejected_pushes,
+            deferred=self.deferred,
             direct_starts=self.direct_starts,
             dispatches=len(waits),
-            buffer_wait_p50_ms=_nearest_rank(waits, 50.0) if len(waits) else None,
-            buffer_wait_p95_ms=_nearest_rank(waits, 95.0) if len(waits) else None,
+            requests_per_dispatch=(len(finished) - self.direct_starts) / len(waits) if len(waits) else None,
+            buffer_wait_p50_ms=nearest_rank(waits, 50.0) if len(waits) else None,
+            buffer_wait_p95_ms=nearest_rank(waits, 95.0) if len(waits) else None,
             buffer_wait_max_ms=float(waits[-1]) if len(waits) else None,
             max_buffer_occupancy=self.max_occupancy,
+            student_number_timeline=timeline,
+            accuracy_timeline=[(t, float(self.ctl.accuracy_table.val_accuracy(k))) for t, k in timeline],
             columns=LatencyColumns(ids, arrival, completion, lengths),
         )
 

@@ -387,7 +387,8 @@ def test_criterion_9_burst_adaptation():
         cluster = sim.ClusterConfig(controller=pinned_controller(k), gpus_per_node=4,
                                     group_size=k, replicas_per_gpu=1)
         metrics = sim.run_simulation(cluster, workload, sim_factors(model))
-        in_burst = sum(1 for r in metrics.per_request if burst_start <= r.completion_ms <= burst_end)
+        done = metrics.columns.completion_ms
+        in_burst = int(((burst_start <= done) & (done <= burst_end)).sum())
         burst_tp[k] = 1000.0 * in_burst / ((burst_end - burst_start) * 4)
     ratio = burst_tp[1] / burst_tp[3]
     report(9, dipped and recovered and ratio >= 1.5,

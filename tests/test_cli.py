@@ -104,6 +104,32 @@ def test_training_overflow_exits_numeric(tmp_path, capsys):
     assert "numeric failure" in err and "overflow" in err and "Traceback" not in err
 
 
+# each of these used to end in a raw OverflowError, "int too large to convert to float", and exit 1
+@pytest.mark.parametrize("mode, path, value", [
+    ("perf", ("gpus",), 10**400),
+    ("simulate", ("cluster", "gpus_per_node"), 10**400),
+    ("simulate", ("factors", "width_per_student"), 10**400),
+    ("simulate", ("factors", "capacity_per_gpu"), 1e-300),
+], ids=["gpus=10**400", "gpus_per_node=10**400", "width_per_student=10**400", "capacity_per_gpu=1e-300"])
+def test_arithmetic_overflow_exits_numeric(tmp_path, capsys, mode, path, value):
+    cfg = toy_payloads(tmp_path)[mode]
+    section = cfg
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    assert cli.main([mode, "--config", write_config(tmp_path, "overflow.json", cfg)]) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "Traceback" not in err
+
+
+def test_a_flat_table_of_integers_writes_float_accuracies(tmp_path):
+    cfg = toy_payloads(tmp_path)["simulate"]
+    cfg["accuracy_table"] = {"kind": "flat", "students": 3, "base": 0, "step": 0}
+    assert cli.main(["simulate", "--config", write_config(tmp_path, "ints.json", cfg)]) == cli.EXIT_OK
+    timeline = json.loads((tmp_path / "sim_out" / "metrics.json").read_text())["accuracy_timeline"]
+    assert timeline == [[0.0, 0.0]] and all(isinstance(v, float) for v in timeline[0])
+
+
 # each of these used to run an empty workload and exit 0
 @pytest.mark.parametrize("workload, named", [
     ({"kind": "phases"}, "missing key 'phases' in workload of kind 'phases'"),
@@ -1021,7 +1047,7 @@ def test_controller_readds_students_after_a_late_draining_backlog(tmp_path):
 
 # -- fuzz: mutated toy configs never end in a traceback -------------------------------------
 
-MUTANT_VALUES = [None, "x", [], {}, -1, 0, 1.5, True, 1e300, 10**12]
+MUTANT_VALUES = [None, "x", [], {}, -1, 0, 1.5, True, 1e300, 1e-300, 10**12, 10**400]
 
 
 def fuzz_payloads(root, distilled):

@@ -37,6 +37,16 @@ def make_cluster(**overrides):
     return sim.ClusterConfig(**base)
 
 
+def rows_of(m):
+    """A run's per-request results, read from its columns, as (request_id, arrival_ms, completion_ms,
+    length_tokens) tuples of Python ints and floats."""
+    return list(zip(*(column.tolist() for column in m.columns)))
+
+
+def completion_by_id(m):
+    return dict(zip(m.columns.request_id.tolist(), m.columns.completion_ms.tolist()))
+
+
 # -- workload generation -----------------------------------------------------
 
 
@@ -515,7 +525,7 @@ def test_two_simultaneous_requests_no_wait():
     workload = [sim.Request(0, 1.0, 10), sim.Request(1, 1.0, 50)]  # different bins
     metrics = sim.run_simulation(cluster, workload, factors)
     assert metrics.completed == 2
-    lat = {r.request_id: r.latency_ms for r in metrics.per_request}
+    lat = {request_id: completion - arrival for request_id, arrival, completion, _ in rows_of(metrics)}
     s_first = sim.service_time(element(1, 16), 3, cluster, factors, active_groups=1)
     s_second = sim.service_time(element(1, 56), 3, cluster, factors, active_groups=2)
     assert lat[0] == pytest.approx(s_first, rel=1e-12)
@@ -531,10 +541,10 @@ def test_merged_requests_complete_together():
     workload = [sim.Request(0, 0.0, 20), sim.Request(1, 0.1, 21), sim.Request(2, 0.2, 22)]
     metrics = sim.run_simulation(cluster, workload, factors)
     assert metrics.completed == 3
-    by_id = {r.request_id: r for r in metrics.per_request}
+    done = completion_by_id(metrics)
     # requests 1 and 2 merged while the single group was busy with request 0
-    assert by_id[1].completion_ms == by_id[2].completion_ms
-    assert by_id[1].completion_ms > by_id[0].completion_ms
+    assert done[1] == done[2]
+    assert done[1] > done[0]
 
 
 def test_elements_dispatch_in_fifo_order():
@@ -545,8 +555,8 @@ def test_elements_dispatch_in_fifo_order():
     workload = [sim.Request(0, 0.0, 128),
                 sim.Request(1, 0.1, 8), sim.Request(2, 0.2, 40), sim.Request(3, 0.3, 90)]
     metrics = sim.run_simulation(cluster, workload, factors)
-    by_id = {r.request_id: r for r in metrics.per_request}
-    assert by_id[1].completion_ms < by_id[2].completion_ms < by_id[3].completion_ms
+    done = completion_by_id(metrics)
+    assert done[1] < done[2] < done[3]
 
 
 def test_conservation_under_overload():
@@ -556,7 +566,7 @@ def test_conservation_under_overload():
     workload = sim.generate_workload(sim.PoissonSpec(rps=4000.0, duration_ms=500.0), seed=3)
     metrics = sim.run_simulation(cluster, workload, factors)
     assert metrics.completed == metrics.generated == len(workload)
-    assert metrics.rejected_pushes > 0  # overload actually exercised the retry path
+    assert metrics.deferred > 0  # overload actually exercised the retry path
 
 
 def test_wait_bound_with_equal_service_times():
@@ -592,10 +602,10 @@ def test_metrics_keys_and_rounding(tmp_path):
     path = tmp_path / "m.json"
     sim.write_metrics_json(sim.run_simulation(cluster, workload, factors), path)
     data = json.loads(path.read_text())
-    assert set(data) == {"avg_latency_ms", "p95_latency_ms", "throughput_per_gpu",
-                         "completed", "student_number_timeline", "accuracy_timeline",
-                         "generated", "deferred", "direct_starts", "dispatches", "requests_per_dispatch",
-                         "buffer_wait_p50_ms", "buffer_wait_p95_ms", "buffer_wait_max_ms", "max_buffer_occupancy"}
+    assert list(data) == ["avg_latency_ms", "p95_latency_ms", "throughput_per_gpu", "completed",
+                          "generated", "deferred", "direct_starts", "dispatches", "requests_per_dispatch",
+                          "buffer_wait_p50_ms", "buffer_wait_p95_ms", "buffer_wait_max_ms", "max_buffer_occupancy",
+                          "student_number_timeline", "accuracy_timeline"]
     for value in (data["avg_latency_ms"], data["p95_latency_ms"]):
         assert round(value, 6) == value
     for key in ("requests_per_dispatch", "buffer_wait_p50_ms", "buffer_wait_p95_ms", "buffer_wait_max_ms"):
@@ -612,13 +622,13 @@ def test_run_counts_explain_where_requests_waited():
                 sim.Request(3, 0.2, 22), sim.Request(4, 0.25, 100)]
     simulation = sim.Simulation(cluster, workload, calibrated_factors())
     m = simulation.run()
-    by_id = {r.request_id: r for r in m.per_request}
-    assert by_id[2].completion_ms == by_id[3].completion_ms  # merged
-    assert (m.generated, m.rejected_pushes, m.direct_starts, m.dispatches) == (5, 0, 2, 2)
+    done = completion_by_id(m)
+    assert done[2] == done[3]  # merged
+    assert (m.generated, m.deferred, m.direct_starts, m.dispatches) == (5, 0, 2, 2)
     assert m.requests_per_dispatch == 1.5 and m.max_buffer_occupancy == 2
     waits = sorted(simulation.element_waits)
     # the merged element, made by request 2, starts when the first group frees
-    assert waits[:2] == [0.0, 0.0] and min(by_id[0].completion_ms, by_id[1].completion_ms) - 0.1 in waits[2:]
+    assert waits[:2] == [0.0, 0.0] and min(done[0], done[1]) - 0.1 in waits[2:]
     assert (m.buffer_wait_p50_ms, m.buffer_wait_p95_ms, m.buffer_wait_max_ms) == (waits[2], waits[3], waits[3])
     data = sim.metrics_to_json_dict(m)
     assert (data["generated"], data["deferred"], data["direct_starts"], data["dispatches"]) == (5, 0, 2, 2)
@@ -673,10 +683,10 @@ def test_burst_dips_and_recovers():
 
 
 def test_nearest_rank_percentile():
-    values = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
-    assert sim.nearest_rank_percentile(values, 95.0) == 10.0
-    assert sim.nearest_rank_percentile(values, 50.0) == 5.0
-    assert sim.nearest_rank_percentile([7.0], 95.0) == 7.0
+    values = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0])
+    assert sim.nearest_rank(values, 95.0) == 10.0
+    assert sim.nearest_rank(values, 50.0) == 5.0
+    assert sim.nearest_rank(np.array([7.0]), 95.0) == 7.0
 
 
 # -- event-loop work and pinned outputs ------------------------------------------------
@@ -717,8 +727,8 @@ def burst_run(nodes, batch_timeout_ms, overload, arrange=None):
     if arrange is not None:
         workload = arrange(workload)
     m = sim.run_simulation(cluster, workload, calibrated_factors())
-    blob = json.dumps([[(r.request_id, r.completion_ms) for r in m.per_request],
-                       m.student_number_timeline, m.rejected_pushes])
+    blob = json.dumps([list(zip(m.columns.request_id.tolist(), m.columns.completion_ms.tolist())),
+                       m.student_number_timeline, m.deferred])
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -778,8 +788,7 @@ def gap_workload(nodes, seed, gap_ms):
 
 def served(cluster, workload, factors):
     m = sim.run_simulation(cluster, workload, factors)
-    return ([(r.request_id, r.arrival_ms, r.completion_ms) for r in m.per_request],
-            m.student_number_timeline, m.accuracy_timeline, m.rejected_pushes)
+    return ([row[:3] for row in rows_of(m)], m.student_number_timeline, m.accuracy_timeline, m.deferred)
 
 
 @pytest.mark.parametrize("nodes", [1, 3])
@@ -840,6 +849,17 @@ def test_drops_go_on_one_per_heartbeat_while_a_buffer_stays_full(monkeypatch):
     assert served(cluster, workload, calibrated_factors()) == got
 
 
+def test_integer_arrival_times_are_written_as_floats():
+    # the run above with arrivals given as ints, at whose times students are dropped
+    ctl = sim.ControllerConfig(max_students=5, accuracy_table=flat_table(m=5), min_students=1,
+                               idle_window_ms=20.0)
+    cluster = make_cluster(controller=ctl, gpus_per_node=1, group_size=5, replicas_per_gpu=1,
+                           bin_width=4096, num_bins=16)
+    workload = [sim.Request(0, 1, 60_000), sim.Request(1, 2, 60_000)]
+    data = sim.metrics_to_json_dict(sim.run_simulation(cluster, workload, calibrated_factors()))
+    assert json.dumps(data["student_number_timeline"][:3]) == "[[0.0, 5], [1.0, 4], [2.0, 3]]"
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_arrival_rejected(bad):
     workload = [sim.Request(0, 1.0, 8), sim.Request(1, bad, 8), sim.Request(2, 2.0, 8)]
@@ -890,47 +910,43 @@ def test_service_time_memo_models_each_shape_once(monkeypatch):
     simulation.service_ms = _Forgetful()
     plain = simulation.run()
     assert len(calls) > 5 * distinct and len(set(calls)) == distinct
-    assert len(plain.student_number_timeline) > 2 and plain.rejected_pushes > 0
-    assert [(r.request_id, r.completion_ms) for r in memoised.per_request] == \
-        [(r.request_id, r.completion_ms) for r in plain.per_request]
+    assert len(plain.student_number_timeline) > 2 and plain.deferred > 0
+    assert [(i, t) for i, _, t, _ in rows_of(memoised)] == [(i, t) for i, _, t, _ in rows_of(plain)]
     assert memoised.student_number_timeline == plain.student_number_timeline
-    assert memoised.rejected_pushes == plain.rejected_pushes
+    assert memoised.deferred == plain.deferred
 
 
-def reference_latency_csv(records, path):
-    """The csv.writer version of write_latency_csv, kept as its oracle."""
+def reference_latency_csv(rows, path):
+    """The csv.writer version of write_latency_csv, kept as its oracle, of rows_of tuples."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["request_id", "arrival_ms", "completion_ms", "latency_ms", "length_tokens"])
-        for r in records:
-            writer.writerow([r.request_id, f"{r.arrival_ms:.6f}", f"{r.completion_ms:.6f}",
-                             f"{r.latency_ms:.6f}", r.length_tokens])
+        for request_id, arrival, completion, length in rows:
+            writer.writerow([request_id, f"{arrival:.6f}", f"{completion:.6f}", f"{completion - arrival:.6f}", length])
 
 
-def columns_of(records):
-    """The records as columns, built as _metrics builds them: an id or length outside int64 raises OverflowError."""
-    return sim.LatencyColumns(*(np.fromiter((getattr(r, name) for r in records), dtype, len(records))
-                                for name, dtype in zip(sim.LatencyColumns._fields,
-                                                       (np.int64, np.float64, np.float64, np.int64))))
+def columns_of(rows):
+    """The rows as columns, built as _metrics builds them: an id or length outside int64 raises OverflowError."""
+    return sim.LatencyColumns(*(np.fromiter((row[j] for row in rows), dtype, len(rows))
+                                for j, dtype in enumerate((np.int64, np.float64, np.float64, np.int64))))
 
 
-def assert_csv_matches_reference(tmp_path, records):
+def assert_csv_matches_reference(tmp_path, rows):
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    sim.write_latency_csv(columns_of(records), got)
-    reference_latency_csv(records, want)
+    sim.write_latency_csv(columns_of(rows), got)
+    reference_latency_csv(rows, want)
     assert got.read_bytes() == want.read_bytes()
 
 
 def test_latency_csv_bytes_equal_csv_writer(tmp_path):
     workload = sim.generate_workload(sim.PoissonSpec(rps=3_000.0, duration_ms=300.0), seed=4)
-    records = sim.run_simulation(make_cluster(), workload, calibrated_factors()).per_request
-    records += [sim.CompletionRecord(10**12, 0.0, 1e-7, 1), sim.CompletionRecord(-1, 1e15 / 3, 1e16, 128),
-                sim.CompletionRecord(7, 0.1 + 0.2, 0.3, 5)]
+    records = rows_of(sim.run_simulation(make_cluster(), workload, calibrated_factors()))
+    records += [(10**12, 0.0, 1e-7, 1), (-1, 1e15 / 3, 1e16, 128), (7, 0.1 + 0.2, 0.3, 5)]
     # rows are written in chunks: cross two chunk boundaries and end inside a third chunk
     chunk = sim.LATENCY_CSV_CHUNK
     rng = np.random.default_rng(12)
     arrivals = np.cumsum(rng.exponential(0.5, 2 * chunk + 123)).tolist()
-    many = [sim.CompletionRecord(i, t, t + w, int(n)) for i, (t, w, n) in enumerate(
+    many = [(i, t, t + w, int(n)) for i, (t, w, n) in enumerate(
         zip(arrivals, rng.exponential(40.0, len(arrivals)).tolist(), rng.integers(1, 129, len(arrivals))))]
     assert len(many) > 2 * chunk and len(many) % chunk
     for rows in (records, [], many):
@@ -942,7 +958,7 @@ def test_simulate_writes_the_columns_the_records_hold(tmp_path):
     m = sim.run_simulation(make_cluster(), workload, calibrated_factors())
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     sim.write_latency_csv(m.columns, got)
-    reference_latency_csv(m.per_request, want)
+    reference_latency_csv(rows_of(m), want)
     assert got.read_bytes() == want.read_bytes()
     assert m.columns.request_id.dtype == m.columns.length_tokens.dtype == np.int64
 
@@ -966,31 +982,33 @@ _times = st.one_of(
     st.floats(min_value=2.0**53, max_value=2.0**63 - 1024).flatmap(lambda x: st.sampled_from([x, -x])),
 )
 _ints = st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from([10**12, -1, 0, -2**63, 2**63 - 1]))
-_records = st.builds(sim.CompletionRecord, _ints, _times, _times, _ints)
+_records = st.tuples(_ints, _times, _times, _ints)
 # one such row puts the columns outside the writer's domain: a time of 2**63 or more in magnitude,
 # or an id or length outside int64
 _beyond_int64 = st.one_of(st.integers(2**63, 2**70), st.integers(-2**70, -2**63 - 1))
 _outside = st.one_of(
-    st.builds(sim.CompletionRecord, _ints, st.sampled_from([2.0**63, -2.0**63, 1e300, 2.0**64]), _times, _ints),
-    st.builds(sim.CompletionRecord, _beyond_int64, _times, _times, _ints),
-    st.builds(sim.CompletionRecord, _ints, _times, _times, _beyond_int64),
+    st.tuples(_ints, st.sampled_from([2.0**63, -2.0**63, 1e300, 2.0**64]), _times, _ints),
+    st.tuples(_beyond_int64, _times, _times, _ints),
+    st.tuples(_ints, _times, _times, _beyond_int64),
 )
 
 
 @settings(max_examples=200, deadline=None)
 @given(rows=st.lists(_records, max_size=40), outside=st.none() | _outside, copies=st.sampled_from([0, 1, 150]))
 @example(rows=[], outside=None, copies=0)
-@example(rows=[sim.CompletionRecord(7, 2.5e-6, 3.0016235, 5)], outside=sim.CompletionRecord(2**63, 0.5, 1.0, 3),
-         copies=1)
+@example(rows=[(7, 2.5e-6, 3.0016235, 5)], outside=(2**63, 0.5, 1.0, 3), copies=1)
+# an arrival and a completion past 2**63 ms whose latency is 0
+@example(rows=[(0, 9.999999999999999e18, 9.999999999999999e18, 1)], outside=None, copies=0)
 def test_latency_csv_writer_equals_the_csv_writer_oracle(tmp_path_factory, rows, outside, copies):
     # a block of plain rows ahead of the drawn ones moves them across a chunk boundary. Columns
-    # holding a row outside the numpy formatting's domain, drawn (a latency of 2**63 or more in
-    # magnitude) or added last, are refused before the file is opened, or cannot be built as int64
+    # holding a row outside the numpy formatting's domain, drawn (an arrival, a completion or a
+    # latency of 2**63 or more in magnitude) or added last, are refused before the file is opened,
+    # or cannot be built as int64
     chunk = sim.LATENCY_CSV_CHUNK
-    plain = [sim.CompletionRecord(i, i / 3, i / 3 + 1.5, 1 + i % 128) for i in range(chunk - copies)] if copies else []
+    plain = [(i, i / 3, i / 3 + 1.5, 1 + i % 128) for i in range(chunk - copies)] if copies else []
     rows = plain + rows * max(1, copies) + ([outside] if outside else [])
     tmp_path = tmp_path_factory.mktemp("csv")
-    if outside or any(abs(r.latency_ms) >= 2.0**63 for r in rows):
+    if outside or any(max(abs(a), abs(c), abs(c - a)) >= 2.0**63 for _, a, c, _ in rows):
         with pytest.raises((ValueError, OverflowError)):
             sim.write_latency_csv(columns_of(rows), tmp_path / "got.csv")
         assert not (tmp_path / "got.csv").exists()
@@ -1011,7 +1029,7 @@ def test_latency_csv_writer_refuses_columns_outside_its_domain(tmp_path, column,
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("batch_timeout_ms", [None, 2.0])
-def test_per_request_is_ordered_by_arrival_then_id(seed, batch_timeout_ms):
+def test_columns_are_ordered_by_arrival_then_id(seed, batch_timeout_ms):
     # the oracle is the (arrival_ms, request_id) tuple-key sort of the requests in completion
     # order; the workload is shuffled, ties arrivals at 0.5 ms, numbers requests out of
     # arrival order with repeated ids and holds exact repeats of some requests
@@ -1024,8 +1042,7 @@ def test_per_request_is_ordered_by_arrival_then_id(seed, batch_timeout_ms):
     workload = [workload[j] for j in rng.permutation(len(workload))]
     simulation = sim.Simulation(make_cluster(nodes=2, batch_timeout_ms=batch_timeout_ms), workload,
                                 calibrated_factors())
-    got = [(r.request_id, r.arrival_ms.hex(), r.completion_ms.hex(), r.length_tokens)
-           for r in simulation.run().per_request]
+    got = [(i, a.hex(), t.hex(), n) for i, a, t, n in rows_of(simulation.run())]
     completion_ms = [t for t, size in zip(simulation.finish_ms, simulation.finish_sizes) for _ in range(size)]
     finished = [(r.id, r.arrival_ms, t, r.length_tokens) for r, t in zip(simulation.finished, completion_ms)]
     want = [(i, a.hex(), t.hex(), n) for i, a, t, n in sorted(finished, key=itemgetter(1, 0))]
@@ -1056,7 +1073,7 @@ def test_each_event_visits_at_most_one_node(monkeypatch):
     monkeypatch.setattr(sim.Simulation, "_start", counting_start)
     monkeypatch.setattr(sim.Simulation, "controller_tick", counting_tick)
     metrics = sim.run_simulation(cluster, workload, calibrated_factors())
-    assert metrics.rejected_pushes == 0 and len(metrics.student_number_timeline) == 1
+    assert metrics.deferred == 0 and len(metrics.student_number_timeline) == 1
     assert 0 < counts["visits"] <= counts["events"]
 
 
@@ -1080,7 +1097,7 @@ class BufferedArrivals(sim.Simulation):
 
     def _arrive(self, node, req, now):
         if node.retry or self._try_push(node, req, now) == sim.REJECTED:
-            self.rejected_pushes += 1
+            self.deferred += 1
             node.retry.append(req)
             self.retrying.add(node.index)
         self._boundary(now, node)
@@ -1092,8 +1109,8 @@ def end_state(simulation):
         return [float.hex(v) for v in values]
 
     m = simulation.run()
-    return ([(r.request_id, r.arrival_ms.hex(), r.completion_ms.hex(), r.length_tokens) for r in m.per_request],
-            [(t.hex(), k) for t, k in m.student_number_timeline], m.rejected_pushes,
+    return ([(i, a.hex(), t.hex(), n) for i, a, t, n in rows_of(m)],
+            [(t.hex(), k) for t, k in m.student_number_timeline], m.deferred,
             hexed(simulation.element_waits), simulation._seq, simulation.last_empty.hex(),
             simulation.buffered, sorted(simulation.service_ms.items()))
 
