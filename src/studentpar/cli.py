@@ -278,7 +278,7 @@ def cmd_distill(config_path: str, seed_override: int | None, out_override: str |
         if checkpoint:
             teacher = nn.load_model(Path(checkpoint))
             if not isinstance(teacher, nn.TeacherModel):
-                raise ConfigError("teacher checkpoint does not contain a teacher model")
+                raise ConfigError(f"{checkpoint} does not contain a teacher model")
             _check_input_width(teacher, splits, checkpoint)
         else:
             dims = dict(d_in=splits.train.inputs.shape[1], rep_dim=tobj.get("rep_dim", 16),

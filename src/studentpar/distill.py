@@ -12,7 +12,6 @@ known accuracy.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -197,17 +196,22 @@ class AccuracyTable:
     rows: list[tuple[int, float, float]] = field(default_factory=list)
 
     def __post_init__(self):
-        for i, (k, va, ta) in enumerate(self.rows, start=1):
-            if k != i:
-                raise ValueError("k must run 1..M with no gaps")
-            if not (0 <= va <= 1 and 0 <= ta <= 1):
-                raise ValueError("accuracies must be in [0, 1]")
+        for i, row in enumerate(self.rows, start=1):
+            _check_table_row(i, *row)
 
     def val_accuracy(self, k: int) -> float:
         return self.rows[k - 1][1]
 
     def __len__(self) -> int:
         return len(self.rows)
+
+
+def _check_table_row(i: int, k: int, va: float, ta: float) -> None:
+    """Raise ValueError unless (k, va, ta) may be row i of an accuracy table."""
+    if k != i:
+        raise ValueError("k must run 1..M with no gaps")
+    if not (0 <= va <= 1 and 0 <= ta <= 1):
+        raise ValueError("accuracies must be in [0, 1]")
 
 
 class EnsembleState:
@@ -777,12 +781,23 @@ def export_accuracy_table(table: AccuracyTable, path) -> None:
 
 
 def load_accuracy_table(path) -> AccuracyTable:
+    """Read a table that export_accuracy_table wrote. A malformed one raises ValueError naming
+    ``path`` and the line at fault, as the trace reader names its lines."""
+    rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["k", "val_acc", "test_acc"]:
-            raise ValueError(f"unexpected accuracy table header: {header}")
-        rows = [(int(k), float(va), float(ta)) for k, va, ta in reader]
+        try:
+            header = next(reader, None)
+            if header != ["k", "val_acc", "test_acc"]:
+                raise ValueError(f"expected header k,val_acc,test_acc, got {header}")
+            for row in reader:
+                if len(row) != 3:
+                    raise ValueError(f"expected 3 fields, got {row!r}")
+                k, va, ta = int(row[0]), float(row[1]), float(row[2])
+                _check_table_row(len(rows) + 1, k, va, ta)
+                rows.append((k, va, ta))
+        except (ValueError, csv.Error) as exc:  # csv.Error: a field past csv.field_size_limit(), say
+            raise ValueError(f"{path}: line {reader.line_num or 1}: {exc}") from exc
     return AccuracyTable(rows)
 
 
@@ -814,12 +829,7 @@ def save_ensemble(state: EnsembleState, path) -> None:
 
 def load_ensemble(path) -> EnsembleState:
     """Read an ensemble checkpoint; a malformed one raises ValueError naming ``path``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
-    try:
-        return ensemble_from_dict(d)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return nn.read_json(path, ensemble_from_dict)
 
 
 # -- teacher training (artifact plumbing) --------------------------------------

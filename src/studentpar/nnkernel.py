@@ -676,6 +676,17 @@ def save_model(model, path) -> None:
     write_json(path, model_to_dict(model))
 
 
+def read_json(path, decode):
+    """``decode`` of the JSON value in ``path``. A ValueError (a truncated file raises one), KeyError
+    or TypeError raised while the file is read or decoded becomes a ValueError naming ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return decode(json.load(fh))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def load_model(path) -> TeacherModel | StudentModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    return read_json(path, model_from_dict)

@@ -253,8 +253,6 @@ class LengthAwareBuffer:
     ``index`` maps a length bin to its unique open (non-full) element, if
     any; entries are removed the moment an element fills or leaves the
     FIFO, so every push and pop touches a constant number of elements.
-    ``op_touches`` records the element touches of the last operation, for
-    the constant-work property tests.
     """
 
     def __init__(self, num_bins: int, bin_width: int, max_merge: int, capacity: int,
@@ -269,7 +267,6 @@ class LengthAwareBuffer:
         self.pad_to_max = pad_to_max
         self.fifo: deque[BufferElement] = deque()
         self.index: dict[int, BufferElement] = {}
-        self.op_touches = 0
 
     def __len__(self) -> int:
         return len(self.fifo)
@@ -288,11 +285,9 @@ class LengthAwareBuffer:
         return self.num_bins - 1 if self.pad_to_max and length >= 1 else self.bin_of(length)
 
     def push(self, req: Request, now_ms: float = 0.0) -> str:
-        self.op_touches = 0
         b = self.push_bin(req.length_tokens)
         el = self.index.get(b)
         if el is not None:
-            self.op_touches = 1
             requests = el.requests
             requests.append(req)
             if len(requests) >= self.max_merge:
@@ -301,7 +296,6 @@ class LengthAwareBuffer:
         if self.is_full():
             return REJECTED
         el = BufferElement(b, (b + 1) * self.bin_width, [req], now_ms)
-        self.op_touches = 1
         self.fifo.append(el)
         if self.max_merge > 1:  # a size-1 element is already full when max_merge == 1
             self.index[b] = el
@@ -311,7 +305,6 @@ class LengthAwareBuffer:
         if not self.fifo:
             raise IndexError("pop from empty buffer")
         el = self.fifo.popleft()
-        self.op_touches = 1
         if self.index.get(el.bin) is el:
             del self.index[el.bin]
         return el

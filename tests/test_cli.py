@@ -11,8 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from studentpar import cli, servesim
 
@@ -281,6 +279,15 @@ def add_deeper_student(e):
     e["multipliers"].append(0.5)
 
 
+def prune_config(tmp_path, distill_dir):
+    return write_config(tmp_path, "prune.json", {
+        "mode": "prune", "seed": 5, "out_dir": str(tmp_path / "prune_out"), "distill_dir": str(distill_dir),
+        "task": {"kind": "gaussian", "n_classes": 2, "d_in": 4, "n_train": 96,
+                 "n_val": 48, "n_test": 48, "class_sep": 2.5},
+        "distill": {"pruning_epochs": 1},
+    })
+
+
 @pytest.mark.parametrize("corruption", list(CHECKPOINT_CORRUPTIONS))
 def test_prune_corrupt_checkpoint_exits_config(tmp_path, capsys, distilled, corruption):
     teacher = json.loads((distilled / "teacher.json").read_text())
@@ -290,15 +297,23 @@ def test_prune_corrupt_checkpoint_exits_config(tmp_path, capsys, distilled, corr
     bad.mkdir()
     (bad / "teacher.json").write_text(json.dumps(teacher))
     (bad / "ensemble.json").write_text(json.dumps(ensemble))
-    cfg = write_config(tmp_path, "prune.json", {
-        "mode": "prune", "seed": 5, "out_dir": str(tmp_path / "prune_out"), "distill_dir": str(bad),
-        "task": {"kind": "gaussian", "n_classes": 2, "d_in": 4, "n_train": 96,
-                 "n_val": 48, "n_test": 48, "class_sep": 2.5},
-        "distill": {"pruning_epochs": 1},
-    })
-    assert cli.main(["prune", "--config", cfg]) == cli.EXIT_CONFIG
+    assert cli.main(["prune", "--config", prune_config(tmp_path, bad)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+    assert str(bad / f"{corruption.split('-')[0]}.json") in err  # the corrupted file, by name
+
+
+@pytest.mark.parametrize("name", ["teacher.json", "ensemble.json"])
+def test_prune_truncated_checkpoint_names_the_file(tmp_path, capsys, distilled, name):
+    bad = tmp_path / "bad_distill"
+    bad.mkdir()
+    for checkpoint in ("teacher.json", "ensemble.json"):
+        (bad / checkpoint).write_bytes((distilled / checkpoint).read_bytes())
+    (bad / name).write_bytes((distilled / name).read_bytes()[:100])
+    assert cli.main(["prune", "--config", prune_config(tmp_path, bad)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"config error: {bad / name}: Expecting ")
 
 
 def test_prune_mixed_shape_ensemble_names_the_file(tmp_path, capsys, distilled):
@@ -308,13 +323,7 @@ def test_prune_mixed_shape_ensemble_names_the_file(tmp_path, capsys, distilled):
     bad.mkdir()
     (bad / "teacher.json").write_bytes((distilled / "teacher.json").read_bytes())
     (bad / "ensemble.json").write_text(json.dumps(ensemble))
-    cfg = write_config(tmp_path, "prune.json", {
-        "mode": "prune", "seed": 5, "out_dir": str(tmp_path / "prune_out"), "distill_dir": str(bad),
-        "task": {"kind": "gaussian", "n_classes": 2, "d_in": 4, "n_train": 96,
-                 "n_val": 48, "n_test": 48, "class_sep": 2.5},
-        "distill": {"pruning_epochs": 1},
-    })
-    assert cli.main(["prune", "--config", cfg]) == cli.EXIT_CONFIG
+    assert cli.main(["prune", "--config", prune_config(tmp_path, bad)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith(f"config error: {bad / 'ensemble.json'}: students differ in shape: student ")
@@ -344,7 +353,7 @@ def test_distill_corrupt_teacher_checkpoint_exits_config(tmp_path, capsys, disti
     Path(cfg_path).write_text(json.dumps(cfg))
     assert cli.main(["distill", "--config", cfg_path]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "config error" in err and "Traceback" not in err
+    assert err.startswith(f"config error: {tmp_path / 'teacher.json'}") and "Traceback" not in err
 
 
 def test_distill_refuses_a_decimal_teacher_checkpoint(tmp_path, capsys, distilled):
@@ -802,6 +811,23 @@ def test_a_key_of_another_kind_is_refused(tmp_path, capsys, section, value, name
     assert named in err, err
 
 
+@pytest.mark.parametrize("text, named", [
+    ("k,val_acc,test_acc\n1,0.9,0.9\n2,x,0.9\n", "line 3: could not convert string to float: 'x'"),
+    ("k,val_acc,test_acc\n1,0.9,0.9,0.5\n", "line 2: expected 3 fields"),
+    ("k,val_acc,test_acc\n1,0.9\n", "line 2: expected 3 fields"),
+    ("k,val,test\n1,0.9,0.9\n", "line 1: expected header k,val_acc,test_acc"),
+    ("k,val_acc,test_acc\n1,0.9,0.9\n3,0.9,0.9\n", "line 3: k must run 1..M with no gaps"),
+    ("k,val_acc,test_acc\n1," + "9" * 200_000 + ",0.9\n", "line 2: field larger than field limit"),
+], ids=["bad-value", "extra-column", "short-row", "wrong-header", "gap-in-k", "field-past-csv-limit"])
+def test_a_malformed_accuracy_table_names_its_file_and_line(tmp_path, capsys, text, named):
+    table = tmp_path / "accuracy.csv"
+    table.write_text(text)
+    cfg = toy_payloads(tmp_path)["simulate"]
+    cfg["accuracy_table"] = {"kind": "csv", "path": str(table)}
+    err = assert_config_error(["simulate", "--config", write_config(tmp_path, "table.json", cfg)], capsys)
+    assert err.startswith(f"config error: {table}: {named}"), err
+
+
 def test_seed_flag_must_be_non_negative(tmp_path, capsys):
     cfg = simulate_config(tmp_path)
     err = assert_config_error(["simulate", "--config", cfg, "--seed", "-1"], capsys)
@@ -1101,24 +1127,42 @@ def run_in(directory, argv):
         os.chdir(cwd)
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(mode=st.sampled_from(["distill", "prune", "simulate", "perf"]), data=st.data())
-def test_fuzzed_configs_exit_cleanly(distilled, mode, data):
-    with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        cfg = fuzz_payloads(root, distilled)[mode]
-        path = data.draw(st.sampled_from(list(paths_of(cfg))), label="path")
-        parent = cfg
-        for key in path[:-1]:
-            parent = parent[key]
-        op = data.draw(st.sampled_from(["drop", "unknown", "replace"]), label="op")
-        if op == "drop":
-            del parent[path[-1]]
-        elif op == "unknown" and isinstance(parent, dict):
-            parent["not_a_key"] = 1
-        else:
-            parent[path[-1]] = data.draw(st.sampled_from(MUTANT_VALUES), label="value")
-        (root / "cfg.json").write_text(json.dumps(cfg))
-        code, err = run_in(root, [mode, "--config", str(root / "cfg.json")])
-    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERIC), err
-    assert "Traceback" not in err
+def cfg_at(cfg, path):
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
+def fuzz_cases(distilled):
+    """Every mutation of the fuzz: per mode and path, the key or item dropped, an unknown key
+    added beside it where its parent is an object, and each of MUTANT_VALUES in its place."""
+    for mode, cfg in fuzz_payloads(Path(), distilled).items():  # only the paths are read
+        for path in paths_of(cfg):
+            yield mode, path, "drop", None
+            if isinstance(cfg_at(cfg, path[:-1]), dict):
+                yield mode, path, "unknown", None
+            for value in MUTANT_VALUES:
+                yield mode, path, "replace", value
+
+
+def test_fuzzed_configs_exit_cleanly(distilled):
+    """The whole fuzz space, every case in every run: each exits 0, 2 or 3 with no traceback."""
+    failures, cases = [], 0
+    for mode, path, op, value in fuzz_cases(distilled):
+        cases += 1
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            cfg = fuzz_payloads(root, distilled)[mode]
+            parent = cfg_at(cfg, path[:-1])
+            if op == "drop":
+                del parent[path[-1]]
+            elif op == "unknown":
+                parent["not_a_key"] = 1
+            else:
+                parent[path[-1]] = value
+            (root / "cfg.json").write_text(json.dumps(cfg))
+            code, err = run_in(root, [mode, "--config", str(root / "cfg.json")])
+        if code not in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERIC) or "Traceback" in err:
+            failures.append((mode, path, op, value, code, err[-300:]))
+    assert cases > 1000
+    assert not failures, f"{len(failures)} of {cases} cases: {failures[:5]}"

@@ -385,18 +385,44 @@ def test_buffer_index_integrity(ops):
         assert len(buf.fifo) <= buf.capacity
 
 
-def test_constant_touches_across_sizes():
+def worst_touches(touched):
+    """The most elements one push or pop touched, over random operations on buffers of
+    capacity 4 to 4096; ``touched`` is the set of the touched_elements fixture."""
     worst = 0
     for capacity in (4, 64, 1024, 4096):
         rng = np.random.Generator(np.random.PCG64(5))
         buf = new_buffer(capacity=capacity)
         for i in range(3000):
+            touched.clear()
             if buf.fifo and rng.random() < 0.3:
                 buf.pop()
             else:
                 buf.push(req(i, int(rng.integers(1, 129))))
-            worst = max(worst, buf.op_touches)
-    assert worst <= 2
+            worst = max(worst, len(touched))
+    return worst
+
+
+def test_constant_touches_across_sizes(touched_elements):
+    assert worst_touches(touched_elements) <= 2
+
+
+def scanning_push(self, request, now_ms=0.0):
+    """LengthAwareBuffer.push with the bin index replaced by a scan of the FIFO: the same
+    results, in time linear in the occupancy."""
+    b = self.push_bin(request.length_tokens)
+    for el in self.fifo:
+        if el.bin == b and len(el.requests) < self.max_merge:
+            el.requests.append(request)
+            return sim.MERGED
+    if self.is_full():
+        return sim.REJECTED
+    self.fifo.append(sim.BufferElement(b, (b + 1) * self.bin_width, [request], now_ms))
+    return sim.APPENDED
+
+
+def test_touch_count_catches_a_scanning_push(monkeypatch, touched_elements):
+    monkeypatch.setattr(sim.LengthAwareBuffer, "push", scanning_push)
+    assert worst_touches(touched_elements) > 2
 
 
 # -- service time -------------------------------------------------------------------
@@ -1055,26 +1081,50 @@ def test_columns_are_ordered_by_arrival_then_id(seed, batch_timeout_ms):
     assert any(a[:2] == b[:2] and a[2] != b[2] for a, b in zip(got, got[1:]))
 
 
-def test_each_event_visits_at_most_one_node(monkeypatch):
+def fanout_node_visits(monkeypatch, nodes):
+    """Run ``nodes`` nodes at 200 rps each for 300 ms and count every read of a node's buffer,
+    through a node class that counts them. Return the reads and their bound: 2 per arrival
+    or completion, plus 2 per node towards the reads made once per run, by the constructor
+    and the end-of-run recount."""
+    visits = [0]
+
+    class CountingNode(sim._Node):
+        @property
+        def buffer(self):
+            visits[0] += 1
+            return self._buffer
+
+        @buffer.setter
+        def buffer(self, buffer):
+            self._buffer = buffer
+
+    monkeypatch.setattr(sim, "_Node", CountingNode)
     ctl = sim.ControllerConfig(max_students=3, accuracy_table=flat_table(), min_students=3)
-    cluster = make_cluster(controller=ctl, nodes=32)
-    workload = sim.generate_workload(sim.PoissonSpec(rps=32 * 200.0, duration_ms=300.0), seed=9)
-    counts = {"events": 0, "visits": 0}
-    start, tick = sim.Simulation._start, sim.Simulation.controller_tick
-
-    def counting_start(self, *args):  # every dispatch and every direct start
-        counts["visits"] += 1
-        start(self, *args)
-
-    def counting_tick(self, now):
-        counts["events"] += 1
-        return tick(self, now)
-
-    monkeypatch.setattr(sim.Simulation, "_start", counting_start)
-    monkeypatch.setattr(sim.Simulation, "controller_tick", counting_tick)
-    metrics = sim.run_simulation(cluster, workload, calibrated_factors())
+    workload = sim.generate_workload(sim.PoissonSpec(rps=nodes * 200.0, duration_ms=300.0), seed=9)
+    simulation = sim.Simulation(make_cluster(controller=ctl, nodes=nodes), workload, calibrated_factors())
+    metrics = simulation.run()
     assert metrics.deferred == 0 and len(metrics.student_number_timeline) == 1
-    assert 0 < counts["visits"] <= counts["events"]
+    return visits[0], 2 * (len(workload) + len(simulation.finish_ms)) + 2 * nodes
+
+
+@pytest.mark.parametrize("nodes", [4, 32])
+def test_each_event_visits_at_most_one_node(monkeypatch, nodes):
+    visits, bound = fanout_node_visits(monkeypatch, nodes)
+    assert 0 < visits <= bound
+
+
+def test_visit_count_catches_a_boundary_that_visits_every_node(monkeypatch):
+    boundary = sim.Simulation._boundary
+
+    def sweeping_boundary(self, now, own):  # a dispatch sweep over every node at every event
+        boundary(self, now, own)
+        for node in self.nodes:
+            if node.buffer.fifo and node.busy < self.groups:
+                self._dispatch(node, now)
+
+    monkeypatch.setattr(sim.Simulation, "_boundary", sweeping_boundary)
+    visits, bound = fanout_node_visits(monkeypatch, 32)
+    assert visits > bound
 
 
 def test_broken_counter_fails_end_of_run_check():
