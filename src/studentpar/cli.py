@@ -90,6 +90,16 @@ def _present(obj: dict, *keys: str) -> dict:
     return {k: obj[k] for k in keys if k in obj}
 
 
+def _load_json(p: Path):
+    """The JSON value in file ``p``; nesting deeper than the decoder can recurse is a config error
+    that names the file (a recursion bug elsewhere still surfaces)."""
+    text = p.read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ConfigError(f"{p}: JSON nested too deeply to decode") from exc
+
+
 def _open_run(config_path: str, mode: str, keys: set[str], required: set[str],
               seed_override: int | None, out_override: str | None):
     """Start the clock, load and check the config, pick the seed, create the output directory."""
@@ -97,7 +107,7 @@ def _open_run(config_path: str, mode: str, keys: set[str], required: set[str],
     p = Path(config_path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {config_path}")
-    config = json.loads(p.read_text(encoding="utf-8"))
+    config = _load_json(p)
     _require_keys(config, {"mode", "seed", "out_dir", *keys}, {"mode", "out_dir", *required}, "config")
     if config["mode"] != mode:
         raise ConfigError(f"config mode is '{config['mode']}', expected '{mode}'")
@@ -111,7 +121,8 @@ def _open_run(config_path: str, mode: str, keys: set[str], required: set[str],
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def _write_manifest(out_dir: Path, config, outputs: list[Path], started: float) -> None:
@@ -215,7 +226,7 @@ def _check_expected_requests(specs: list[sim.PoissonSpec], key: str) -> None:
                           f"above the limit of {sim.MAX_EXPECTED_REQUESTS:,}")
 
 
-def _parse_workload(obj, seed: int, cluster: sim.ClusterConfig) -> list[sim.Request]:
+def _parse_workload(obj, seed: int, cluster: sim.ClusterConfig) -> sim.Workload:
     kind = _require_kind(obj, {"poisson": ({"rps", "duration_ms", "length_weights"}, set()),
                                "trace": ({"path", "scale"}, {"path"}), "phases": ({"phases"}, {"phases"})},
                          "workload")
@@ -242,13 +253,14 @@ def _parse_workload(obj, seed: int, cluster: sim.ClusterConfig) -> list[sim.Requ
         except ValueError as exc:
             raise ConfigError(f"{ctx}: {exc}") from exc
     _check_expected_requests(specs, "workload.phases")
-    requests: list[sim.Request] = []
-    offset = 0.0
+    parts: list[sim.Workload] = []
+    offset, first_id = 0.0, 0
     for i, spec in enumerate(specs):
-        requests += sim.generate_workload(spec, fork_seed(seed, f"workload-phase-{i}"), **bins,
-                                          offset_ms=offset, first_id=len(requests))
+        parts.append(sim.generate_workload(spec, fork_seed(seed, f"workload-phase-{i}"), **bins,
+                                           offset_ms=offset, first_id=first_id))
         offset += spec.duration_ms
-    return requests
+        first_id += len(parts[-1])
+    return sim.Workload.concatenate(parts)
 
 
 def _check_input_width(model, splits, path) -> None:
@@ -455,7 +467,7 @@ def cmd_report(metric_paths: list[str], out_override: str | None) -> int:
             p = Path(path)
             if not p.is_file():
                 raise ConfigError(f"metrics file not found: {path}")
-            data = json.loads(p.read_text(encoding="utf-8"))
+            data = _load_json(p)
             required = {"avg_latency_ms", "p95_latency_ms", "throughput_per_gpu", "completed",
                         "student_number_timeline", "accuracy_timeline"}
             missing = required - data.keys()

@@ -678,10 +678,15 @@ def save_model(model, path) -> None:
 
 def read_json(path, decode):
     """``decode`` of the JSON value in ``path``. A ValueError (a truncated file raises one), KeyError
-    or TypeError raised while the file is read or decoded becomes a ValueError naming ``path``."""
+    or TypeError raised while the file is read or decoded, or nesting deeper than the JSON decoder
+    can recurse, becomes a ValueError naming ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return decode(json.load(fh))
+            try:
+                data = json.load(fh)
+            except RecursionError as exc:  # caught here only, so a recursion bug in decode still surfaces
+                raise ValueError("JSON nested too deeply to decode") from exc
+        return decode(data)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from exc
     except (ValueError, TypeError) as exc:

@@ -43,9 +43,11 @@ sums idle and busy groups over every node. The idle window runs on one
 cluster-wide clock: the time at which, at the end of an event, no buffer
 held an element any more, or the last time it added a student back.
 
-Each request is kept once. A completion appends its requests to one flat
-list and its time and size to two more; the metrics and ``latencies.csv``
-are built from numpy columns of those lists once the run has ended.
+A workload is three numpy columns, one row per request. The loop builds a
+``Request`` of a row only when the row arrives, with the row index as its id.
+A completion appends its requests' rows to one flat array and its time and
+size to two more; the metrics and ``latencies.csv`` gather the workload's
+columns by those rows once the run has ended.
 """
 
 from __future__ import annotations
@@ -54,12 +56,11 @@ import csv
 import heapq
 import math
 import warnings
+from array import array
 from bisect import bisect_right
 from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass, field, fields
-from itertools import repeat
-from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -74,6 +75,45 @@ class Request(NamedTuple):
     id: int
     arrival_ms: float
     length_tokens: int
+
+
+@dataclass(frozen=True, eq=False)
+class Workload:
+    """A workload as int64 ids and lengths and float64 arrival times, one row per request:
+    the input twin of ``LatencyColumns``. ``len`` is its request count."""
+
+    request_id: np.ndarray
+    arrival_ms: np.ndarray
+    length_tokens: np.ndarray
+
+    def __post_init__(self):
+        columns = (self.request_id, self.arrival_ms, self.length_tokens)
+        if not (all(isinstance(c, np.ndarray) and c.ndim == 1 and len(c) == len(self.request_id) for c in columns)
+                and self.request_id.dtype == self.length_tokens.dtype == np.int64
+                and self.arrival_ms.dtype == np.float64):
+            raise ValueError("a workload is three 1-D columns of one length: int64 request_id, "
+                             "float64 arrival_ms and int64 length_tokens")
+
+    def __len__(self) -> int:
+        return len(self.request_id)
+
+    @classmethod
+    def from_requests(cls, requests) -> Workload:
+        """The rows ``(id, arrival_ms, length_tokens)``, such as ``Request``s, in their order;
+        an id or length outside int64 raises OverflowError."""
+        ids, arrivals, lengths = tuple(zip(*requests)) or ((), (), ())
+        return cls(np.array(ids, np.int64), np.array(arrivals, np.float64), np.array(lengths, np.int64))
+
+    @classmethod
+    def concatenate(cls, parts) -> Workload:
+        """The rows of ``parts``, one workload after another."""
+        return cls(*(np.concatenate(column) for column in zip(
+            *((part.request_id, part.arrival_ms, part.length_tokens) for part in parts))))
+
+    def requests(self) -> list[Request]:
+        """The rows as ``Request``s of Python ints and floats."""
+        return list(map(Request._make, zip(self.request_id.tolist(), self.arrival_ms.tolist(),
+                                           self.length_tokens.tolist())))
 
 
 # the most requests a Poisson workload may expect, rps * duration_ms / 1000 summed
@@ -126,8 +166,8 @@ def _uint32_words(bit_generator):
 
 
 def generate_workload(kind, seed: int, max_len: int = 128, bin_width: int = 8, *,
-                      offset_ms: float = 0.0, first_id: int = 0) -> list[Request]:
-    """Arrival-sorted requests, deterministic per seed.
+                      offset_ms: float = 0.0, first_id: int = 0) -> Workload:
+    """An arrival-sorted workload, deterministic per seed.
 
     A Poisson workload draws the first arrival gap, then per request its
     length bin, its length within the bin and the gap to the next arrival.
@@ -159,7 +199,7 @@ def generate_workload(kind, seed: int, max_len: int = 128, bin_width: int = 8, *
         std_exponential, raw = rng.standard_exponential, rng.bit_generator.random_raw
         next_word = _uint32_words(rng.bit_generator).__next__
         reject_below = (1 << 32) % bin_width  # Lemire's threshold (2**32 - w) mod w
-        times, lengths = [], []
+        times, lengths = array("d"), array("q")
         add_time, add_length = times.append, lengths.append
         t = scale * std_exponential()
         while t <= duration_ms:
@@ -172,9 +212,8 @@ def generate_workload(kind, seed: int, max_len: int = 128, bin_width: int = 8, *
             add_time(t + offset_ms)
             add_length(length)
             t += scale * std_exponential()
-        # what Request._make does, in one pass with no Python body per request
-        return list(map(tuple.__new__, repeat(Request),
-                        zip(range(first_id, first_id + len(times)), times, lengths)))
+        return Workload(np.arange(first_id, first_id + len(times), dtype=np.int64),
+                        np.array(times, np.float64), np.array(lengths, np.int64))
     if isinstance(kind, TraceFile):
         check_positive(kind, ("scale",))
         with open(kind.path, "rb") as fh:
@@ -194,9 +233,9 @@ def generate_workload(kind, seed: int, max_len: int = 128, bin_width: int = 8, *
                 t, lengths, scaled = rows["t"], rows["l"], rows["t"] * kind.scale
                 if (len(rows) == len(ends) + (not body.endswith(b"\n")) and np.isfinite(scaled).all()
                         and (t[1:] >= t[:-1]).all() and (lengths >= 1).all()):
-                    return list(map(tuple.__new__, repeat(Request),
-                                    zip(range(len(rows)), scaled.tolist(), lengths.tolist())))
-        requests = []
+                    # a copy of the lengths, as a view would keep the parsed rows alive
+                    return Workload(np.arange(len(rows), dtype=np.int64), scaled, lengths.copy())
+        times, lengths = array("d"), array("q")
         with open(kind.path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             try:
@@ -219,10 +258,12 @@ def generate_workload(kind, seed: int, max_len: int = 128, bin_width: int = 8, *
                     if not 1 <= length < 2**63:  # an int64, as the latency columns hold it
                         raise ValueError(f"trace line {lineno}: length must lie in [1, 2**63 - 1], got {row[1]!r}")
                     last_t = t
-                    requests.append(Request(len(requests), t * kind.scale, length))
+                    times.append(t * kind.scale)
+                    lengths.append(length)
             except csv.Error as exc:  # a field past csv.field_size_limit(), say
                 raise ValueError(f"trace line {reader.line_num}: {exc}") from exc
-        return requests
+        return Workload(np.arange(len(times), dtype=np.int64), np.array(times, np.float64),
+                        np.array(lengths, np.int64))
     raise TypeError(f"unknown workload kind {type(kind).__name__}")
 
 
@@ -602,11 +643,18 @@ def _clock_error(t: float) -> FloatingPointError:
 class Simulation:
     """Event loop state; use run_simulation unless you need to poke internals."""
 
-    def __init__(self, cluster: ClusterConfig, workload: list[Request], factors: ServiceFactors):
+    # every attribute, so that instances hold no dict: past 30 keys, CPython 3.11 stops sharing
+    # an instance dict's keys, and each attribute read in the event loop gets slower
+    __slots__ = ("cfg", "factors", "ctl", "max_merge", "batch_timeout_ms", "k", "groups", "nodes",
+                 "full_buffers", "nonempty", "retrying", "buffered", "last_empty", "workload",
+                 "arrival_times", "arrival_rows", "lengths", "events", "_seq", "finished", "finish_ms",
+                 "finish_sizes", "element_waits", "deferred", "direct_starts", "max_occupancy",
+                 "padded_lens", "service_ms", "generated", "k_timeline", "last_event_ms")
+
+    def __init__(self, cluster: ClusterConfig, workload: Workload, factors: ServiceFactors):
         if factors.model.t_unit is None:
             raise RuntimeError("perf model must be calibrated before simulation")
-        times = list(map(attrgetter("arrival_ms"), workload))
-        if not all(map(math.isfinite, times)):
+        if not np.isfinite(workload.arrival_ms).all():
             raise ValueError("every arrival_ms must be finite")  # else the event loop never ends
         self.cfg = cluster
         self.factors = factors
@@ -627,30 +675,31 @@ class Simulation:
         self.retrying: set[int] = set()   # indices of nodes with deferred requests
         self.buffered = False             # whether any buffer held an element at the last boundary's end
         self.last_empty = 0.0             # when the cluster last turned idle, or the last ADD_ONE
-        # arrivals stay out of the heap: the requests stably sorted by time, with the nodes
-        # that round-robin in workload order gives them, reversed so the next is popped off the end
-        order = sorted(range(len(times)), key=times.__getitem__)
-        order.reverse()
-        self.arrivals: list[Request] = list(map(workload.__getitem__, order))
-        if self.arrivals and self.arrivals[-1].arrival_ms <= -CLOCK_LIMIT_MS:
-            raise _clock_error(self.arrivals[-1].arrival_ms)
-        nodes = self.nodes
-        self.arrival_nodes: list[_Node] = [nodes[i % cluster.nodes] for i in order]
+        # arrivals stay out of the heap: the rows stably sorted by time, reversed so the next is
+        # popped off the end, and their times. Nodes round-robin in workload order: row i goes to
+        # node i mod the node count
+        self.workload = workload
+        order = np.argsort(workload.arrival_ms, kind="stable")[::-1]
+        self.arrival_rows: list[int] = order.tolist()
+        self.arrival_times: list[float] = workload.arrival_ms[order].tolist()
+        del order  # before the lengths are listed, to keep the peak in memory low
+        if self.arrival_times and self.arrival_times[-1] <= -CLOCK_LIMIT_MS:
+            raise _clock_error(self.arrival_times[-1])
+        self.lengths: list[int] = workload.length_tokens.tolist()
         self.events: list[tuple[float, int, str, object]] = []
         self._seq = 0
-        # each completion's requests, time and size, in completion order
-        self.finished: list[Request] = []
-        self.finish_ms: list[float] = []
+        # each completion's rows, time and size, in completion order
+        self.finished = array("q")
+        self.finish_ms = array("d")
         self.finish_sizes: list[int] = []
-        self.element_waits: list[float] = []  # buffer residence per started element, 0 for a direct start
+        self.element_waits = array("d")  # buffer residence per started element, 0 for a direct start
         self.deferred = 0
         self.direct_starts = 0
         self.max_occupancy = 0
         # the padded length of each length in the workload, as a push pads it: a direct
         # start reads it here
         push_bin = self.nodes[0].buffer.push_bin
-        self.padded_lens = {n: (push_bin(n) + 1) * cluster.bin_width
-                            for n in set(map(attrgetter("length_tokens"), workload))}
+        self.padded_lens = {n: (push_bin(n) + 1) * cluster.bin_width for n in set(self.lengths)}
         # service_time is a pure function of (k, size, padded_len, active groups) for
         # this cluster and these factors, so each distinct dispatch shape is modelled once
         self.service_ms: dict[tuple[int, int, int, int], float] = {}
@@ -803,8 +852,8 @@ class Simulation:
         until = math.inf
         if self.events:
             until = self.events[0][0]
-        if self.arrivals:
-            until = min(until, self.arrivals[-1].arrival_ms)
+        if self.arrival_times:
+            until = min(until, self.arrival_times[-1])
         idle_end = self.last_empty + self.ctl.idle_window_ms
         if idle_end > now:
             until = min(until, idle_end)
@@ -819,14 +868,15 @@ class Simulation:
         return now + beats * HEARTBEAT_MS
 
     def run(self) -> SimMetrics:
-        events, arrivals, arrival_nodes, arrive = self.events, self.arrivals, self.arrival_nodes, self._arrive
-        finish, finish_ms, finish_sizes = self.finished.extend, self.finish_ms.append, self.finish_sizes.append
+        events, times, rows, lengths = self.events, self.arrival_times, self.arrival_rows, self.lengths
+        arrive, nodes, node_count, new = self._arrive, self.nodes, len(self.nodes), tuple.__new__
+        finish, finish_ms, finish_sizes = self.finished.append, self.finish_ms.append, self.finish_sizes.append
         now = 0.0
         while events:  # a heartbeat stays pending while arrivals remain
-            if arrivals and arrivals[-1].arrival_ms <= events[0][0]:
-                req = arrivals.pop()
-                now = req.arrival_ms
-                arrive(arrival_nodes.pop(), req, now)
+            if times and times[-1] <= events[0][0]:
+                now = times.pop()
+                row = rows.pop()
+                arrive(nodes[row % node_count], new(Request, (row, now, lengths[row])), now)
                 continue
             now, _, kind, payload = heapq.heappop(events)
             node = None
@@ -836,7 +886,7 @@ class Simulation:
                 # The next beat takes its place in the heap order now, before this beat's
                 # boundary pushes anything, and its time once the boundary has run.
                 seq, self._seq = self._seq, self._seq + 1
-                more = bool(events or arrivals)
+                more = bool(events or times)
                 before = self._beat_state()
                 self._boundary(now, None)
                 nxt = now + HEARTBEAT_MS
@@ -852,7 +902,8 @@ class Simulation:
                 if kind == _COMPLETION:
                     node, requests = payload
                     node.busy -= 1
-                    finish(requests)
+                    for req in requests:
+                        finish(req[0])
                     finish_ms(now)
                     finish_sizes(len(requests))
                 else:
@@ -884,13 +935,13 @@ class Simulation:
     def _metrics(self) -> SimMetrics:
         # the columns are built and reordered one at a time, and the latencies dropped once
         # read, to keep the peak in memory low
-        finished = self.finished
-        ids = np.fromiter(map(itemgetter(0), finished), np.int64, len(finished))
-        arrival = np.fromiter(map(itemgetter(1), finished), np.float64, len(finished))
+        finished, workload = np.asarray(self.finished), self.workload
+        ids = workload.request_id[finished]
+        arrival = workload.arrival_ms[finished]
         completion = np.repeat(self.finish_ms, self.finish_sizes)
-        lengths = np.fromiter(map(itemgetter(2), finished), np.int64, len(finished))
+        lengths = workload.length_tokens[finished]
         avg = p95 = throughput = None
-        if finished:
+        if len(finished):
             span_ms = float(completion.max() - arrival.min())
             total_gpus = self.cfg.nodes * self.cfg.gpus_per_node
             throughput = 1000.0 * len(finished) / (span_ms * total_gpus) if span_ms > 0 else None
@@ -908,8 +959,7 @@ class Simulation:
         waits = np.array(self.element_waits)
         waits.sort()
         waits = waits[self.direct_starts:]
-        # times and accuracies as floats: a library Request's arrival_ms, or a flat table's rows, may be ints
-        timeline = [(float(t), k) for t, k in self.k_timeline]
+        timeline = self.k_timeline
         return SimMetrics(
             avg_latency_ms=avg,
             p95_latency_ms=p95,
@@ -925,11 +975,12 @@ class Simulation:
             buffer_wait_max_ms=float(waits[-1]) if len(waits) else None,
             max_buffer_occupancy=self.max_occupancy,
             student_number_timeline=timeline,
+            # accuracies as floats: a flat table's rows may be ints
             accuracy_timeline=[(t, float(self.ctl.accuracy_table.val_accuracy(k))) for t, k in timeline],
             columns=LatencyColumns(ids, arrival, completion, lengths),
         )
 
 
-def run_simulation(cluster: ClusterConfig, workload: list[Request], factors: ServiceFactors) -> SimMetrics:
+def run_simulation(cluster: ClusterConfig, workload: Workload, factors: ServiceFactors) -> SimMetrics:
     """Run the event loop to completion and return the metrics."""
     return Simulation(cluster, workload, factors).run()

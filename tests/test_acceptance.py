@@ -361,14 +361,12 @@ def test_criterion_8_directional_speedup():
 
 def three_phase_workload(steady=2000.0, mult=5.0, pre_ms=4_000.0, burst_ms=2_500.0, tail_ms=18_000.0):
     phases = [(steady, pre_ms), (mult * steady, burst_ms), (steady, tail_ms)]
-    workload, offset, rid = [], 0.0, 0
+    parts, offset = [], 0.0
     for i, (rps, dur) in enumerate(phases):
-        part = sim.generate_workload(sim.PoissonSpec(rps=rps, duration_ms=dur), seed=100 + i)
-        for r in part:
-            workload.append(sim.Request(rid, r.arrival_ms + offset, r.length_tokens))
-            rid += 1
+        parts.append(sim.generate_workload(sim.PoissonSpec(rps=rps, duration_ms=dur), seed=100 + i,
+                                           offset_ms=offset, first_id=sum(map(len, parts))))
         offset += dur
-    return workload, (pre_ms, pre_ms + burst_ms)
+    return sim.Workload.concatenate(parts), (pre_ms, pre_ms + burst_ms)
 
 
 def test_criterion_9_burst_adaptation():

@@ -7,6 +7,7 @@ import os
 import signal
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +315,34 @@ def test_prune_truncated_checkpoint_names_the_file(tmp_path, capsys, distilled, 
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith(f"config error: {bad / name}: Expecting ")
+
+
+# nested past the depth that json's decoder can recurse to; each used to exit 1 with a RecursionError
+NESTED_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("mode", ["perf", "report"])
+def test_a_deeply_nested_json_input_names_its_file(tmp_path, capsys, mode):
+    path = tmp_path / "nested.json"
+    path.write_text(NESTED_JSON)
+    argv = ["perf", "--config", str(path)] if mode == "perf" else ["report", str(path), "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == f"config error: {path}: JSON nested too deeply to decode\n"
+
+
+@pytest.mark.parametrize("name", ["teacher.json", "ensemble.json"])
+def test_prune_deeply_nested_checkpoint_names_the_file(tmp_path, capsys, distilled, name):
+    bad = tmp_path / "bad_distill"
+    bad.mkdir()
+    for checkpoint in ("teacher.json", "ensemble.json"):
+        (bad / checkpoint).write_bytes((distilled / checkpoint).read_bytes())
+    (bad / name).write_text(NESTED_JSON)
+    assert cli.main(["prune", "--config", prune_config(tmp_path, bad)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == f"config error: {bad / name}: JSON nested too deeply to decode\n"
 
 
 def test_prune_mixed_shape_ensemble_names_the_file(tmp_path, capsys, distilled):
@@ -895,7 +924,7 @@ def rewrapped_phases(phases, seed, cluster):
     for i, phase in enumerate(phases):
         spec = cli.sim.PoissonSpec(rps=phase["rps"], duration_ms=phase["duration_ms"])
         for r in cli.sim.generate_workload(spec, cli.fork_seed(seed, f"workload-phase-{i}"),
-                                           max_len=cluster.max_len, bin_width=cluster.bin_width):
+                                           max_len=cluster.max_len, bin_width=cluster.bin_width).requests():
             requests.append(cli.sim.Request(len(requests), r.arrival_ms + offset, r.length_tokens))
         offset += phase["duration_ms"]
     return requests
@@ -908,9 +937,45 @@ def test_phases_are_drawn_in_one_pass(seed):
     got = cli._parse_workload(stock["workload"], seed, cluster)
     want = rewrapped_phases(stock["workload"]["phases"], seed, cluster)
     assert len(got) == len(want) > 60_000
-    assert [r.id for r in got] == [r.id for r in want] == list(range(len(want)))
-    assert [r.arrival_ms.hex() for r in got] == [r.arrival_ms.hex() for r in want]
-    assert [r.length_tokens for r in got] == [r.length_tokens for r in want]
+    assert got.request_id.tolist() == [r.id for r in want] == list(range(len(want)))
+    assert [t.hex() for t in got.arrival_ms.tolist()] == [r.arrival_ms.hex() for r in want]
+    assert got.length_tokens.tolist() == [r.length_tokens for r in want]
+
+
+# the most bytes one simulate job may hold at its peak, per request: the workload's three columns
+# (24 bytes), the arrivals still to come, the completions' rows, times and waits, and the result
+# columns. It was 269 bytes with the workload held as one Request tuple per row
+SIMULATE_PEAK_BYTES_PER_REQUEST = 160
+
+
+def test_a_simulate_job_holds_few_bytes_per_request(tmp_path):
+    """The traced peak of a simulate job on a 2k rps, 20 s trace, served as the benchmark's
+    serve-ablation serves it first: the stock cluster at a pinned 3 students."""
+    rng = np.random.default_rng(0)
+    arrivals = np.cumsum(rng.exponential(0.5, 42_000))
+    arrivals = arrivals[arrivals <= 20_000.0]
+    trace = tmp_path / "trace.csv"
+    with open(trace, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["arrival_ms", "length_tokens"])
+        writer.writerows(zip((f"{t:.6f}" for t in arrivals.tolist()), rng.integers(1, 129, len(arrivals)).tolist()))
+    cfg = json.loads((Path(__file__).resolve().parent.parent / "configs" / "simulate.json").read_text())
+    cfg.update(out_dir=str(tmp_path / "out"), accuracy_table={"kind": "flat", "students": 3},
+               workload={"kind": "trace", "path": str(trace)})
+    cfg["cluster"]["controller"].update(min_students=3, max_students=3)
+    config = write_config(tmp_path, "simulate.json", cfg)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert cli.main(["simulate", "--config", config]) == cli.EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert json.loads((tmp_path / "out" / "metrics.json").read_text())["completed"] == len(arrivals) > 39_000
+    assert peak / len(arrivals) <= SIMULATE_PEAK_BYTES_PER_REQUEST, f"{peak / len(arrivals):.1f} bytes per request"
 
 
 @pytest.mark.parametrize("workload", [

@@ -54,9 +54,9 @@ def test_workload_deterministic_per_seed():
     spec = sim.PoissonSpec(rps=100.0, duration_ms=10_000.0)
     a = sim.generate_workload(spec, seed=42)
     b = sim.generate_workload(spec, seed=42)
-    assert a == b
+    assert a.requests() == b.requests()
     c = sim.generate_workload(spec, seed=43)
-    assert a != c
+    assert a.requests() != c.requests()
 
 
 def test_request_is_an_immutable_named_record():
@@ -72,22 +72,49 @@ def test_request_is_an_immutable_named_record():
 
 def test_workload_can_be_empty():
     spec = sim.PoissonSpec(rps=1e-7, duration_ms=1.0)
-    assert sim.generate_workload(spec, seed=0) == []
+    workload = sim.generate_workload(spec, seed=0)
+    assert len(workload) == 0 and workload.requests() == []
+
+
+def test_every_workload_path_gives_columns_whose_len_is_the_request_count(tmp_path):
+    fast, loop = tmp_path / "fast.csv", tmp_path / "loop.csv"
+    fast.write_text("arrival_ms,length_tokens\n0.5,4\n1.5,16\n")
+    loop.write_text('arrival_ms,length_tokens\n"0.5",4\n1.5,16\n')  # a quoted field goes to the csv loop
+    workloads = [sim.generate_workload(sim.PoissonSpec(rps=2_000.0, duration_ms=50.0), seed=3),
+                 sim.generate_workload(sim.TraceFile(str(fast)), seed=0),
+                 sim.generate_workload(sim.TraceFile(str(loop)), seed=0)]
+    for workload in workloads:
+        assert len(workload) == len(workload.request_id) == len(workload.requests())
+        assert (workload.request_id.dtype, workload.arrival_ms.dtype, workload.length_tokens.dtype) == \
+            (np.int64, np.float64, np.int64)
+    assert len(workloads[0]) > 50
+    assert workloads[1].requests() == workloads[2].requests() == [(0, 0.5, 4), (1, 1.5, 16)]
+
+
+@pytest.mark.parametrize("columns", [
+    (np.zeros(2), np.zeros(2), np.zeros(2, np.int64)),               # float ids
+    (np.zeros(2, np.int64), np.zeros(3), np.zeros(2, np.int64)),     # columns of different lengths
+    (np.zeros(2, np.int64), np.zeros(2, np.float32), np.zeros(2, np.int64)),
+    (np.zeros((1, 2), np.int64), np.zeros((1, 2)), np.zeros((1, 2), np.int64)),
+    ([0, 1], [0.0, 1.0], [1, 2]),                                    # lists, not arrays
+], ids=["float-ids", "lengths-differ", "float32-times", "2-d", "lists"])
+def test_a_workload_takes_only_its_three_column_types(columns):
+    with pytest.raises(ValueError, match="int64 request_id, float64 arrival_ms and int64 length_tokens"):
+        sim.Workload(*columns)
 
 
 def test_workload_mean_interarrival_within_two_percent():
     spec = sim.PoissonSpec(rps=1000.0, duration_ms=100_000.0)  # ~100k samples
-    reqs = sim.generate_workload(spec, seed=7)
-    gaps = np.diff([r.arrival_ms for r in reqs])
+    gaps = np.diff(sim.generate_workload(spec, seed=7).arrival_ms)
     assert abs(np.mean(gaps) - 1.0) < 0.02
 
 
 def test_workload_lengths_in_range():
     spec = sim.PoissonSpec(rps=500.0, duration_ms=5_000.0)
-    reqs = sim.generate_workload(spec, seed=1)
-    assert all(1 <= r.length_tokens <= 128 for r in reqs)
-    assert all(a.arrival_ms <= b.arrival_ms for a, b in zip(reqs, reqs[1:]))
-    assert [r.id for r in reqs] == list(range(len(reqs)))
+    workload = sim.generate_workload(spec, seed=1)
+    assert ((1 <= workload.length_tokens) & (workload.length_tokens <= 128)).all()
+    assert (workload.arrival_ms[:-1] <= workload.arrival_ms[1:]).all()
+    assert workload.request_id.tolist() == list(range(len(workload)))
 
 
 def reference_poisson_workload(spec, seed, max_len=128, bin_width=8):
@@ -121,7 +148,7 @@ def test_workload_equals_choice_reference(weights, bin_width):
     for seed in (0, 1, 7, 2024):
         spec = sim.PoissonSpec(rps=2_000.0, duration_ms=400.0, length_weights=weights)
         got = sim.generate_workload(spec, seed, max_len=16 * bin_width, bin_width=bin_width)
-        assert got == reference_poisson_workload(spec, seed, 16 * bin_width, bin_width)
+        assert got.requests() == reference_poisson_workload(spec, seed, 16 * bin_width, bin_width)
         assert len(got) > 600
 
 
@@ -149,7 +176,7 @@ def test_length_draw_rejection_equals_reference(monkeypatch):
     monkeypatch.setitem(globals(), "rng_for", prepared)
     spec = sim.PoissonSpec(rps=2_000.0, duration_ms=50.0)
     got = sim.generate_workload(spec, 0, max_len=48, bin_width=3)
-    assert got == reference_poisson_workload(spec, 0, max_len=48, bin_width=3)
+    assert got.requests() == reference_poisson_workload(spec, 0, max_len=48, bin_width=3)
     # at width 3 only the word 0 is rejected, so exactly one extra word was read
     assert words[0] == 0 and len(words) == len(got) + 1 and len(got) > 50
 
@@ -158,7 +185,7 @@ def test_length_draw_width_limit():
     spec = sim.PoissonSpec(rps=2_000.0, duration_ms=20.0, length_weights=(1.0, 2.0))
     widest = 1 << 32  # numpy draws one 32-bit word unbounded here
     got = sim.generate_workload(spec, 5, max_len=2 * widest, bin_width=widest)
-    assert got == reference_poisson_workload(spec, 5, 2 * widest, widest) and len(got) > 20
+    assert got.requests() == reference_poisson_workload(spec, 5, 2 * widest, widest) and len(got) > 20
     with pytest.raises(ValueError, match="bin_width"):
         sim.generate_workload(spec, 5, max_len=2 * widest + 2, bin_width=widest + 1)
 
@@ -177,30 +204,30 @@ def test_bad_length_weights_rejected_up_front(weights, rps):
 @pytest.mark.parametrize("weights", [[], ()], ids=repr)
 def test_empty_length_weights_are_the_defaults(weights):
     def draw(**kw):
-        return sim.generate_workload(sim.PoissonSpec(rps=2_000.0, duration_ms=50.0, **kw), seed=3)
+        return sim.generate_workload(sim.PoissonSpec(rps=2_000.0, duration_ms=50.0, **kw), seed=3).requests()
 
     assert draw(length_weights=weights) == draw()
 
 
 def test_trace_round_trip(tmp_path):
     spec = sim.PoissonSpec(rps=200.0, duration_ms=2_000.0)
-    reqs = sim.generate_workload(spec, seed=2)
+    drawn = sim.generate_workload(spec, seed=2)
     path = tmp_path / "trace.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["arrival_ms", "length_tokens"])
-        writer.writerows([f"{r.arrival_ms:.6f}", r.length_tokens] for r in reqs)
+        writer.writerows([f"{r.arrival_ms:.6f}", r.length_tokens] for r in drawn.requests())
     loaded = sim.generate_workload(sim.TraceFile(str(path)), seed=0)
-    assert len(loaded) == len(reqs)
-    assert all(l.length_tokens == r.length_tokens for l, r in zip(loaded, reqs))
-    assert all(abs(l.arrival_ms - r.arrival_ms) < 1e-5 for l, r in zip(loaded, reqs))
+    assert len(loaded) == len(drawn)
+    assert np.array_equal(loaded.length_tokens, drawn.length_tokens)
+    assert (np.abs(loaded.arrival_ms - drawn.arrival_ms) < 1e-5).all()
 
 
 def test_trace_scale_applies(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("arrival_ms,length_tokens\n100.0,10\n200.0,20\n")
     loaded = sim.generate_workload(sim.TraceFile(str(path), scale=0.5), seed=0)
-    assert [r.arrival_ms for r in loaded] == [50.0, 100.0]
+    assert loaded.arrival_ms.tolist() == [50.0, 100.0]
 
 
 def test_trace_malformed_line_reports_line_number(tmp_path):
@@ -481,7 +508,7 @@ def test_controller_tick_rule(k, full, busy, idle_ms, action):
     """One node, min 1 and max 3 students, a 120 s idle window; 12 groups at k = 1,
     6 at k = 2 and 4 at k = 3. A full buffer holds one element per group; otherwise
     ``busy`` groups run an element and every buffer is empty."""
-    simulation = sim.Simulation(make_cluster(group_size=k), [], calibrated_factors())
+    simulation = sim.Simulation(make_cluster(group_size=k), sim.Workload.from_requests([]), calibrated_factors())
     node = simulation.nodes[0]
     for i in range(simulation.groups if full else busy):
         assert simulation._try_push(node, req(i, 8 * (i + 1)), 0.0) == sim.APPENDED  # one bin each
@@ -506,7 +533,8 @@ def test_controller_tick_rule(k, full, busy, idle_ms, action):
 def test_controller_tick_sums_idle_and_busy_over_the_nodes(k, busy, action):
     """One node per busy count, every buffer empty past the idle window; 12 groups per node
     at k = 1, 6 at k = 2. A node's idle groups count from 0, however many of its groups are busy."""
-    simulation = sim.Simulation(make_cluster(group_size=k, nodes=len(busy)), [], calibrated_factors())
+    simulation = sim.Simulation(make_cluster(group_size=k, nodes=len(busy)), sim.Workload.from_requests([]),
+                                calibrated_factors())
     for node, b in zip(simulation.nodes, busy):
         node.busy = b
     simulation.last_empty = -simulation.ctl.idle_window_ms
@@ -520,7 +548,7 @@ def test_controller_tick_sums_idle_and_busy_over_the_nodes(k, busy, action):
 def test_controller_tick_surface_applies_drop():
     ctl = sim.ControllerConfig(max_students=3, accuracy_table=flat_table(), min_students=1)
     cluster = make_cluster(replicas_per_gpu=1, gpus_per_node=3, group_size=3, controller=ctl)
-    simulation = sim.Simulation(cluster, [], calibrated_factors())
+    simulation = sim.Simulation(cluster, sim.Workload.from_requests([]), calibrated_factors())
     node = simulation.nodes[0]
     simulation._try_push(node, req(0, 90), 0.0)
     simulation._dispatch(node, 0.0)
@@ -536,7 +564,7 @@ def test_controller_tick_surface_applies_drop():
 def test_single_request_latency_is_service_time():
     cluster = make_cluster()
     factors = calibrated_factors()
-    workload = [sim.Request(0, 5.0, 20)]
+    workload = sim.Workload.from_requests([sim.Request(0, 5.0, 20)])
     metrics = sim.run_simulation(cluster, workload, factors)
     assert metrics.completed == 1
     el = element(1, 24)  # length 20 -> bin 2 -> padded 24
@@ -548,7 +576,7 @@ def test_single_request_latency_is_service_time():
 def test_two_simultaneous_requests_no_wait():
     cluster = make_cluster()
     factors = calibrated_factors()
-    workload = [sim.Request(0, 1.0, 10), sim.Request(1, 1.0, 50)]  # different bins
+    workload = sim.Workload.from_requests([sim.Request(0, 1.0, 10), sim.Request(1, 1.0, 50)])  # different bins
     metrics = sim.run_simulation(cluster, workload, factors)
     assert metrics.completed == 2
     lat = {request_id: completion - arrival for request_id, arrival, completion, _ in rows_of(metrics)}
@@ -564,7 +592,7 @@ def test_merged_requests_complete_together():
     assert sim.group_count(3, 3, 1) == 1
     factors = calibrated_factors()
     # the group stays busy with request 0 (service ~0.43 ms) while 1 and 2 arrive
-    workload = [sim.Request(0, 0.0, 20), sim.Request(1, 0.1, 21), sim.Request(2, 0.2, 22)]
+    workload = sim.Workload.from_requests([sim.Request(0, 0.0, 20), sim.Request(1, 0.1, 21), sim.Request(2, 0.2, 22)])
     metrics = sim.run_simulation(cluster, workload, factors)
     assert metrics.completed == 3
     done = completion_by_id(metrics)
@@ -578,8 +606,8 @@ def test_elements_dispatch_in_fifo_order():
     cluster = make_cluster(replicas_per_gpu=1, gpus_per_node=2, group_size=2, controller=ctl)
     factors = calibrated_factors()
     # one long run occupies the single group; three distinct bins queue up
-    workload = [sim.Request(0, 0.0, 128),
-                sim.Request(1, 0.1, 8), sim.Request(2, 0.2, 40), sim.Request(3, 0.3, 90)]
+    workload = sim.Workload.from_requests([sim.Request(0, 0.0, 128),
+                                        sim.Request(1, 0.1, 8), sim.Request(2, 0.2, 40), sim.Request(3, 0.3, 90)])
     metrics = sim.run_simulation(cluster, workload, factors)
     done = completion_by_id(metrics)
     assert done[1] < done[2] < done[3]
@@ -644,8 +672,8 @@ def test_run_counts_explain_where_requests_waited():
     # as one merged element, 4 as a second element in another bin, which fills the buffer
     ctl = sim.ControllerConfig(max_students=3, accuracy_table=flat_table(), min_students=3)
     cluster = make_cluster(replicas_per_gpu=2, gpus_per_node=3, group_size=3, controller=ctl)
-    workload = [sim.Request(0, 0.0, 20), sim.Request(1, 0.01, 128), sim.Request(2, 0.1, 21),
-                sim.Request(3, 0.2, 22), sim.Request(4, 0.25, 100)]
+    workload = sim.Workload.from_requests([sim.Request(0, 0.0, 20), sim.Request(1, 0.01, 128), sim.Request(2, 0.1, 21),
+                                        sim.Request(3, 0.2, 22), sim.Request(4, 0.25, 100)])
     simulation = sim.Simulation(cluster, workload, calibrated_factors())
     m = simulation.run()
     done = completion_by_id(m)
@@ -663,7 +691,7 @@ def test_run_counts_explain_where_requests_waited():
 
 
 def test_a_run_without_buffered_elements_has_no_wait_figures():
-    m = sim.run_simulation(make_cluster(), [sim.Request(0, 5.0, 20)], calibrated_factors())
+    m = sim.run_simulation(make_cluster(), sim.Workload.from_requests([sim.Request(0, 5.0, 20)]), calibrated_factors())
     assert (m.direct_starts, m.dispatches, m.max_buffer_occupancy) == (1, 0, 0)
     assert m.requests_per_dispatch is m.buffer_wait_p50_ms is m.buffer_wait_p95_ms is m.buffer_wait_max_ms is None
 
@@ -671,7 +699,7 @@ def test_a_run_without_buffered_elements_has_no_wait_figures():
 def test_empty_workload_yields_null_metrics():
     cluster = make_cluster()
     factors = calibrated_factors()
-    metrics = sim.run_simulation(cluster, [], factors)
+    metrics = sim.run_simulation(cluster, sim.Workload.from_requests([]), factors)
     assert metrics.completed == 0
     assert metrics.avg_latency_ms is None
     assert metrics.p95_latency_ms is None
@@ -692,14 +720,12 @@ def test_burst_dips_and_recovers():
     cluster = make_cluster(replicas_per_gpu=1, gpus_per_node=4, group_size=3, controller=ctl)
     factors = calibrated_factors()
     phases = [(40.0, 2_000.0), (12_000.0, 1_000.0), (40.0, 12_000.0)]
-    workload, offset, rid = [], 0.0, 0
+    parts, offset = [], 0.0
     for i, (rps, dur) in enumerate(phases):
-        part = sim.generate_workload(sim.PoissonSpec(rps=rps, duration_ms=dur), seed=100 + i)
-        for r in part:
-            workload.append(sim.Request(rid, r.arrival_ms + offset, r.length_tokens))
-            rid += 1
+        parts.append(sim.generate_workload(sim.PoissonSpec(rps=rps, duration_ms=dur), seed=100 + i,
+                                           offset_ms=offset, first_id=sum(map(len, parts))))
         offset += dur
-    metrics = sim.run_simulation(cluster, workload, factors)
+    metrics = sim.run_simulation(cluster, sim.Workload.concatenate(parts), factors)
     ks = [k for _, k in metrics.student_number_timeline]
     assert min(ks) < 3, f"controller never dropped a student: {metrics.student_number_timeline}"
     assert ks[-1] == 3, f"student count did not recover: {metrics.student_number_timeline}"
@@ -744,12 +770,13 @@ def burst_run(nodes, batch_timeout_ms, overload, arrange=None):
     cluster = make_cluster(controller=ctl, nodes=nodes, replicas_per_gpu=1,
                            batch_timeout_ms=batch_timeout_ms)
     rps = (12_000.0 if overload else 1_200.0) * nodes
-    workload, offset = [], 0.0
+    parts, offset = [], 0.0
     for i, (phase_rps, duration) in enumerate([(rps, 50.0), (rps / 20, 100.0), (rps, 30.0)]):
         spec = sim.PoissonSpec(rps=phase_rps, duration_ms=duration)
-        for r in sim.generate_workload(spec, seed=10 * nodes + i):
-            workload.append(sim.Request(len(workload), r.arrival_ms + offset, r.length_tokens))
+        parts.append(sim.generate_workload(spec, seed=10 * nodes + i, offset_ms=offset,
+                                           first_id=sum(map(len, parts))))
         offset += duration
+    workload = sim.Workload.concatenate(parts)
     if arrange is not None:
         workload = arrange(workload)
     m = sim.run_simulation(cluster, workload, calibrated_factors())
@@ -780,8 +807,8 @@ PINNED_SHUFFLED = {
 
 def shuffled_with_ties(workload):
     order = np.random.default_rng(len(workload)).permutation(len(workload))
-    return [sim.Request(r.id, float(np.floor(r.arrival_ms * 2.0)) / 2.0, r.length_tokens)
-            for r in (workload[i] for i in order)]
+    return sim.Workload(workload.request_id[order], np.floor(workload.arrival_ms[order] * 2.0) / 2.0,
+                        workload.length_tokens[order])
 
 
 @pytest.mark.parametrize("nodes, batch_timeout_ms, overload", list(PINNED_SHUFFLED))
@@ -796,8 +823,8 @@ def test_heartbeats_go_on_through_a_gap_between_arrivals():
     ctl = sim.ControllerConfig(max_students=3, accuracy_table=flat_table(), min_students=1,
                                idle_window_ms=20.0)
     cluster = make_cluster(controller=ctl, replicas_per_gpu=1)
-    workload = sim.generate_workload(sim.PoissonSpec(rps=12_000.0, duration_ms=50.0), seed=3)
-    workload.append(sim.Request(len(workload), 5_000.0, 16))
+    drawn = sim.generate_workload(sim.PoissonSpec(rps=12_000.0, duration_ms=50.0), seed=3)
+    workload = sim.Workload.concatenate([drawn, sim.Workload.from_requests([sim.Request(len(drawn), 5_000.0, 16)])])
     m = sim.run_simulation(cluster, workload, calibrated_factors())
     assert m.completed == len(workload)
     # dropped to one student in the burst, re-added at heartbeats inside the gap
@@ -806,10 +833,9 @@ def test_heartbeats_go_on_through_a_gap_between_arrivals():
 
 def gap_workload(nodes, seed, gap_ms):
     """A 12k rps burst per node for 50 ms, then one request per node after a long gap."""
-    workload = sim.generate_workload(sim.PoissonSpec(rps=12_000.0 * nodes, duration_ms=50.0), seed=seed)
-    for i in range(nodes):
-        workload.append(sim.Request(len(workload), gap_ms + 37.5 * i, 16 + i))
-    return workload
+    drawn = sim.generate_workload(sim.PoissonSpec(rps=12_000.0 * nodes, duration_ms=50.0), seed=seed)
+    late = sim.Workload.from_requests([sim.Request(len(drawn) + i, gap_ms + 37.5 * i, 16 + i) for i in range(nodes)])
+    return sim.Workload.concatenate([drawn, late])
 
 
 def served(cluster, workload, factors):
@@ -854,10 +880,10 @@ def test_a_waiting_queue_head_is_due_at_its_own_timer_far_from_0_ms():
     # the 1e-9 tolerance; the head used to wait for the next heartbeat, 99.9 ms later
     arrival, timeout = 1e8 + 0.1, 0.3
     assert (arrival + timeout) - arrival < timeout - 1e-9
-    simulation = sim.Simulation(make_cluster(batch_timeout_ms=timeout), [sim.Request(0, arrival, 16)],
-                                calibrated_factors())
+    simulation = sim.Simulation(make_cluster(batch_timeout_ms=timeout),
+                                sim.Workload.from_requests([sim.Request(0, arrival, 16)]), calibrated_factors())
     simulation.run()
-    assert simulation.element_waits == [(arrival + timeout) - arrival]
+    assert simulation.element_waits.tolist() == [(arrival + timeout) - arrival]
 
 
 def test_drops_go_on_one_per_heartbeat_while_a_buffer_stays_full(monkeypatch):
@@ -867,7 +893,7 @@ def test_drops_go_on_one_per_heartbeat_while_a_buffer_stays_full(monkeypatch):
                                idle_window_ms=20.0)
     cluster = make_cluster(controller=ctl, gpus_per_node=1, group_size=5, replicas_per_gpu=1,
                            bin_width=4096, num_bins=16)
-    workload = [sim.Request(0, 0.5, 60_000), sim.Request(1, 1.0, 60_000)]
+    workload = sim.Workload.from_requests([sim.Request(0, 0.5, 60_000), sim.Request(1, 1.0, 60_000)])
     got = served(cluster, workload, calibrated_factors())
     assert got[1][:5] == [(0.0, 5), (0.5, 4), (1.0, 3), (100.0, 2), (200.0, 1)]
     assert got[0][0][2] > 50_000.0
@@ -881,14 +907,14 @@ def test_integer_arrival_times_are_written_as_floats():
                                idle_window_ms=20.0)
     cluster = make_cluster(controller=ctl, gpus_per_node=1, group_size=5, replicas_per_gpu=1,
                            bin_width=4096, num_bins=16)
-    workload = [sim.Request(0, 1, 60_000), sim.Request(1, 2, 60_000)]
+    workload = sim.Workload.from_requests([sim.Request(0, 1, 60_000), sim.Request(1, 2, 60_000)])
     data = sim.metrics_to_json_dict(sim.run_simulation(cluster, workload, calibrated_factors()))
     assert json.dumps(data["student_number_timeline"][:3]) == "[[0.0, 5], [1.0, 4], [2.0, 3]]"
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_arrival_rejected(bad):
-    workload = [sim.Request(0, 1.0, 8), sim.Request(1, bad, 8), sim.Request(2, 2.0, 8)]
+    workload = sim.Workload.from_requests([sim.Request(0, 1.0, 8), sim.Request(1, bad, 8), sim.Request(2, 2.0, 8)])
     with pytest.raises(ValueError, match="arrival_ms"):
         sim.Simulation(make_cluster(), workload, calibrated_factors())
 
@@ -896,7 +922,7 @@ def test_non_finite_arrival_rejected(bad):
 @pytest.mark.parametrize("earliest, refused", [(-2.0**53, True), (-1e300, True), (-(2.0**53 - 1), False)])
 def test_an_arrival_at_or_below_minus_2_53_ms_is_refused(earliest, refused):
     # from 2**53 ms in magnitude on, a float millisecond has no integer resolution
-    workload = [sim.Request(0, 1.0, 8), sim.Request(1, earliest, 8)]
+    workload = sim.Workload.from_requests([sim.Request(0, 1.0, 8), sim.Request(1, earliest, 8)])
     if refused:
         with pytest.raises(FloatingPointError, match=r"2\*\*53"):
             sim.Simulation(make_cluster(), workload, calibrated_factors())
@@ -915,11 +941,12 @@ def test_service_time_memo_models_each_shape_once(monkeypatch):
     ctl = sim.ControllerConfig(max_students=3, accuracy_table=flat_table(), min_students=1,
                                idle_window_ms=20.0)
     cluster = make_cluster(controller=ctl, nodes=3, replicas_per_gpu=1, batch_timeout_ms=2.0)
-    workload, offset = [], 0.0
+    parts, offset = [], 0.0
     for i, (rps, duration) in enumerate([(36_000.0, 50.0), (1_800.0, 100.0), (36_000.0, 30.0)]):
-        for r in sim.generate_workload(sim.PoissonSpec(rps=rps, duration_ms=duration), seed=30 + i):
-            workload.append(sim.Request(len(workload), r.arrival_ms + offset, r.length_tokens))
+        parts.append(sim.generate_workload(sim.PoissonSpec(rps=rps, duration_ms=duration), seed=30 + i,
+                                           offset_ms=offset, first_id=sum(map(len, parts))))
         offset += duration
+    workload = sim.Workload.concatenate(parts)
     calls = []
     service_time = sim.service_time
 
@@ -1063,14 +1090,15 @@ def test_columns_are_ordered_by_arrival_then_id(seed, batch_timeout_ms):
     drawn = sim.generate_workload(sim.PoissonSpec(rps=6_000.0, duration_ms=200.0), seed=seed)
     ids = rng.integers(0, len(drawn) // 3, size=len(drawn)).tolist()
     workload = [sim.Request(i, float(np.floor(r.arrival_ms * 2.0)) / 2.0, r.length_tokens)
-                for i, r in zip(ids, drawn)]
+                for i, r in zip(ids, drawn.requests())]
     workload += workload[:40]
     workload = [workload[j] for j in rng.permutation(len(workload))]
-    simulation = sim.Simulation(make_cluster(nodes=2, batch_timeout_ms=batch_timeout_ms), workload,
-                                calibrated_factors())
+    simulation = sim.Simulation(make_cluster(nodes=2, batch_timeout_ms=batch_timeout_ms),
+                                sim.Workload.from_requests(workload), calibrated_factors())
     got = [(i, a.hex(), t.hex(), n) for i, a, t, n in rows_of(simulation.run())]
     completion_ms = [t for t, size in zip(simulation.finish_ms, simulation.finish_sizes) for _ in range(size)]
-    finished = [(r.id, r.arrival_ms, t, r.length_tokens) for r, t in zip(simulation.finished, completion_ms)]
+    finished = [(r.id, r.arrival_ms, t, r.length_tokens)
+                for r, t in zip(map(workload.__getitem__, simulation.finished), completion_ms)]
     want = [(i, a.hex(), t.hex(), n) for i, a, t, n in sorted(finished, key=itemgetter(1, 0))]
     assert got == want
     keys = [(arrival, request_id) for request_id, arrival, _, _ in got]
@@ -1127,6 +1155,14 @@ def test_visit_count_catches_a_boundary_that_visits_every_node(monkeypatch):
     assert visits > bound
 
 
+def test_simulation_instances_hold_no_dict():
+    # CPython 3.11 shares an instance dict's keys only up to 30 of them; past that the dict
+    # grows from 296 to 1,584 bytes and every attribute read of the event loop slows by ~5 %
+    simulation = sim.Simulation(make_cluster(), sim.Workload.from_requests([]), calibrated_factors())
+    assert not hasattr(simulation, "__dict__")
+    assert [name for name in sim.Simulation.__slots__ if not hasattr(simulation, name)] == []
+
+
 def test_broken_counter_fails_end_of_run_check():
     # a phantom index for node 1, whose buffer stays empty: every request here starts
     # directly, so no pop discards it. A miscounted full_buffers would heal, since the
@@ -1169,15 +1205,15 @@ def phased_workload(nodes, rps_per_node, seed, skewed=False):
     """A burst, a lull longer than a 20 ms idle window, and a second burst. A skewed
     workload gives node 0 only 128-token requests, which take longer to serve, so
     node 0 can hold deferred requests while another node idles."""
-    workload = []
-    offset = 0.0
+    parts, offset = [], 0.0
     for i, (rps, duration) in enumerate([(rps_per_node, 15.0), (rps_per_node / 20, 50.0),
                                          (rps_per_node, 10.0)]):
-        workload += sim.generate_workload(sim.PoissonSpec(rps=rps * nodes, duration_ms=duration),
-                                          seed + i, offset_ms=offset, first_id=len(workload))
+        parts.append(sim.generate_workload(sim.PoissonSpec(rps=rps * nodes, duration_ms=duration),
+                                           seed + i, offset_ms=offset, first_id=sum(map(len, parts))))
         offset += duration
+    workload = sim.Workload.concatenate(parts)
     if skewed:  # the workload is served round-robin in arrival order
-        workload = [r._replace(length_tokens=128) if i % nodes == 0 else r for i, r in enumerate(workload)]
+        workload.length_tokens[::nodes] = 128
     return workload
 
 
@@ -1233,8 +1269,8 @@ def test_direct_start_waits_while_a_full_buffer_drops_a_student():
     # buffer full, so the tick of request 7, which finds node 1 idle, drops again and
     # every node is swept; a direct start there would skip node 0's two queued elements
     R = sim.Request
-    workload = [R(0, 0.0, 128), R(1, 0.0, 8), R(2, 0.0, 128), R(3, 0.0, 8),
-                R(4, 0.45, 8), R(5, 0.46, 8), R(6, 0.47, 8), R(7, 0.48, 8)]
+    workload = sim.Workload.from_requests([R(0, 0.0, 128), R(1, 0.0, 8), R(2, 0.0, 128), R(3, 0.0, 8),
+                                        R(4, 0.45, 8), R(5, 0.46, 8), R(6, 0.47, 8), R(7, 0.48, 8)])
     cluster = direct_start_cluster(2, 8, 1, 1, False, None, students=4)
     got = end_state(sim.Simulation(cluster, workload, calibrated_factors()))
     assert got[1][:3] == [((0.0).hex(), 4), ((0.47).hex(), 3), ((0.48).hex(), 2)]
@@ -1245,7 +1281,8 @@ def test_direct_start_waits_while_a_full_buffer_drops_a_student():
 def test_padded_length_table_pads_as_a_push(pad_to_max):
     cluster = make_cluster(bin_width=8, num_bins=16, pad_to_max=pad_to_max)
     lengths = range(1, cluster.max_len + 11)
-    simulation = sim.Simulation(cluster, [sim.Request(n, 0.0, n) for n in lengths], calibrated_factors())
+    simulation = sim.Simulation(cluster, sim.Workload.from_requests([sim.Request(n, 0.0, n) for n in lengths]),
+                                calibrated_factors())
     bin_of = simulation.nodes[0].buffer.bin_of
     want = {n: cluster.max_len if pad_to_max else (bin_of(n) + 1) * cluster.bin_width for n in lengths}
     assert simulation.padded_lens == want
@@ -1254,6 +1291,6 @@ def test_padded_length_table_pads_as_a_push(pad_to_max):
 
 @pytest.mark.parametrize("pad_to_max", [False, True])
 def test_length_below_one_is_refused_before_the_run(pad_to_max):
-    workload = [sim.Request(0, 0.0, 8), sim.Request(1, 1.0, 0)]
+    workload = sim.Workload.from_requests([sim.Request(0, 0.0, 8), sim.Request(1, 1.0, 0)])
     with pytest.raises(ValueError, match="length must be >= 1"):
         sim.Simulation(make_cluster(pad_to_max=pad_to_max), workload, calibrated_factors())

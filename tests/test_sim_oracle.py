@@ -168,7 +168,7 @@ def workload(nodes, rps_per_node, sparse, skewed, ties, seed):
     requests, offset = [], 0.0
     for i, (rps, duration) in enumerate(phases):
         requests += sim.generate_workload(sim.PoissonSpec(rps=rps * nodes, duration_ms=duration), seed + i,
-                                          offset_ms=offset, first_id=len(requests))
+                                          offset_ms=offset, first_id=len(requests)).requests()
         offset += duration
     if ties:
         order = np.random.default_rng(seed).permutation(len(requests))
@@ -211,7 +211,7 @@ def test_simulation_equals_the_reference(nodes, gpus_per_node, replicas_per_gpu,
     requests = workload(nodes, rps_per_node, sparse, skewed, ties, seed)
     reference = ReferenceSimulation(config, requests, factors())
     want = hexed_run(reference.run(), reference.k_timeline, reference.deferred, reference.element_waits)
-    simulation = sim.Simulation(config, requests, factors())
+    simulation = sim.Simulation(config, sim.Workload.from_requests(requests), factors())
     m = simulation.run()
     rows = zip(*(column.tolist() for column in m.columns))
     assert hexed_run(rows, m.student_number_timeline, m.deferred, simulation.element_waits) == want

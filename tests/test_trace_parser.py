@@ -4,7 +4,8 @@
 leaves the rest, and every error message, to a streaming ``csv.reader``
 loop. ``oracle_trace`` below is that loop on its own. Every mutated trace
 text must give the same requests, bit for bit and type for type, or the
-same exception with the same message, through both.
+same exception with the same message, through both. The parser's rows are
+compared as ``Workload.requests()`` gives them.
 """
 
 import csv
@@ -25,7 +26,8 @@ from studentpar import servesim as sim
 
 
 def oracle_trace(path, scale=1.0):
-    """The streaming loop of ``generate_workload``'s trace branch, copied as it stands."""
+    """The streaming loop of ``generate_workload``'s trace branch, copied as it stands, with its
+    rows kept as ``Request``s."""
     requests = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -64,7 +66,7 @@ def outcome(parse, path, scale):
 
 
 def parse(path, scale):
-    return sim.generate_workload(sim.TraceFile(str(path), scale=scale), seed=0)
+    return sim.generate_workload(sim.TraceFile(str(path), scale=scale), seed=0).requests()
 
 
 # -- mutated trace texts ---------------------------------------------------------------
