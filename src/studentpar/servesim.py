@@ -876,6 +876,7 @@ class Simulation:
             if times and times[-1] <= events[0][0]:
                 now = times.pop()
                 row = rows.pop()
+                # the row's Request, as Request() makes it but without its Python-level __new__
                 arrive(nodes[row % node_count], new(Request, (row, now, lengths[row])), now)
                 continue
             now, _, kind, payload = heapq.heappop(events)
