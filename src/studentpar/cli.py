@@ -468,6 +468,8 @@ def cmd_report(metric_paths: list[str], out_override: str | None) -> int:
             if not p.is_file():
                 raise ConfigError(f"metrics file not found: {path}")
             data = _load_json(p)
+            if not isinstance(data, dict):
+                raise ConfigError(f"{path}: a metrics file must hold a JSON object, got {type(data).__name__}")
             required = {"avg_latency_ms", "p95_latency_ms", "throughput_per_gpu", "completed",
                         "student_number_timeline", "accuracy_timeline"}
             missing = required - data.keys()

@@ -43,11 +43,11 @@ sums idle and busy groups over every node. The idle window runs on one
 cluster-wide clock: the time at which, at the end of an event, no buffer
 held an element any more, or the last time it added a student back.
 
-A workload is three numpy columns, one row per request. The loop builds a
-``Request`` of a row only when the row arrives, with the row index as its id.
-A completion appends its requests' rows to one flat array and its time and
-size to two more; the metrics and ``latencies.csv`` gather the workload's
-columns by those rows once the run has ended.
+A workload is three numpy columns, one row per request, and inside the run a
+request is its row index from arrival to completion: buffer elements, retry
+queues and completion events hold rows, and a push or a direct start reads the
+row's length from the workload. A completion appends its rows to one flat array
+and its time and size to two more, by which the metrics gather the columns.
 """
 
 from __future__ import annotations
@@ -99,9 +99,14 @@ class Workload:
 
     @classmethod
     def from_requests(cls, requests) -> Workload:
-        """The rows ``(id, arrival_ms, length_tokens)``, such as ``Request``s, in their order;
-        an id or length outside int64 raises OverflowError."""
-        ids, arrivals, lengths = tuple(zip(*requests)) or ((), (), ())
+        """The rows ``(id, arrival_ms, length_tokens)``, such as ``Request``s, in their order. An id or
+        length that is not an int, or an arrival that is not an int or a float, raises ValueError, as
+        does a bool or a row of another width; an id or length outside int64 raises OverflowError."""
+        ids, arrivals, lengths = tuple(zip(*requests, strict=True)) or ((), (), ())
+        if not (all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in ids + lengths)
+                and all(isinstance(t, (int, float, np.integer, np.floating)) and not isinstance(t, bool)
+                        for t in arrivals)):
+            raise ValueError("a workload row is an int id, an int or float arrival_ms and an int length_tokens")
         return cls(np.array(ids, np.int64), np.array(arrivals, np.float64), np.array(lengths, np.int64))
 
     @classmethod
@@ -276,16 +281,16 @@ REJECTED = "rejected"
 
 @dataclass(slots=True)
 class BufferElement:
-    """Up to max_merge requests sharing one length bin, padded to its upper edge."""
+    """Up to max_merge requests, as workload rows, sharing one length bin, padded to its upper edge."""
 
     bin: int
     padded_len: int
-    requests: list[Request] = field(default_factory=list)
+    rows: list[int] = field(default_factory=list)
     created_ms: float = 0.0
 
     @property
     def size(self) -> int:
-        return len(self.requests)
+        return len(self.rows)
 
 
 class LengthAwareBuffer:
@@ -325,18 +330,18 @@ class LengthAwareBuffer:
         """The bin a push files a length in; bin_of refuses a length below 1 in both padding modes."""
         return self.num_bins - 1 if self.pad_to_max and length >= 1 else self.bin_of(length)
 
-    def push(self, req: Request, now_ms: float = 0.0) -> str:
-        b = self.push_bin(req.length_tokens)
+    def push(self, row: int, length: int, now_ms: float = 0.0) -> str:
+        b = self.push_bin(length)
         el = self.index.get(b)
         if el is not None:
-            requests = el.requests
-            requests.append(req)
-            if len(requests) >= self.max_merge:
+            rows = el.rows
+            rows.append(row)
+            if len(rows) >= self.max_merge:
                 del self.index[b]
             return MERGED
         if self.is_full():
             return REJECTED
-        el = BufferElement(b, (b + 1) * self.bin_width, [req], now_ms)
+        el = BufferElement(b, (b + 1) * self.bin_width, [row], now_ms)
         self.fifo.append(el)
         if self.max_merge > 1:  # a size-1 element is already full when max_merge == 1
             self.index[b] = el
@@ -626,7 +631,7 @@ class _Node:
     def __init__(self, index: int, buffer: LengthAwareBuffer):
         self.index = index
         self.buffer = buffer
-        self.retry: deque[Request] = deque()
+        self.retry: deque[int] = deque()  # deferred rows, oldest first
         self.busy = 0
 
 
@@ -649,7 +654,7 @@ class Simulation:
                  "full_buffers", "nonempty", "retrying", "buffered", "last_empty", "workload",
                  "arrival_times", "arrival_rows", "lengths", "events", "_seq", "finished", "finish_ms",
                  "finish_sizes", "element_waits", "deferred", "direct_starts", "max_occupancy",
-                 "padded_lens", "service_ms", "generated", "k_timeline", "last_event_ms")
+                 "padded_lens", "service_ms", "k_timeline", "last_event_ms")
 
     def __init__(self, cluster: ClusterConfig, workload: Workload, factors: ServiceFactors):
         if factors.model.t_unit is None:
@@ -703,7 +708,6 @@ class Simulation:
         # service_time is a pure function of (k, size, padded_len, active groups) for
         # this cluster and these factors, so each distinct dispatch shape is modelled once
         self.service_ms: dict[tuple[int, int, int, int], float] = {}
-        self.generated = len(workload)
         self.k_timeline: list[tuple[float, int]] = [(0.0, self.k)]
         # time of the latest completion or timer, read only by a heartbeat once no event or arrival
         # remains: by then each arrival's completion, at or after the arrival, has written it
@@ -729,7 +733,7 @@ class Simulation:
         It is due at its own timer at the latest, where far from 0 ms ``now - created_ms``
         can round below the timeout less the tolerance."""
         el = node.buffer.fifo[0]
-        return (len(el.requests) >= self.max_merge or now - el.created_ms >= self.batch_timeout_ms - 1e-9
+        return (len(el.rows) >= self.max_merge or now - el.created_ms >= self.batch_timeout_ms - 1e-9
                 or now >= el.created_ms + self.batch_timeout_ms)
 
     def _dispatch(self, node: _Node, now: float) -> None:
@@ -743,41 +747,40 @@ class Simulation:
                 self.nonempty.discard(node.index)
             if left + 1 == buf.capacity:
                 self.full_buffers -= 1
-            self._start(node, el.requests, el.padded_len, el.created_ms, now)
+            self._start(node, el.rows, el.padded_len, el.created_ms, now)
 
-    def _start(self, node: _Node, requests: list[Request], padded_len: int, created_ms: float,
-               now: float) -> None:
-        """Run an element's requests on one of the node's free groups and schedule their completion."""
+    def _start(self, node: _Node, rows: list[int], padded_len: int, created_ms: float, now: float) -> None:
+        """Run an element's rows on one of the node's free groups and schedule their completion."""
         self.element_waits.append(now - created_ms)
         node.busy += 1
         k = self.k
-        key = (k, len(requests), padded_len, node.busy)
+        key = (k, len(rows), padded_len, node.busy)
         dt = self.service_ms.get(key)
         if dt is None:
-            el = BufferElement(padded_len // self.cfg.bin_width - 1, padded_len, requests, created_ms)
+            el = BufferElement(padded_len // self.cfg.bin_width - 1, padded_len, rows, created_ms)
             dt = self.service_ms[key] = service_time(el, k, self.cfg, self.factors, active_groups=node.busy)
-        heapq.heappush(self.events, (now + dt, self._seq, _COMPLETION, (node, requests)))
+        heapq.heappush(self.events, (now + dt, self._seq, _COMPLETION, (node, rows)))
         self._seq += 1
 
-    def _arrive(self, node: _Node, req: Request, now: float) -> None:
-        """Start the request at once where buffering it would give the same run (the
+    def _arrive(self, node: _Node, row: int, now: float) -> None:
+        """Start the row's request at once where buffering it would give the same run (the
         direct start of the module docstring), else push or defer it and run the boundary."""
         buf = node.buffer
         if (self.batch_timeout_ms is None and not buf.fifo and node.busy < self.groups
                 and buf.capacity > 1 and not self.full_buffers and not self.retrying):
             self.direct_starts += 1
-            self._start(node, [req], self.padded_lens[req.length_tokens], now, now)
+            self._start(node, [row], self.padded_lens[self.lengths[row]], now, now)
             return
-        if node.retry or self._try_push(node, req, now) == REJECTED:
+        if node.retry or self._try_push(node, row, now) == REJECTED:
             # a full buffer defers the request to the next event boundary
             self.deferred += 1
-            node.retry.append(req)
+            node.retry.append(row)
             self.retrying.add(node.index)
         self._boundary(now, node)
 
-    def _try_push(self, node: _Node, req: Request, now: float) -> str:
+    def _try_push(self, node: _Node, row: int, now: float) -> str:
         buf = node.buffer
-        result = buf.push(req, now)
+        result = buf.push(row, self.lengths[row], now)
         if result == APPENDED:
             size = len(buf.fifo)
             if size == 1:
@@ -868,19 +871,17 @@ class Simulation:
         return now + beats * HEARTBEAT_MS
 
     def run(self) -> SimMetrics:
-        events, times, rows, lengths = self.events, self.arrival_times, self.arrival_rows, self.lengths
-        arrive, nodes, node_count, new = self._arrive, self.nodes, len(self.nodes), tuple.__new__
-        finish, finish_ms, finish_sizes = self.finished.append, self.finish_ms.append, self.finish_sizes.append
+        events, times, rows = self.events, self.arrival_times, self.arrival_rows
+        arrive, nodes, node_count = self._arrive, self.nodes, len(self.nodes)
+        finish, finish_ms, finish_sizes = self.finished.extend, self.finish_ms.append, self.finish_sizes.append
         now = 0.0
         while events:  # a heartbeat stays pending while arrivals remain
             if times and times[-1] <= events[0][0]:
                 now = times.pop()
                 row = rows.pop()
-                # the row's Request, as Request() makes it but without its Python-level __new__
-                arrive(nodes[row % node_count], new(Request, (row, now, lengths[row])), now)
+                arrive(nodes[row % node_count], row, now)
                 continue
             now, _, kind, payload = heapq.heappop(events)
-            node = None
             if kind == _HEARTBEAT:
                 # one heartbeat is pending at a time; beats go on while other events
                 # remain, then for an idle window plus five beats after the last of them.
@@ -898,17 +899,15 @@ class Simulation:
                         raise _clock_error(nxt)
                     heapq.heappush(events, (nxt, seq, _HEARTBEAT, None))
                 continue
+            self.last_event_ms = now
+            if kind == _COMPLETION:
+                node, done = payload
+                node.busy -= 1
+                finish(done)
+                finish_ms(now)
+                finish_sizes(len(done))
             else:
-                self.last_event_ms = now
-                if kind == _COMPLETION:
-                    node, requests = payload
-                    node.busy -= 1
-                    for req in requests:
-                        finish(req[0])
-                    finish_ms(now)
-                    finish_sizes(len(requests))
-                else:
-                    node = payload
+                node = payload
             self._boundary(now, node)
         if now >= CLOCK_LIMIT_MS:  # the clock only grows, so the last event is its maximum
             raise _clock_error(now)
@@ -919,7 +918,7 @@ class Simulation:
         """Raise RuntimeError naming every end-of-run invariant that does not hold."""
         nodes = self.nodes
         broken = [name for name, holds in (
-            ("completed == generated", len(self.finished) == self.generated),
+            ("completed == generated", len(self.finished) == len(self.workload)),
             ("no group is busy", all(n.busy == 0 for n in nodes)),
             ("every buffer is empty", all(not n.buffer.fifo for n in nodes)),
             ("every retry queue is empty", all(not n.retry for n in nodes)),
@@ -966,7 +965,7 @@ class Simulation:
             p95_latency_ms=p95,
             throughput_per_gpu=throughput,
             completed=len(finished),
-            generated=self.generated,
+            generated=len(self.workload),
             deferred=self.deferred,
             direct_starts=self.direct_starts,
             dispatches=len(waits),

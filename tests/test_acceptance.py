@@ -256,14 +256,14 @@ def test_criterion_6_buffer_fuzz_and_constant_work(touched_elements):
         if buf.fifo and rng.random() < 0.4:
             got = buf.pop()
             want = naive.pop()
-            assert (got.bin, [r.id for r in got.requests]) == (want[0], want[1]), f"op {op}"
+            assert (got.bin, got.rows) == (want[0], want[1]), f"op {op}"
         else:
             length = int(rng.integers(1, 129))
-            got = buf.push(sim.Request(rid, 0.0, length))
+            got = buf.push(rid, length)
             want = naive.push(rid, length)
             assert got == want, f"op {op}"
             rid += 1
-        assert [(e.bin, [r.id for r in e.requests]) for e in buf.fifo] == \
+        assert [(e.bin, e.rows) for e in buf.fifo] == \
                [(e[0], e[1]) for e in naive.elements], f"op {op}"
 
     # the elements each operation touches, counted by the elements themselves (see conftest.py)
@@ -276,7 +276,7 @@ def test_criterion_6_buffer_fuzz_and_constant_work(touched_elements):
             if big.fifo and rng2.random() < 0.25:
                 big.pop()
             else:
-                big.push(sim.Request(i, 0.0, int(rng2.integers(1, 129))))
+                big.push(i, int(rng2.integers(1, 129)))
             worst_touches = max(worst_touches, len(touched_elements))
     elapsed = time.monotonic() - started
     report(6, worst_touches <= 2,

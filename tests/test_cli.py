@@ -789,6 +789,15 @@ def test_report_malformed_metrics_exits_config(tmp_path, capsys, payload):
     assert_config_error(["report", str(bad), "--out", str(tmp_path / "rep")], capsys)
 
 
+# each of these used to exit 2 with "'list' object has no attribute 'keys'", naming no file
+@pytest.mark.parametrize("payload, kind", [([], "list"), ("x", "str"), (None, "NoneType"), (3, "int")], ids=repr)
+def test_report_names_a_metrics_file_that_holds_no_object(tmp_path, capsys, payload, kind):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    err = assert_config_error(["report", str(bad), "--out", str(tmp_path / "rep")], capsys)
+    assert f"{bad}: a metrics file must hold a JSON object, got {kind}" in err, err
+
+
 # each of these used to exit 0 and be written into comparison.csv or long.csv
 @pytest.mark.parametrize("key, value", [
     ("completed", "lots"), ("completed", -5), ("completed", 1.5), ("completed", True),

@@ -103,6 +103,27 @@ def test_a_workload_takes_only_its_three_column_types(columns):
         sim.Workload(*columns)
 
 
+# the first two used to give ids [1, 1] and lengths [4, 3], and a string arrival used to be parsed
+@pytest.mark.parametrize("rows", [
+    [(1.5, 0.0, 4.7), (True, 1.0, 3)], [(1.5, 0.0, 4)], [(True, 1.0, 3)], [(0, 0.0, 4.7)], [(0, 0.0, False)],
+    [(0, 0.0, "3")], [(0, "1.5", 3)], [(0, None, 3)], [(0, True, 3)], [(0, np.bool_(True), 3)],
+], ids=repr)
+def test_hand_written_rows_of_the_wrong_types_are_refused(rows):
+    with pytest.raises(ValueError, match="int id, an int or float arrival_ms and an int length_tokens"):
+        sim.Workload.from_requests(rows)
+
+
+def test_hand_written_rows_of_another_width_are_refused():  # the fourth field used to be dropped
+    with pytest.raises(ValueError):
+        sim.Workload.from_requests([(0, 0.0, 3, 9), (1, 1.0, 4)])
+
+
+def test_hand_written_rows_take_python_and_numpy_numbers():
+    workload = sim.Workload.from_requests([(0, 1, 8), (np.int64(1), np.float64(1.5), np.int32(9)),
+                                           (2, np.float32(2.5), 10)])
+    assert workload.requests() == [(0, 1.0, 8), (1, 1.5, 9), (2, 2.5, 10)]
+
+
 def test_workload_mean_interarrival_within_two_percent():
     spec = sim.PoissonSpec(rps=1000.0, duration_ms=100_000.0)  # ~100k samples
     gaps = np.diff(sim.generate_workload(spec, seed=7).arrival_ms)
@@ -269,20 +290,16 @@ def new_buffer(capacity=8, max_merge=4, pad_to_max=False):
     return sim.LengthAwareBuffer(16, 8, max_merge, capacity, pad_to_max)
 
 
-def req(rid, length, t=0.0):
-    return sim.Request(rid, t, length)
-
-
 def test_push_into_empty_appends():
     buf = new_buffer()
-    assert buf.push(req(0, 30)) == sim.APPENDED
+    assert buf.push(0, 30) == sim.APPENDED
     assert len(buf) == 1
 
 
 def test_same_bin_merges_up_to_max():
     buf = new_buffer()
-    buf.push(req(0, 30))
-    assert buf.push(req(1, 25)) == sim.MERGED  # both bin 3
+    buf.push(0, 30)
+    assert buf.push(1, 25) == sim.MERGED  # both bin 3
     assert len(buf) == 1
     assert buf.fifo[0].size == 2
 
@@ -290,46 +307,46 @@ def test_same_bin_merges_up_to_max():
 def test_full_element_spills_to_new_element():
     buf = new_buffer(max_merge=4)
     for i in range(4):
-        buf.push(req(i, 50))
+        buf.push(i, 50)
     assert buf.fifo[0].size == 4
-    assert buf.push(req(4, 52)) == sim.APPENDED  # cannot join the full element
+    assert buf.push(4, 52) == sim.APPENDED  # cannot join the full element
     assert len(buf) == 2
 
 
 def test_pop_is_fifo():
     buf = new_buffer()
-    buf.push(req(0, 20))   # bin 2
-    buf.push(req(1, 45))   # bin 5
+    buf.push(0, 20)   # bin 2
+    buf.push(1, 45)   # bin 5
     popped = buf.pop()
     assert popped.bin == 2
-    assert [r.id for r in popped.requests] == [0]
+    assert popped.rows == [0]
 
 
 def test_pop_then_same_bin_push_creates_new_element():
     buf = new_buffer()
-    buf.push(req(0, 20))
+    buf.push(0, 20)
     buf.pop()
-    assert buf.push(req(1, 20)) == sim.APPENDED
+    assert buf.push(1, 20) == sim.APPENDED
     assert len(buf) == 1
 
 
 def test_rejected_at_capacity():
     buf = new_buffer(capacity=1)
-    buf.push(req(0, 20))
-    assert buf.push(req(1, 90)) == sim.REJECTED  # different bin, fifo full
-    assert buf.push(req(2, 20)) == sim.MERGED    # same bin still merges
+    buf.push(0, 20)
+    assert buf.push(1, 90) == sim.REJECTED  # different bin, fifo full
+    assert buf.push(2, 20) == sim.MERGED    # same bin still merges
 
 
 def test_padded_len_is_bin_upper_edge():
     buf = new_buffer()
-    buf.push(req(0, 30))
+    buf.push(0, 30)
     assert buf.fifo[0].padded_len == 32
 
 
 def test_pad_to_max_mode_uses_last_bin():
     buf = new_buffer(pad_to_max=True)
-    buf.push(req(0, 5))
-    buf.push(req(1, 120))
+    buf.push(0, 5)
+    buf.push(1, 120)
     assert len(buf) == 1
     assert buf.fifo[0].padded_len == 128
 
@@ -369,7 +386,7 @@ class NaiveBuffer:
 
 
 def buffer_snapshot(buf):
-    return [(el.bin, tuple(r.id for r in el.requests)) for el in buf.fifo]
+    return [(el.bin, tuple(el.rows)) for el in buf.fifo]
 
 
 def test_fuzz_against_naive_model():
@@ -381,10 +398,10 @@ def test_fuzz_against_naive_model():
         if buf.fifo and rng.random() < 0.4:
             got = buf.pop()
             want = naive.pop()
-            assert (got.bin, tuple(r.id for r in got.requests)) == (want[0], tuple(want[1]))
+            assert (got.bin, tuple(got.rows)) == (want[0], tuple(want[1]))
         else:
             length = int(rng.integers(1, 129))
-            got = buf.push(req(rid, length))
+            got = buf.push(rid, length)
             want = naive.push(rid, length)
             assert got == want
             rid += 1
@@ -400,7 +417,7 @@ def test_buffer_index_integrity(ops):
         if is_pop and buf.fifo:
             buf.pop()
         else:
-            buf.push(req(rid, length))
+            buf.push(rid, length)
             rid += 1
         # index entries point at live, non-full elements; one open element per bin
         live = set(map(id, buf.fifo))
@@ -424,7 +441,7 @@ def worst_touches(touched):
             if buf.fifo and rng.random() < 0.3:
                 buf.pop()
             else:
-                buf.push(req(i, int(rng.integers(1, 129))))
+                buf.push(i, int(rng.integers(1, 129)))
             worst = max(worst, len(touched))
     return worst
 
@@ -433,17 +450,17 @@ def test_constant_touches_across_sizes(touched_elements):
     assert worst_touches(touched_elements) <= 2
 
 
-def scanning_push(self, request, now_ms=0.0):
+def scanning_push(self, row, length, now_ms=0.0):
     """LengthAwareBuffer.push with the bin index replaced by a scan of the FIFO: the same
     results, in time linear in the occupancy."""
-    b = self.push_bin(request.length_tokens)
+    b = self.push_bin(length)
     for el in self.fifo:
-        if el.bin == b and len(el.requests) < self.max_merge:
-            el.requests.append(request)
+        if el.bin == b and len(el.rows) < self.max_merge:
+            el.rows.append(row)
             return sim.MERGED
     if self.is_full():
         return sim.REJECTED
-    self.fifo.append(sim.BufferElement(b, (b + 1) * self.bin_width, [request], now_ms))
+    self.fifo.append(sim.BufferElement(b, (b + 1) * self.bin_width, [row], now_ms))
     return sim.APPENDED
 
 
@@ -456,9 +473,8 @@ def test_touch_count_catches_a_scanning_push(monkeypatch, touched_elements):
 
 
 def element(size, padded_len, b=None):
-    reqs = [req(i, padded_len) for i in range(size)]
     return sim.BufferElement(bin=(padded_len // 8) - 1 if b is None else b,
-                             padded_len=padded_len, requests=reqs)
+                             padded_len=padded_len, rows=list(range(size)))
 
 
 def test_short_vs_long_sample():
@@ -507,11 +523,13 @@ def test_doubling_batch_doubles_saturated_compute():
 def test_controller_tick_rule(k, full, busy, idle_ms, action):
     """One node, min 1 and max 3 students, a 120 s idle window; 12 groups at k = 1,
     6 at k = 2 and 4 at k = 3. A full buffer holds one element per group; otherwise
-    ``busy`` groups run an element and every buffer is empty."""
-    simulation = sim.Simulation(make_cluster(group_size=k), sim.Workload.from_requests([]), calibrated_factors())
+    ``busy`` groups run an element and every buffer is empty. Row i of the workload, pushed
+    by hand, is 8 * (i + 1) tokens long: one bin each."""
+    workload = sim.Workload.from_requests([(i, 0.0, 8 * (i + 1)) for i in range(12)])
+    simulation = sim.Simulation(make_cluster(group_size=k), workload, calibrated_factors())
     node = simulation.nodes[0]
     for i in range(simulation.groups if full else busy):
-        assert simulation._try_push(node, req(i, 8 * (i + 1)), 0.0) == sim.APPENDED  # one bin each
+        assert simulation._try_push(node, i, 0.0) == sim.APPENDED
         if not full:
             simulation._dispatch(node, 0.0)
     assert node.buffer.is_full() == full and node.busy == (0 if full else busy)
@@ -548,12 +566,13 @@ def test_controller_tick_sums_idle_and_busy_over_the_nodes(k, busy, action):
 def test_controller_tick_surface_applies_drop():
     ctl = sim.ControllerConfig(max_students=3, accuracy_table=flat_table(), min_students=1)
     cluster = make_cluster(replicas_per_gpu=1, gpus_per_node=3, group_size=3, controller=ctl)
-    simulation = sim.Simulation(cluster, sim.Workload.from_requests([]), calibrated_factors())
+    workload = sim.Workload.from_requests([(0, 0.0, 90), (1, 0.0, 20)])  # the rows pushed by hand
+    simulation = sim.Simulation(cluster, workload, calibrated_factors())
     node = simulation.nodes[0]
-    simulation._try_push(node, req(0, 90), 0.0)
+    simulation._try_push(node, 0, 0.0)
     simulation._dispatch(node, 0.0)
     assert node.busy == simulation.groups == 1  # the node's one group is busy
-    assert simulation._try_push(node, req(1, 20), 0.0) == sim.APPENDED
+    assert simulation._try_push(node, 1, 0.0) == sim.APPENDED
     assert node.buffer.is_full()
     assert simulation.controller_tick(1.0) == sim.DROP_ONE
     assert simulation.k == 2
@@ -1181,10 +1200,10 @@ class BufferedArrivals(sim.Simulation):
     """The oracle of the direct start: every arrival is pushed into its node's buffer
     (or deferred) and reaches a group only through the boundary's dispatch."""
 
-    def _arrive(self, node, req, now):
-        if node.retry or self._try_push(node, req, now) == sim.REJECTED:
+    def _arrive(self, node, row, now):
+        if node.retry or self._try_push(node, row, now) == sim.REJECTED:
             self.deferred += 1
-            node.retry.append(req)
+            node.retry.append(row)
             self.retrying.add(node.index)
         self._boundary(now, node)
 
@@ -1275,6 +1294,22 @@ def test_direct_start_waits_while_a_full_buffer_drops_a_student():
     got = end_state(sim.Simulation(cluster, workload, calibrated_factors()))
     assert got[1][:3] == [((0.0).hex(), 4), ((0.47).hex(), 3), ((0.48).hex(), 2)]
     assert got == end_state(BufferedArrivals(cluster, workload, calibrated_factors()))
+
+
+def test_the_event_loop_builds_no_request(monkeypatch):
+    # inside the run a request is its workload row: a Request built anywhere in the loop raises
+    class NoRequest:
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("the event loop built a Request")
+
+    monkeypatch.setattr(sim, "Request", NoRequest)
+    cluster = direct_start_cluster(3, 4, 1, 4, False, None)
+    workload = phased_workload(3, 40_000.0, seed=7)
+    simulation = sim.Simulation(cluster, workload, calibrated_factors())
+    m = simulation.run()
+    assert m.completed == len(workload) and sorted(simulation.finished) == list(range(len(workload)))
+    # requests were pushed, merged and deferred, and some started directly
+    assert m.dispatches and m.requests_per_dispatch > 1 and m.deferred and m.direct_starts
 
 
 @pytest.mark.parametrize("pad_to_max", [False, True])

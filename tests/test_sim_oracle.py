@@ -54,8 +54,10 @@ class ReferenceSimulation:
                                                     self.groups(), cluster.pad_to_max))
                       for _ in range(cluster.nodes)]
         self.events, self.seq = [], count()
+        # the buffers and retry queues hold the requests' indices in ``workload``, as Simulation's rows
+        self.requests = workload
         for i, req in enumerate(workload):
-            self.push_event(req.arrival_ms, ARRIVAL, (self.nodes[i % cluster.nodes], req))
+            self.push_event(req.arrival_ms, ARRIVAL, (self.nodes[i % cluster.nodes], i))
         self.push_event(0.0, HEARTBEAT, None)
         self.rows, self.element_waits, self.deferred = [], [], 0
         self.k_timeline = [(0.0, self.k)]
@@ -67,8 +69,8 @@ class ReferenceSimulation:
     def push_event(self, t, kind, payload):
         heapq.heappush(self.events, (t, next(self.seq), kind, payload))
 
-    def push(self, node, req, now):
-        result = node.buffer.push(req, now)
+    def push(self, node, i, now):
+        result = node.buffer.push(i, self.requests[i].length_tokens, now)
         if result == sim.APPENDED and self.cfg.batch_timeout_ms is not None:
             self.push_event(now + self.cfg.batch_timeout_ms, TIMER, node)
         return result
@@ -127,14 +129,15 @@ class ReferenceSimulation:
             else:
                 self.last_event_ms = now
                 if kind == ARRIVAL:
-                    node, req = payload
-                    if node.retry or self.push(node, req, now) == sim.REJECTED:
+                    node, i = payload
+                    if node.retry or self.push(node, i, now) == sim.REJECTED:
                         self.deferred += 1
-                        node.retry.append(req)
+                        node.retry.append(i)
                 elif kind == COMPLETION:
                     node, el = payload
                     node.busy -= 1
-                    self.rows += [(r.id, r.arrival_ms, now, r.length_tokens) for r in el.requests]
+                    done = map(self.requests.__getitem__, el.rows)
+                    self.rows += [(r.id, r.arrival_ms, now, r.length_tokens) for r in done]
             self.boundary(now)
         # (request_id, arrival_ms, completion_ms, length_tokens) by arrival, then id
         return sorted(self.rows, key=itemgetter(1, 0))
