@@ -132,11 +132,11 @@ def make_gaussian_task(
     with unit-variance noise, so overlap (and therefore the accuracy
     ceiling) is controlled by class_sep.
     """
-    check_counts(locals(), {"d_in": 1, "n_train": 1, "n_val": 1, "n_test": 1})
+    check_counts(locals(), {"n_classes": 2, "d_in": 1, "n_train": 1, "n_val": 1, "n_test": 1})
     check_at_most("n_train, n_val, n_test and d_in", (n_train + n_val + n_test) * d_in, "input floats",
                   MAX_TASK_FLOATS)
     check_finite(locals(), {"class_sep": -math.inf})
-    if not 2 <= n_classes <= 8:
+    if n_classes > 8:
         raise ValueError("n_classes must be in [2, 8]")
     rng = rng_for(seed, "gaussian-task")
     means = rng.normal(size=(n_classes, d_in))
@@ -634,29 +634,24 @@ class _PruningParams:
     Construction moves the classifier's parameters into the head of ``flat``
     and the state's bank into the rest (``EnsembleState.move_to``), so one
     optimizer step updates them all and the state's stacked views follow.
-    ``layout`` is ``_pruning_layout``, the gradient layout of
-    ``accumulate_prefix_gradients``.
+    ``layout`` names the classifier's parameters, then each student's own
+    layout shifted past everything before it, in ensemble order; the gradient
+    of ``accumulate_prefix_gradients`` is laid out the same way.
     """
 
     def __init__(self, state: EnsembleState):
-        self.layout = _pruning_layout(state)
-        self.flat = np.empty(self.layout[-1][2])
-        clf_size = self.layout[1][2]
-        nn._home([("classifier", state.classifier)], self.flat[:clf_size])
+        clf = state.classifier
+        clf_size = clf.weight.size + clf.bias.size
+        self.flat = np.empty(clf_size + state.bank.size)
+        _, self.layout = nn._home([("classifier", clf)], self.flat[:clf_size])
+        for j, student in enumerate(state.students):
+            start = self.layout[-1][2]
+            self.layout += [(f"students.{j}.{name}", start + lo, start + hi, shape)
+                            for name, lo, hi, shape in student.layout]
         state.move_to(self.flat[clf_size:])
 
     def parameters(self) -> dict[str, np.ndarray]:
         return nn._views(self.flat, self.layout)
-
-
-def _pruning_layout(state: EnsembleState) -> list[tuple]:
-    """Gradient layout over the classifier and then every student, in ensemble
-    order: each student's own layout, shifted past everything before it."""
-    _, layout = nn._home([("classifier", state.classifier.copy())])  # a copy: the classifier stays put
-    for j, student in enumerate(state.students):
-        start = layout[-1][2]
-        layout += [(f"students.{j}.{name}", start + lo, start + hi, shape) for name, lo, hi, shape in student.layout]
-    return layout
 
 
 def accumulate_prefix_gradients(
@@ -664,10 +659,9 @@ def accumulate_prefix_gradients(
     xb: np.ndarray,
     teacher_logits: np.ndarray | None,
     temperature: float,
-    layout: list[tuple] | None = None,
     *,
     soft_labels: np.ndarray | None = None,
-) -> tuple[nn.TapeGradients, float]:
+) -> tuple[np.ndarray, float]:
     """One batch of the pruning objective: sum over k of soft CE on prefix k.
 
     The students run forward together as one stacked bank, one cumulative sum
@@ -676,18 +670,18 @@ def accumulate_prefix_gradients(
     Student j feeds every prefix k >= j, and backward is linear in its
     upstream gradient, so the bank back-propagates once, student j with
     alpha_j times the suffix sum over k >= j of the prefix representations'
-    gradients, straight into its block of the tape. The tape covers the
-    classifier and then every student (``layout``, built from the state when
-    not given), and the students run as the state's ``layers``. A caller that
-    holds the teacher's soft labels ``_soft_labels(teacher_logits, temperature)``
-    passes them as ``soft_labels``, and ``teacher_logits`` is then not read.
+    gradients, straight into its block of the gradient. The gradient is one
+    float64 array laid out like ``_PruningParams(state).flat``: the classifier
+    and then every student, named by that object's ``layout``. The students
+    run as the state's ``layers``. A caller that holds the teacher's soft
+    labels ``_soft_labels(teacher_logits, temperature)`` passes them as
+    ``soft_labels``, and ``teacher_logits`` is then not read.
 
     The loss and its logit gradient are those of ``soft_cross_entropy`` on the
     m prefixes stacked, with each prefix's rows against the same soft labels.
     """
     m, n = len(state), len(xb)
     clf = state.classifier
-    layout = _pruning_layout(state) if layout is None else layout
     xb = np.asarray(xb, dtype=np.float64)
     alphas = np.asarray(state.multipliers)[:, None, None]
     acts = []
@@ -703,12 +697,12 @@ def accumulate_prefix_gradients(
     log_p, p = _log_softmax(logits / temperature)
     total = m * float(np.mean(np.sum(-soft_labels * log_p.reshape(m, n, -1), axis=-1)))
     d_logits = ((p.reshape(m, n, -1) - soft_labels) / (temperature * n)).reshape(m * n, -1)
-    grad = np.empty(layout[-1][2])
     w_stop, start = clf.weight.size, clf.weight.size + clf.bias.size
+    grad = np.empty(start + state.bank.size)
     d_reps, _, _ = clf.backward(d_logits, grad[:w_stop].reshape(clf.weight.shape), grad[w_stop:start])
     suffix = np.cumsum(d_reps.reshape(m, n, -1)[::-1], axis=0)[::-1]
     _bank_backward(state.layers, xb, acts, alphas * suffix, grad[start:].reshape(m, -1))
-    return nn.TapeGradients(grad, layout), total
+    return grad, total
 
 
 def prefix_accuracies(state: EnsembleState, data: Dataset) -> list[float]:
@@ -729,7 +723,7 @@ def adaptive_pruning(
     """Train the shared classifier over all prefixes, then pick the best one.
 
     Per batch the prefix losses for k = 1..M are accumulated into a single
-    gradient tape and applied in one optimizer step, so any suffix of
+    gradient and applied in one optimizer step, so any suffix of
     students can be dropped later with accuracy known from the table.
     best_k maximizes validation accuracy, ties going to the smaller
     (cheaper) prefix.
@@ -749,13 +743,11 @@ def adaptive_pruning(
         perm = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            tape, loss = accumulate_prefix_gradients(
-                state, splits.train.inputs[idx], None, cfg.soft_ce_temperature, params.layout,
-                soft_labels=soft_labels[idx],
-            )
+            grad, loss = accumulate_prefix_gradients(
+                state, splits.train.inputs[idx], None, cfg.soft_ce_temperature, soft_labels=soft_labels[idx])
             if not np.isfinite(loss):
                 raise FloatingPointError("pruning loss diverged")
-            opt.step(params, tape)
+            opt.step(params, grad)
     rows = list(zip(range(1, m + 1), prefix_accuracies(state, splits.validation),
                     prefix_accuracies(state, splits.test)))
     table = AccuracyTable(rows)

@@ -6,11 +6,12 @@ shallow student whose mid-layer representation is tapped for distillation.
 Each model keeps all of its parameters in one contiguous float64 buffer,
 ``model.flat``. ``_home`` writes every layer's weight and bias into it, points
 the layer at those views, and returns the one layout, (name, start, stop,
-shape) per parameter, through which ``parameters()``, the gradient tapes and
-the pruning buffer all name their views. Gradients are exact reverse-mode and
-land in a fresh flat buffer laid out the same way, which ``TapeGradients``
-wraps without copying. An optimizer step is one finiteness check and one
-vector update; it uses the tape as scratch, so a stepped tape is spent.
+shape) per parameter, ``model.layout``, through which ``parameters()``, the
+optimizer and the pruning buffer all name their views. A gradient is exact
+reverse-mode and is one fresh float64 array laid out like ``model.flat``; its
+names are those of ``model.layout``. An optimizer step is one finiteness check
+and one vector update; it uses the gradient as scratch, so a stepped gradient
+is spent.
 
 The models run on views built once per buffer, not on ``DenseLayer`` calls.
 A forward writes its activations into stacked (depth, n, width) arrays, fresh
@@ -28,7 +29,6 @@ import base64
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -132,14 +132,14 @@ class DenseLayer:
         """Return (d_input, d_weight, d_bias) for upstream gradient d_out.
 
         ``dw`` and ``db``, when given, are C-contiguous float64 buffers (views into
-        a gradient tape, see ``tape_views``) that receive d_weight and d_bias.
+        a model's gradient, see ``grad_views``) that receive d_weight and d_bias.
         """
         if self._x is None:
             raise RuntimeError("backward called before forward")
         dz, dw, db = _grads(self, self._x, self._a, _rows(d_out), dw, db)
         return np.dot(dz, self.weight), dw, db
 
-    def tape_views(self, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def grad_views(self, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """This layer's (weight, bias) slots in ``grad``, a flat buffer laid out like the model's."""
         w_start, b_start, stop = self.span
         return grad[w_start:b_start].reshape(self.weight.shape), grad[b_start:stop]
@@ -192,23 +192,6 @@ def _stack_views(unit: list[DenseLayer], count: int):
             out += [rows[:, weight].reshape(shape), rows[:, bias]]
         return out
     return views
-
-
-class TapeGradients:
-    """Gradients in one flat float64 buffer, laid out like a model's parameters.
-
-    Wraps ``flat`` without copying it. ``layout`` lists (name, start, stop,
-    shape) per parameter and ``grads`` maps each name to its view into
-    ``flat``. An optimizer step uses the buffer as scratch, so a stepped tape
-    is spent.
-    """
-
-    def __init__(self, flat: np.ndarray, layout: list[tuple]):
-        self.flat, self.layout = flat, layout
-
-    @cached_property
-    def grads(self) -> dict[str, np.ndarray]:
-        return _views(self.flat, self.layout)
 
 
 class _ResidualBlock:
@@ -322,8 +305,8 @@ class TeacherModel:
             return h[0], logits[0]
         return h, logits
 
-    def backward(self, d_final_rep: np.ndarray | None, d_logits: np.ndarray | None = None) -> TapeGradients:
-        """Gradients of the last forward into a fresh tape. The loop over blocks
+    def backward(self, d_final_rep: np.ndarray | None, d_logits: np.ndarray | None = None) -> np.ndarray:
+        """Gradient of the last forward, laid out like ``flat``. The loop over blocks
         runs only the chain g -> d_f -> dz -> g; every block's parameter
         gradients are then written with four stacked calls."""
         if self._x is None:
@@ -334,7 +317,7 @@ class TeacherModel:
         d_proj, d_exp = np.empty_like(proj), np.empty_like(acts)
         g = d_proj[-1]  # block i's output gradient lands in d_proj[i], its project's dz if linear
         if d_logits is not None:
-            dz, _, _ = _grads(head, self._final, self._logits, _rows(d_logits), *head.tape_views(grad))
+            dz, _, _ = _grads(head, self._final, self._logits, _rows(d_logits), *head.grad_views(grad))
             np.dot(dz, head.weight, out=g)
             if d_final_rep is not None:
                 g += np.asarray(d_final_rep, dtype=np.float64)
@@ -363,8 +346,8 @@ class TeacherModel:
         np.add.reduce(d_exp, axis=1, out=b_exp)
         np.matmul(d_proj.transpose(0, 2, 1), acts, out=w_proj)
         np.add.reduce(d_proj, axis=1, out=b_proj)
-        _grads(self.input_proj, self._x, stream[0], g, *self.input_proj.tape_views(grad))
-        return TapeGradients(grad, self.layout)
+        _grads(self.input_proj, self._x, stream[0], g, *self.input_proj.grad_views(grad))
+        return grad
 
     def parameters(self) -> dict[str, np.ndarray]:
         return _views(self.flat, self.layout)
@@ -441,8 +424,8 @@ class StudentModel:
             return h[0], mid[0]
         return h, mid
 
-    def backward(self, d_final_rep: np.ndarray | None, d_mid_rep: np.ndarray | None = None) -> TapeGradients:
-        """Gradients of the last forward into a fresh tape; the layers' weight and
+    def backward(self, d_final_rep: np.ndarray | None, d_mid_rep: np.ndarray | None = None) -> np.ndarray:
+        """Gradient of the last forward, laid out like ``flat``; the layers' weight and
         bias gradients are written with one stacked call each."""
         if self._x is None:
             raise RuntimeError("backward called before forward")
@@ -464,8 +447,8 @@ class StudentModel:
         weight, bias = self._layer_views(grad)
         np.matmul(dz.transpose(0, 2, 1), stream[:-1], out=weight)
         np.add.reduce(dz, axis=1, out=bias)
-        _grads(self.input_proj, self._x, stream[0], g, *self.input_proj.tape_views(grad))
-        return TapeGradients(grad, self.layout)
+        _grads(self.input_proj, self._x, stream[0], g, *self.input_proj.grad_views(grad))
+        return grad
 
     def parameters(self) -> dict[str, np.ndarray]:
         return _views(self.flat, self.layout)
@@ -483,53 +466,54 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 class Optimizer:
     """SGD or Adam over a model's flat parameter buffer.
 
-    ``step`` validates the tape (rejecting non-finite gradients, by name,
-    before any parameter is touched), then applies one elementwise update to
-    ``model.flat`` in place. Adam's moments ``_m`` and ``_v`` are flat buffers
-    shaped like the parameters and ``_u`` is a scratch buffer of the same
-    shape. The step also uses the tape as scratch, so it allocates nothing
-    and leaves the tape spent.
+    ``step(model, grad)`` takes ``grad``, the float64 array laid out like
+    ``model.flat``, rejects a non-finite one (naming the parameter from
+    ``model.layout``) before any parameter is touched, then applies one
+    elementwise update to ``model.flat`` in place. Adam's moments ``_m`` and
+    ``_v`` are flat buffers shaped like the parameters and ``_u`` is a scratch
+    buffer of the same shape. The step also uses ``grad`` as scratch, so it
+    allocates nothing and leaves ``grad`` spent.
     """
 
     def __init__(self, kind: str = ADAM, learning_rate: float = 1e-3):
         if kind not in (SGD, ADAM):
             raise ValueError(f"unknown optimizer kind {kind!r}")
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(learning_rate) and learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {learning_rate!r}")
         self.kind, self.learning_rate = kind, learning_rate
         self._m = self._v = self._u = None
         self._t = 0
 
-    def step(self, model, grads: TapeGradients) -> None:
-        params, g = model.flat, grads.flat
-        if g.shape != params.shape:
-            raise ValueError(f"gradient holds {g.size} values for {params.size} parameters")
-        if not np.isfinite(g).all():
-            name = next(name for name, start, stop, _ in grads.layout if not np.isfinite(g[start:stop]).all())
+    def step(self, model, grad: np.ndarray) -> None:
+        params = model.flat
+        if grad.shape != params.shape:
+            raise ValueError(f"gradient holds {grad.size} values for {params.size} parameters")
+        if not np.isfinite(grad).all():
+            name = next(name for name, start, stop, _ in model.layout if not np.isfinite(grad[start:stop]).all())
             raise ValueError(f"non-finite gradient for {name!r}; parameters left unchanged")
         if self.kind == SGD:
-            g *= self.learning_rate
-            params -= g
+            grad *= self.learning_rate
+            params -= grad
         else:
             if self._m is None:
                 self._m, self._v, self._u = np.zeros_like(params), np.zeros_like(params), np.empty_like(params)
             self._t += 1
             b1, b2, m, v, u = BETA1, BETA2, self._m, self._v, self._u
-            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+            # m = b1 m + (1 - b1) grad;  v = b2 v + (1 - b2) grad^2
             m *= b1
-            np.multiply(g, 1 - b1, out=u)
+            np.multiply(grad, 1 - b1, out=u)
             m += u
             v *= b2
-            np.multiply(g, 1 - b2, out=u)
-            u *= g
+            np.multiply(grad, 1 - b2, out=u)
+            u *= grad
             v += u
-            # params -= lr m_hat / (sqrt(v_hat) + eps), with g done with
-            np.divide(v, 1 - b2**self._t, out=g)
-            np.sqrt(g, out=g)
-            g += EPS
+            # params -= lr m_hat / (sqrt(v_hat) + eps), with grad done with
+            np.divide(v, 1 - b2**self._t, out=grad)
+            np.sqrt(grad, out=grad)
+            grad += EPS
             np.divide(m, 1 - b1**self._t, out=u)
             u *= self.learning_rate
-            u /= g
+            u /= grad
             params -= u
 
 
@@ -546,7 +530,8 @@ def finite_diff_check(model, loss_fn, step: float = 1e-5, tol: float = 1e-4) -> 
 
     ``loss_fn(model)`` must return ``(loss, output_grads)`` where
     ``output_grads`` is the tuple of upstream gradients ``model.backward``
-    accepts for that loss. The relative error per coordinate uses the
+    accepts for that loss; ``model.layout`` names each parameter's slice of
+    ``model.flat`` and of the gradient. The relative error per coordinate uses the
     denominator max(|analytic|, |numeric|, 1e-6) so near-zero pairs do not
     dominate the report.
     """
@@ -556,13 +541,10 @@ def finite_diff_check(model, loss_fn, step: float = 1e-5, tol: float = 1e-4) -> 
     if not np.isfinite(loss0):
         raise ValueError("loss is not finite")
     analytic = model.backward(*out_grads)
-    params = model.parameters()
     worst = 0.0
     worst_name = ""
-    for name, arr in params.items():
-        a_grad = analytic.grads[name]
-        flat = arr.reshape(-1)
-        a_flat = a_grad.reshape(-1)
+    for name, start, stop, _ in model.layout:
+        flat, a_flat = model.flat[start:stop], analytic[start:stop]
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + step

@@ -97,7 +97,7 @@ def test_criterion_1_gradient_correctness():
         state.classifier = nn.DenseLayer.init(2, 6, nn.IDENTITY, rng)
         xb = rng.normal(size=(4, 4))
         t_logits = rng.normal(size=(4, 2))
-        tape, _ = dst.accumulate_prefix_gradients(state, xb, t_logits, temperature=1.0)
+        grad, _ = dst.accumulate_prefix_gradients(state, xb, t_logits, temperature=1.0)
 
         def total_loss():
             total = 0.0
@@ -105,11 +105,10 @@ def test_criterion_1_gradient_correctness():
                 total += dst.soft_cross_entropy(state.classifier.forward(state.rep(xb, k)), t_logits, 1.0)
             return total
 
-        params = dst._PruningParams(state).parameters()
+        pruning = dst._PruningParams(state)
         step = 1e-5
-        for name, arr in params.items():
-            flat = arr.reshape(-1)
-            a_flat = tape.grads[name].reshape(-1)
+        for name, start, stop, _ in pruning.layout:
+            flat, a_flat = pruning.flat[start:stop], grad[start:stop]
             for idx in range(flat.size):
                 orig = flat[idx]
                 flat[idx] = orig + step

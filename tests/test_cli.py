@@ -758,6 +758,9 @@ def test_bad_input_exits_config(tmp_path, capsys, mode, path, value):
 @pytest.mark.parametrize("mode, path, value", [
     ("distill", ("task", "class_sep"), float("nan")),
     ("distill", ("task", "class_sep"), "a"),
+    ("distill", ("task", "n_classes"), 3.0),
+    ("distill", ("task", "n_classes"), "x"),
+    ("distill", ("task", "n_classes"), None),
     ("simulate", ("factors", "capacity_per_gpu"), 0),
     ("simulate", ("factors", "capacity_per_gpu"), "x"),
     ("simulate", ("factors", "capacity_per_gpu"), float("nan")),

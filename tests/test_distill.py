@@ -587,9 +587,10 @@ def test_accumulated_gradients_match_summed_loss_finite_differences():
     state.classifier = nn.DenseLayer.init(2, teacher.rep_dim, nn.IDENTITY, make_rng(50))
     xb = splits.train.inputs[:8]
     t_logits = teacher.forward(xb)[1]
-    tape, _ = dst.accumulate_prefix_gradients(state, xb, t_logits, temperature=1.0)
+    grad, _ = dst.accumulate_prefix_gradients(state, xb, t_logits, temperature=1.0)
 
-    params = dst._PruningParams(state).parameters()
+    pruning = dst._PruningParams(state)
+    params, grads = pruning.parameters(), nn._views(grad, pruning.layout)
 
     def total_loss():
         total = 0.0
@@ -612,7 +613,7 @@ def test_accumulated_gradients_match_summed_loss_finite_differences():
             lm = total_loss()
             flat[idx] = orig
             numeric = (lp - lm) / (2 * step)
-            analytic = tape.grads[name].reshape(-1)[idx]
+            analytic = grads[name].reshape(-1)[idx]
             denom = max(abs(numeric), abs(analytic), 1e-6)
             assert abs(numeric - analytic) / denom <= 1e-4, f"{name}[{idx}]"
             checked += 1
@@ -638,8 +639,8 @@ def quadratic_prefix_gradients(state, xb, teacher_logits, temperature):
         grads["classifier.weight"] += dw
         grads["classifier.bias"] += db
         for j in range(k):
-            tape = state.students[j].backward(state.multipliers[j] * d_rep, None)
-            for name, g in tape.grads.items():
+            grad = state.students[j].backward(state.multipliers[j] * d_rep, None)
+            for name, g in nn._views(grad, state.students[j].layout).items():
                 grads[f"students.{j}.{name}"] += g
     return grads, total
 
@@ -657,16 +658,14 @@ def random_pruning_state(m, seed, d_in=5, rep_dim=6, n_classes=3):
 def test_prefix_gradients_match_quadratic_reference(m, temperature):
     state, xb, t_logits = random_pruning_state(m, seed=70 + m)
     assert m == 1 or any(a not in (0.0, 1.0) for a in state.multipliers[1:])
-    tape, loss = dst.accumulate_prefix_gradients(state, xb, t_logits, temperature)
+    grad, loss = dst.accumulate_prefix_gradients(state, xb, t_logits, temperature)
     expected, expected_loss = quadratic_prefix_gradients(state, xb, t_logits, temperature)
-    assert [name for name, *_ in tape.layout] == list(expected)
+    layout = dst._PruningParams(state).layout
+    assert [name for name, *_ in layout] == list(expected) and grad.shape == (layout[-1][2],)
+    grads = nn._views(grad, layout)
     for name, ref in expected.items():
-        np.testing.assert_allclose(tape.grads[name], ref, rtol=1e-12, atol=1e-14, err_msg=name)
+        np.testing.assert_allclose(grads[name], ref, rtol=1e-12, atol=1e-14, err_msg=name)
     assert loss == pytest.approx(expected_loss, rel=1e-12, abs=0)
-    layout = dst._pruning_layout(state)
-    again, again_loss = dst.accumulate_prefix_gradients(state, xb, t_logits, temperature, layout)
-    np.testing.assert_array_equal(again.flat, tape.flat)
-    assert again_loss == loss and again.layout is layout
 
 
 def test_prefix_gradients_back_propagate_the_bank_once(monkeypatch):
@@ -699,7 +698,7 @@ def test_prefix_gradients_reject_non_finite_logits():
         dst.accumulate_prefix_gradients(state, xb, t_logits, temperature=1.0)
 
 
-# (name, start, stop, shape) of every parameter: the names that the tapes, the
+# (name, start, stop, shape) of every parameter: the names that gradients, the
 # NaN message and checkpoint comparisons use, written out here by hand
 PINNED_TEACHER_LAYOUT = [
     ("input_proj.weight", 0, 12, (4, 3)),
@@ -749,10 +748,11 @@ def test_parameter_layouts_are_pinned():
     student = nn.StudentModel.build(3, 4, 3, rng)
     state = dst.EnsembleState([nn.StudentModel.build(3, 4, 2, rng) for _ in range(2)], [1.0, 0.5],
                               nn.DenseLayer.init(2, 4, nn.IDENTITY, rng))
+    pruning = dst._PruningParams(state)
     for got, pinned, names in (
         (teacher.layout, PINNED_TEACHER_LAYOUT, teacher.parameters()),
         (student.layout, PINNED_STUDENT_LAYOUT, student.parameters()),
-        (dst._pruning_layout(state), PINNED_PRUNING_LAYOUT, dst._PruningParams(state).parameters()),
+        (pruning.layout, PINNED_PRUNING_LAYOUT, pruning.parameters()),
     ):
         assert [(name, start, stop, tuple(shape)) for name, start, stop, shape in got] == pinned
         assert list(names) == [name for name, *_ in pinned]
@@ -774,22 +774,35 @@ def test_pruning_params_share_one_buffer_with_the_models():
     assert not state.rep(splits.validation.inputs).any()
 
 
-def test_nan_student_gradient_names_the_parameter_and_changes_nothing():
+@pytest.mark.parametrize("kind,name,idx", [
+    ("pruning", "students.1.layers.0.weight", (1, 2)),
+    ("teacher", "blocks.1.expand.bias", (3,)),
+    ("student", "layers.1.weight", (0, 2)),
+], ids=["pruning", "teacher", "student"])
+def test_nan_student_gradient_names_the_parameter_and_changes_nothing(kind, name, idx):
     teacher, splits, cfg, state = small_trained_state(seed=2, max_students=2)
     assert len(state) == 2
-    state.classifier = nn.DenseLayer.init(2, teacher.rep_dim, nn.IDENTITY, make_rng(53))
-    params = dst._PruningParams(state)
-    opt = nn.Optimizer(kind=nn.ADAM, learning_rate=cfg.learning_rate)
     xb = splits.train.inputs[:8]
     t_logits = teacher.forward(xb)[1]
-    tape, _ = dst.accumulate_prefix_gradients(state, xb, t_logits, temperature=1.0)
-    opt.step(params, tape)  # moments are nonzero from here on
-    tape, _ = dst.accumulate_prefix_gradients(state, xb, t_logits, temperature=1.0)
-    tape.grads["students.1.layers.0.weight"][1, 2] = np.nan
-    buffers = [params.flat, opt._m, opt._v, tape.flat, *(s.flat for s in state.students)]
+    if kind == "pruning":
+        state.classifier = nn.DenseLayer.init(2, teacher.rep_dim, nn.IDENTITY, make_rng(53))
+        model = dst._PruningParams(state)
+
+        def gradient():
+            return dst.accumulate_prefix_gradients(state, xb, t_logits, temperature=1.0)[0]
+    else:
+        model = teacher if kind == "teacher" else state.students[1]
+
+        def gradient():
+            return model.backward(*(np.ones_like(out) for out in model.forward(xb)))
+    opt = nn.Optimizer(kind=nn.ADAM, learning_rate=cfg.learning_rate)
+    opt.step(model, gradient())  # moments are nonzero from here on
+    grad = gradient()
+    nn._views(grad, model.layout)[name][idx] = np.nan
+    buffers = [model.flat, opt._m, opt._v, grad, teacher.flat, *(s.flat for s in state.students)]
     snapshot = [b.copy() for b in buffers]
-    with pytest.raises(ValueError, match=r"'students\.1\.layers\.0\.weight'"):
-        opt.step(params, tape)
+    with pytest.raises(ValueError, match=f"non-finite gradient for '{name}'; parameters left unchanged"):
+        opt.step(model, grad)
     for buf, saved in zip(buffers, snapshot):
         np.testing.assert_array_equal(buf, saved)
     assert opt._t == 1

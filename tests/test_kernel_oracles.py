@@ -1,7 +1,7 @@
 """Bitwise oracles for the training kernel.
 
 The references below are the kernel's earlier forms: each layer allocating
-its gradients and copying them into the tape (``_put``), Adam allocating a
+its gradients and copying them into the gradient (``_put``), Adam allocating a
 temporary per term, and the pruning pass running every student on its own.
 The current kernel must reproduce them bit for bit, so every comparison is
 ``assert_array_equal``, never a tolerance.
@@ -124,7 +124,6 @@ def looped_prefix_gradients(state, xb, teacher_logits, temperature):
     """The pruning pass with each student forward and backward on its own."""
     m, n = len(state), len(xb)
     clf = state.classifier
-    layout = dst._pruning_layout(state)
     alphas = np.asarray(state.multipliers)[:, None, None]
     finals = np.stack([ref_student_forward(student, xb)[0] for student in state.students])
     reps = np.cumsum(alphas * finals, axis=0).reshape(m * n, -1)
@@ -134,7 +133,7 @@ def looped_prefix_gradients(state, xb, teacher_logits, temperature):
     d_logits = (dst._softmax(logits / temperature) - dst._softmax(t_logits / temperature)) / (temperature * n)
     d_reps, dw, db = ref_layer_backward(clf, d_logits)
     suffix = np.cumsum(d_reps.reshape(m, n, -1)[::-1], axis=0)[::-1]
-    grad = np.empty(layout[-1][2])
+    grad = np.empty(clf.weight.size + clf.bias.size + sum(student.flat.size for student in state.students))
     start = clf.weight.size
     grad[:start] = dw.reshape(-1)
     grad[start:start + db.size] = db
@@ -184,9 +183,9 @@ def test_stacked_bank_equals_per_student_loop(n, depth, m):
         logits = ref_layer_forward(state.classifier, rep)
         expected_acc.append(float(np.mean(np.argmax(logits, axis=1) == labels)))
     assert dst.prefix_accuracies(state, dst.Dataset(x, labels)) == expected_acc
-    tape, loss = dst.accumulate_prefix_gradients(state, x, t_logits, temperature=2.0)
+    grad, loss = dst.accumulate_prefix_gradients(state, x, t_logits, temperature=2.0)
     ref_grad, ref_loss = looped_prefix_gradients(state, x, t_logits, temperature=2.0)
-    np.testing.assert_array_equal(tape.flat, ref_grad)
+    np.testing.assert_array_equal(grad, ref_grad)
     assert loss == ref_loss
 
 
@@ -201,9 +200,9 @@ def test_stacked_bank_honours_identity_layers():
     state.classifier = nn.DenseLayer.init(3, 6, nn.IDENTITY, rng)
     x, t_logits = rng.normal(size=(9, 4)), rng.normal(size=(9, 3))
     np.testing.assert_array_equal(state.rep(x), looped_rep(state, x, 3))
-    tape, loss = dst.accumulate_prefix_gradients(state, x, t_logits, temperature=1.0)
+    grad, loss = dst.accumulate_prefix_gradients(state, x, t_logits, temperature=1.0)
     ref_grad, ref_loss = looped_prefix_gradients(state, x, t_logits, temperature=1.0)
-    np.testing.assert_array_equal(tape.flat, ref_grad)
+    np.testing.assert_array_equal(grad, ref_grad)
     assert loss == ref_loss
 
 
@@ -220,9 +219,9 @@ def assert_rows_of_the_bank_compute_like_the_loop(state, rng):
     x, t_logits = rng.normal(size=(9, 8)), 3.0 * rng.normal(size=(9, 2))
     for k in range(1, len(state) + 1):
         np.testing.assert_array_equal(state.rep(x, k), looped_rep(state, x, k))
-    tape, loss = dst.accumulate_prefix_gradients(state, x, t_logits, temperature=2.0)
+    grad, loss = dst.accumulate_prefix_gradients(state, x, t_logits, temperature=2.0)
     ref_grad, ref_loss = looped_prefix_gradients(state, x, t_logits, temperature=2.0)
-    np.testing.assert_array_equal(tape.flat, ref_grad)
+    np.testing.assert_array_equal(grad, ref_grad)
     assert loss == ref_loss
 
 
@@ -285,7 +284,7 @@ def test_ensemble_rejects_students_of_differing_shapes():
             dst.ensemble_from_dict(d)
 
 
-# -- layers that write into the tape against allocate-and-_put ----------------------
+# -- layers that write into the gradient against allocate-and-_put ------------------
 
 
 @pytest.mark.parametrize("kind", [nn.SGD, nn.ADAM])
@@ -307,11 +306,11 @@ def test_models_and_optimizer_equal_the_allocating_reference(kind):
         np.testing.assert_array_equal(logits, ref_logits)
         d_final = None if step % 3 == 0 else rng.normal(size=rep.shape)
         d_logits = None if step % 3 == 1 else rng.normal(size=logits.shape)
-        tape = teacher.backward(d_final, d_logits)
+        grad = teacher.backward(d_final, d_logits)
         ref_grad = ref_teacher_backward(ref, d_final, d_logits)
-        np.testing.assert_array_equal(tape.flat, ref_grad)
+        np.testing.assert_array_equal(grad, ref_grad)
         opt, ref_opt = opts[id(teacher)]
-        opt.step(teacher, tape)
+        opt.step(teacher, grad)
         ref_opt.step(ref.flat, ref_grad)
         np.testing.assert_array_equal(teacher.flat, ref.flat)
         # student: final rep, with or without the mid-layer term
@@ -322,11 +321,11 @@ def test_models_and_optimizer_equal_the_allocating_reference(kind):
         np.testing.assert_array_equal(mid, ref_mid)
         d_final = rng.normal(size=final.shape)
         d_mid = None if step % 2 else rng.normal(size=mid.shape)
-        tape = student.backward(d_final, d_mid)
+        grad = student.backward(d_final, d_mid)
         ref_grad = ref_student_backward(ref, d_final, d_mid)
-        np.testing.assert_array_equal(tape.flat, ref_grad)
+        np.testing.assert_array_equal(grad, ref_grad)
         opt, ref_opt = opts[id(student)]
-        opt.step(student, tape)
+        opt.step(student, grad)
         ref_opt.step(ref.flat, ref_grad)
         np.testing.assert_array_equal(student.flat, ref.flat)
     if kind == nn.ADAM:
@@ -395,10 +394,10 @@ def twin_steps(model, ref, ref_forward, ref_backward, make_grads, n, steps, rng)
             for out, ref_out in zip(model.forward(x), ref_forward(ref, x)):
                 np.testing.assert_array_equal(out, ref_out)
         grads = make_grads(n)
-        tape = model.backward(*grads)
+        grad = model.backward(*grads)
         ref_grad = ref_backward(ref, *grads)
-        np.testing.assert_array_equal(tape.flat, ref_grad)
-        opt.step(model, tape)
+        np.testing.assert_array_equal(grad, ref_grad)
+        opt.step(model, grad)
         ref_opt.step(ref.flat, ref_grad)
         np.testing.assert_array_equal(model.flat, ref.flat)
 
@@ -454,18 +453,17 @@ def test_student_moved_into_the_pruning_buffer_trains_like_its_unmoved_twin():
 def test_pruning_bank_views_the_parameter_buffer():
     state, rng = bank_state(4, 3, seed=51)
     params = dst._PruningParams(state)
-    layout = dst._pruning_layout(state)
     opt = nn.Optimizer(kind=nn.ADAM, learning_rate=1e-2)
     for weight, bias, _ in state.layers:
         assert np.shares_memory(weight, params.flat) and np.shares_memory(bias, params.flat)
     for _ in range(3):  # the views follow the optimizer's in-place updates
         x, t_logits = rng.normal(size=(11, 8)), rng.normal(size=(11, 2))
-        tape, loss = dst.accumulate_prefix_gradients(state, x, t_logits, 2.0, layout)
+        grad, loss = dst.accumulate_prefix_gradients(state, x, t_logits, 2.0)
         copied, copied_loss = dst.accumulate_prefix_gradients(
             dst.ensemble_from_dict(dst.ensemble_to_dict(state)), x, t_logits, 2.0)
-        np.testing.assert_array_equal(tape.flat, copied.flat)
+        np.testing.assert_array_equal(grad, copied)
         assert loss == copied_loss
-        opt.step(params, tape)
+        opt.step(params, grad)
 
 
 @pytest.mark.parametrize("kind", ["teacher", "student"])
@@ -476,13 +474,13 @@ def test_outputs_and_tapes_outlive_later_passes(kind):
 
     def run(n):
         outs = model.forward(rng.normal(size=(n, 5)))
-        tape = model.backward(*(rng.normal(size=out.shape) for out in outs))
-        return outs, tape
+        grad = model.backward(*(rng.normal(size=out.shape) for out in outs))
+        return outs, grad
 
-    outs, tape = run(7)
-    saved = [out.copy() for out in outs], tape.flat.copy()
+    outs, grad = run(7)
+    saved = [out.copy() for out in outs], grad.copy()
     for n in (7, 7, 12, 7):  # the same batch size and another
         run(n)
     for out, before in zip(outs, saved[0]):
         np.testing.assert_array_equal(out, before)
-    np.testing.assert_array_equal(tape.flat, saved[1])
+    np.testing.assert_array_equal(grad, saved[1])

@@ -12,12 +12,9 @@ def make_rng(seed=0):
 
 
 def packed_tape(grads):
-    """A tape of name -> array gradients, packed in order into a fresh flat buffer."""
-    layout, start = [], 0
-    for name, arr in grads.items():
-        layout.append((name, start, start + arr.size, arr.shape))
-        start += arr.size
-    return nn.TapeGradients(np.concatenate([arr.reshape(-1) for arr in grads.values()]), layout)
+    """Name -> array gradients packed in order into one flat array: the gradient of
+    a model whose layout lists those names in that order."""
+    return np.concatenate([arr.reshape(-1) for arr in grads.values()])
 
 
 # -- independent oracles -------------------------------------------------------
@@ -182,8 +179,7 @@ def test_backward_zero_upstream_gives_zero_grads():
     s = nn.StudentModel.build(4, 6, 2, rng)
     x = rng.normal(size=(3, 4))
     f, m = s.forward(x)
-    tape = s.backward(np.zeros_like(f), np.zeros_like(m))
-    assert all(np.all(g == 0) for g in tape.grads.values())
+    assert np.all(s.backward(np.zeros_like(f), np.zeros_like(m)) == 0)
 
 
 def test_backward_single_identity_layer_closed_form():
@@ -229,15 +225,15 @@ def test_finite_diff_linear_model_is_tight():
     layer = nn.DenseLayer.init(3, 4, nn.IDENTITY, rng)
 
     class OneLayer:
+        def __init__(self):
+            self.flat, self.layout = nn._home([("layer", layer)])
+
         def forward(self, x):
             return layer.forward(x)
 
         def backward(self, d_out):
             _, dw, db = layer.backward(d_out)
             return packed_tape({"weight": dw, "bias": db})
-
-        def parameters(self):
-            return {"weight": layer.weight, "bias": layer.bias}
 
     x = rng.normal(size=(5, 4))
     target = rng.normal(size=(5, 3))
@@ -269,13 +265,14 @@ def test_finite_diff_detects_corrupted_gradient(monkeypatch):
     real_backward = s.backward
 
     def corrupted(*args, **kwargs):
-        tape = real_backward(*args, **kwargs)
-        tape.grads["layers.0.weight"] *= 2.0
-        return tape
+        grad = real_backward(*args, **kwargs)
+        nn._views(grad, s.layout)["layers.0.weight"] *= 2.0
+        return grad
 
     monkeypatch.setattr(s, "backward", corrupted)
     report = nn.finite_diff_check(s, quadratic_loss_fn(x, target), step=1e-5, tol=1e-4)
     assert not report.passed
+    assert report.worst_param.startswith("layers.0.weight[")
 
 
 def test_finite_diff_rejects_nonfinite_loss():
@@ -294,6 +291,8 @@ def test_finite_diff_rejects_nonfinite_loss():
 
 
 class ScalarModel:
+    layout = [("w", 0, 1, (1,))]
+
     def __init__(self, w0):
         self.w = self.flat = np.array([w0])
 
@@ -330,6 +329,17 @@ def test_nan_gradients_leave_parameters_unchanged():
     with pytest.raises(ValueError):
         opt.step(m, packed_tape({"w": np.array([float("nan")])}))
     assert m.w[0] == 1.0
+
+
+@pytest.mark.parametrize("learning_rate", [float("nan"), float("inf"), 0.0, -1e-3])
+def test_optimizer_refuses_a_learning_rate_that_is_not_finite_and_positive(learning_rate):
+    with pytest.raises(ValueError, match="learning_rate"):
+        nn.Optimizer(kind=nn.ADAM, learning_rate=learning_rate)
+
+
+def test_optimizer_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown optimizer kind 'rmsprop'"):
+        nn.Optimizer(kind="rmsprop")
 
 
 def reference_adam(params, grad_steps, lr, b1=0.9, b2=0.999, eps=1e-8):
@@ -431,9 +441,7 @@ def test_forward_backward_deterministic():
     f1, m1 = s1.forward(x)
     f2, m2 = s2.forward(x)
     assert np.array_equal(f1, f2) and np.array_equal(m1, m2)
-    t1 = s1.backward(f1, m1)
-    t2 = s2.backward(f2, m2)
-    assert all(np.array_equal(t1.grads[k], t2.grads[k]) for k in t1.grads)
+    assert np.array_equal(s1.backward(f1, m1), s2.backward(f2, m2))
 
 
 def test_checkpoint_round_trip(tmp_path):
