@@ -90,16 +90,6 @@ def _present(obj: dict, *keys: str) -> dict:
     return {k: obj[k] for k in keys if k in obj}
 
 
-def _load_json(p: Path):
-    """The JSON value in file ``p``; nesting deeper than the decoder can recurse is a config error
-    that names the file (a recursion bug elsewhere still surfaces)."""
-    text = p.read_text(encoding="utf-8")
-    try:
-        return json.loads(text)
-    except RecursionError as exc:
-        raise ConfigError(f"{p}: JSON nested too deeply to decode") from exc
-
-
 def _open_run(config_path: str, mode: str, keys: set[str], required: set[str],
               seed_override: int | None, out_override: str | None):
     """Start the clock, load and check the config, pick the seed, create the output directory."""
@@ -107,7 +97,7 @@ def _open_run(config_path: str, mode: str, keys: set[str], required: set[str],
     p = Path(config_path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {config_path}")
-    config = _load_json(p)
+    config = nn.read_json(p, lambda data: data)
     _require_keys(config, {"mode", "seed", "out_dir", *keys}, {"mode", "out_dir", *required}, "config")
     if config["mode"] != mode:
         raise ConfigError(f"config mode is '{config['mode']}', expected '{mode}'")
@@ -263,10 +253,15 @@ def _parse_workload(obj, seed: int, cluster: sim.ClusterConfig) -> sim.Workload:
     return sim.Workload.concatenate(parts)
 
 
-def _check_input_width(model, splits, path) -> None:
+def _check_fit(model, splits, path) -> None:
+    """Refuse a checkpoint's model that takes inputs of another width than the task's, or a
+    teacher that scores another number of classes."""
     if model.input_proj.in_dim != splits.train.inputs.shape[1]:
         raise ConfigError(f"checkpoint {path} takes inputs of width {model.input_proj.in_dim}, "
                           f"the task has width {splits.train.inputs.shape[1]}")
+    if isinstance(model, nn.TeacherModel) and model.head.out_dim != splits.n_classes:
+        raise ConfigError(f"checkpoint {path} scores {model.head.out_dim} classes, "
+                          f"the task has {splits.n_classes}")
 
 
 # -- commands: a parse phase under _bad_input, then a run phase ----------------------
@@ -291,11 +286,11 @@ def cmd_distill(config_path: str, seed_override: int | None, out_override: str |
             teacher = nn.load_model(Path(checkpoint))
             if not isinstance(teacher, nn.TeacherModel):
                 raise ConfigError(f"{checkpoint} does not contain a teacher model")
-            _check_input_width(teacher, splits, checkpoint)
+            _check_fit(teacher, splits, checkpoint)
         else:
             dims = dict(d_in=splits.train.inputs.shape[1], rep_dim=tobj.get("rep_dim", 16),
                         hidden_dim=tobj.get("hidden_dim", 32), depth=tobj.get("depth", 12),
-                        n_classes=int(splits.train.labels.max()) + 1)
+                        n_classes=splits.n_classes)
             dst.check_at_most("teacher.depth, rep_dim and hidden_dim", nn.TeacherModel.size(**dims),
                               "parameters", dst.MAX_MODEL_FLOATS)
             dst.check_steps("teacher.epochs", tobj.get("epochs", dst.TEACHER_EPOCHS), len(splits.train),
@@ -355,9 +350,9 @@ def cmd_prune(config_path: str, seed_override: int | None, out_override: str | N
         splits = _parse_task(config.get("task", {"kind": "gaussian"}), seed)
         cfg = _parse_distill_cfg(config.get("distill", {}), seed, len(splits.train))
         dst.check_steps("distill.pruning_epochs", cfg.pruning_epochs, len(splits.train), cfg.batch_size)
-        _check_input_width(teacher, splits, teacher_path)
+        _check_fit(teacher, splits, teacher_path)
         for student in state.students:
-            _check_input_width(student, splits, ensemble_path)
+            _check_fit(student, splits, ensemble_path)
             if student.rep_dim != teacher.rep_dim:
                 raise ConfigError(f"{ensemble_path} holds students of width {student.rep_dim}, "
                                   f"the teacher's representation has width {teacher.rep_dim}")
@@ -438,9 +433,16 @@ def _run_names(metric_paths: list[str]) -> list[str]:
     return names
 
 
-def _check_metrics(data: dict) -> None:
-    """Raise ValueError naming the first key ``report`` reads whose value has the wrong
-    type or lies out of range. Keys it does not read may hold anything."""
+def _check_metrics(data):
+    """``data``, the value of a metrics file, if it is an object with every key ``report`` reads,
+    each of the right type and in range; else a ValueError naming the first that is not. Keys it
+    does not read may hold anything."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a metrics file must hold a JSON object, got {type(data).__name__}")
+    missing = {"avg_latency_ms", "p95_latency_ms", "throughput_per_gpu", "completed",
+               "student_number_timeline", "accuracy_timeline"} - data.keys()
+    if missing:
+        raise ValueError(f"metrics schema mismatch, missing {sorted(missing)}")
     figures = ("avg_latency_ms", "p95_latency_ms", "throughput_per_gpu")
     dst.check_finite({key: data[key] for key in figures if data[key] is not None},
                      dict.fromkeys(figures, -math.inf))
@@ -453,6 +455,7 @@ def _check_metrics(data: dict) -> None:
                                                  and dst._is_finite_number(pair[0]) and is_value(pair[1])
                                                  for pair in series)):
             raise ValueError(f"{key} must be a list of [finite time, {what}] pairs")
+    return data
 
 
 def cmd_report(metric_paths: list[str], out_override: str | None) -> int:
@@ -464,22 +467,9 @@ def cmd_report(metric_paths: list[str], out_override: str | None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         runs = []
         for path in metric_paths:
-            p = Path(path)
-            if not p.is_file():
+            if not Path(path).is_file():
                 raise ConfigError(f"metrics file not found: {path}")
-            data = _load_json(p)
-            if not isinstance(data, dict):
-                raise ConfigError(f"{path}: a metrics file must hold a JSON object, got {type(data).__name__}")
-            required = {"avg_latency_ms", "p95_latency_ms", "throughput_per_gpu", "completed",
-                        "student_number_timeline", "accuracy_timeline"}
-            missing = required - data.keys()
-            if missing:
-                raise ConfigError(f"{path}: metrics schema mismatch, missing {sorted(missing)}")
-            try:
-                _check_metrics(data)
-            except ValueError as exc:
-                raise ConfigError(f"{path}: {exc}") from exc
-            runs.append(data)
+            runs.append(nn.read_json(path, _check_metrics))
         names = _run_names(metric_paths)
 
         by_avg = sorted((i for i, d in enumerate(runs) if d["avg_latency_ms"] is not None),

@@ -46,6 +46,7 @@ class DataSplits:
     train: Dataset
     validation: Dataset
     test: Dataset
+    n_classes: int  # the labels lie in 0..n_classes - 1
 
 
 def _named_values(source, names) -> dict:
@@ -147,7 +148,7 @@ def make_gaussian_task(
         inputs = means[labels] + rng.normal(size=(n, d_in))
         return Dataset(inputs, labels)
 
-    return DataSplits(draw(n_train), draw(n_val), draw(n_test))
+    return DataSplits(draw(n_train), draw(n_val), draw(n_test), n_classes)
 
 
 @dataclass
@@ -221,10 +222,13 @@ class EnsembleState:
     alpha_0 is pinned to 1; later multipliers are whatever the line search
     produced when each student was added (no clamping).
 
-    The state owns its students' parameters: row m of the (M, P) buffer ``bank``
-    is student m's ``flat``, and ``layers`` is ``_bank_layers`` of it. Building
-    a state, ``add`` and ``drop_last`` move the students into a new bank, values
-    copied; a dropped student keeps its values in the bank it leaves.
+    The state is a model whose parameters sit in one buffer, ``flat``: the
+    classifier's, when there is one, then the (M, P) ``bank``, whose row m is
+    student m's ``flat``. ``layout`` names them, ``classifier.*`` and then each
+    student's own layout as ``students.<m>.*``, so an optimizer steps the state
+    like any model; ``layers`` is ``_bank_layers`` of the bank. Building a state,
+    ``add``, ``drop_last`` and setting ``classifier`` copy the parameters into a
+    new ``flat``; a dropped student keeps its values in the buffer it leaves.
     """
 
     def __init__(self, students=None, multipliers=None, classifier: nn.DenseLayer | None = None):
@@ -237,10 +241,18 @@ class EnsembleState:
         for j, student in enumerate(self.students[1:], start=1):
             _check_architecture(self.students[0], student, j)
         self.classifier = classifier
-        self.move_to(None)
 
     def __len__(self) -> int:
         return len(self.students)
+
+    @property
+    def classifier(self) -> nn.DenseLayer | None:
+        return self._classifier
+
+    @classifier.setter
+    def classifier(self, layer: nn.DenseLayer | None) -> None:
+        self._classifier = layer
+        self._rehome()
 
     def add(self, student: nn.StudentModel, alpha: float) -> None:
         if not self.students and alpha != 1.0:
@@ -249,20 +261,25 @@ class EnsembleState:
             _check_architecture(self.students[0], student, len(self.students))
         self.students.append(student)
         self.multipliers.append(float(alpha))
-        self.move_to(None)
+        self._rehome()
 
     def drop_last(self) -> None:
         self.students.pop()
         self.multipliers.pop()
-        self.move_to(None)
+        self._rehome()
 
-    def move_to(self, bank: np.ndarray | None) -> None:
-        """Copy the students' parameters into the rows of ``bank`` (a new buffer when
-        None, or a slice of a larger one) and view them there."""
-        m = len(self.students)
-        self.bank = np.empty((m, self.students[0].flat.size if m else 0)) if bank is None else bank.reshape(m, -1)
-        for student, row in zip(self.students, self.bank):
+    def _rehome(self) -> None:
+        """Copy the classifier's and the students' parameters into a new ``flat`` and view them there."""
+        m, p = len(self.students), self.students[0].flat.size if self.students else 0
+        head = [] if self._classifier is None else [("classifier", self._classifier)]
+        start = sum(layer.weight.size + layer.bias.size for _, layer in head)
+        self.flat = np.empty(start + m * p)
+        _, self.layout = nn._home(head, self.flat[:start])
+        self.bank = self.flat[start:].reshape(m, p)
+        for j, (student, row) in enumerate(zip(self.students, self.bank)):
             student.move_to(row)
+            self.layout += [(f"students.{j}.{name}", start + j * p + lo, start + j * p + hi, shape)
+                            for name, lo, hi, shape in student.layout]
         self.layers = _bank_layers(self.students[0], self.bank) if m else []
 
     def rep(self, x: np.ndarray, k: int | None = None) -> np.ndarray:
@@ -628,32 +645,6 @@ def soft_cross_entropy(student_logits, teacher_logits, temperature: float = 1.0)
     return float(np.mean(np.sum(-t * log_p, axis=-1)))
 
 
-class _PruningParams:
-    """Classifier plus every student in one flat parameter buffer.
-
-    Construction moves the classifier's parameters into the head of ``flat``
-    and the state's bank into the rest (``EnsembleState.move_to``), so one
-    optimizer step updates them all and the state's stacked views follow.
-    ``layout`` names the classifier's parameters, then each student's own
-    layout shifted past everything before it, in ensemble order; the gradient
-    of ``accumulate_prefix_gradients`` is laid out the same way.
-    """
-
-    def __init__(self, state: EnsembleState):
-        clf = state.classifier
-        clf_size = clf.weight.size + clf.bias.size
-        self.flat = np.empty(clf_size + state.bank.size)
-        _, self.layout = nn._home([("classifier", clf)], self.flat[:clf_size])
-        for j, student in enumerate(state.students):
-            start = self.layout[-1][2]
-            self.layout += [(f"students.{j}.{name}", start + lo, start + hi, shape)
-                            for name, lo, hi, shape in student.layout]
-        state.move_to(self.flat[clf_size:])
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        return nn._views(self.flat, self.layout)
-
-
 def accumulate_prefix_gradients(
     state: EnsembleState,
     xb: np.ndarray,
@@ -671,10 +662,10 @@ def accumulate_prefix_gradients(
     upstream gradient, so the bank back-propagates once, student j with
     alpha_j times the suffix sum over k >= j of the prefix representations'
     gradients, straight into its block of the gradient. The gradient is one
-    float64 array laid out like ``_PruningParams(state).flat``: the classifier
-    and then every student, named by that object's ``layout``. The students
-    run as the state's ``layers``. A caller that holds the teacher's soft
-    labels ``_soft_labels(teacher_logits, temperature)`` passes them as
+    float64 array laid out like ``state.flat``, the classifier and then every
+    student, and named by ``state.layout``. The students run as the state's
+    ``layers``. A caller that holds the teacher's soft labels
+    ``_soft_labels(teacher_logits, temperature)`` passes them as
     ``soft_labels``, and ``teacher_logits`` is then not read.
 
     The loss and its logit gradient are those of ``soft_cross_entropy`` on the
@@ -697,11 +688,10 @@ def accumulate_prefix_gradients(
     log_p, p = _log_softmax(logits / temperature)
     total = m * float(np.mean(np.sum(-soft_labels * log_p.reshape(m, n, -1), axis=-1)))
     d_logits = ((p.reshape(m, n, -1) - soft_labels) / (temperature * n)).reshape(m * n, -1)
-    w_stop, start = clf.weight.size, clf.weight.size + clf.bias.size
-    grad = np.empty(start + state.bank.size)
-    d_reps, _, _ = clf.backward(d_logits, grad[:w_stop].reshape(clf.weight.shape), grad[w_stop:start])
+    grad = np.empty_like(state.flat)
+    d_reps, _, _ = clf.backward(d_logits, *clf.grad_views(grad))
     suffix = np.cumsum(d_reps.reshape(m, n, -1)[::-1], axis=0)[::-1]
-    _bank_backward(state.layers, xb, acts, alphas * suffix, grad[start:].reshape(m, -1))
+    _bank_backward(state.layers, xb, acts, alphas * suffix, grad[clf.span[2]:].reshape(m, -1))
     return grad, total
 
 
@@ -723,8 +713,9 @@ def adaptive_pruning(
     """Train the shared classifier over all prefixes, then pick the best one.
 
     Per batch the prefix losses for k = 1..M are accumulated into a single
-    gradient and applied in one optimizer step, so any suffix of
-    students can be dropped later with accuracy known from the table.
+    gradient, and one optimizer step applies it to the state, the new
+    classifier and every student together, so any suffix of students can be
+    dropped later with accuracy known from the table.
     best_k maximizes validation accuracy, ties going to the smaller
     (cheaper) prefix.
     """
@@ -732,12 +723,10 @@ def adaptive_pruning(
     if m == 0:
         raise ValueError("cannot prune an empty ensemble")
     rng = rng_for(cfg.seed, "pruning")
-    n_classes = teacher.head.out_dim
-    state.classifier = nn.DenseLayer.init(n_classes, teacher.rep_dim, nn.IDENTITY, rng)
+    state.classifier = nn.DenseLayer.init(teacher.head.out_dim, teacher.rep_dim, nn.IDENTITY, rng)
     _, t_logits_train = teacher.forward(splits.train.inputs)
     soft_labels = _soft_labels(t_logits_train, cfg.soft_ce_temperature)  # rows are taken per batch
     opt = nn.Optimizer(kind=nn.ADAM, learning_rate=cfg.learning_rate)
-    params = _PruningParams(state)
     n = len(splits.train)
     for _epoch in range(cfg.pruning_epochs):
         perm = rng.permutation(n)
@@ -747,7 +736,7 @@ def adaptive_pruning(
                 state, splits.train.inputs[idx], None, cfg.soft_ce_temperature, soft_labels=soft_labels[idx])
             if not np.isfinite(loss):
                 raise FloatingPointError("pruning loss diverged")
-            opt.step(params, grad)
+            opt.step(state, grad)
     rows = list(zip(range(1, m + 1), prefix_accuracies(state, splits.validation),
                     prefix_accuracies(state, splits.test)))
     table = AccuracyTable(rows)

@@ -7,7 +7,8 @@ Each model keeps all of its parameters in one contiguous float64 buffer,
 ``model.flat``. ``_home`` writes every layer's weight and bias into it, points
 the layer at those views, and returns the one layout, (name, start, stop,
 shape) per parameter, ``model.layout``, through which ``parameters()``, the
-optimizer and the pruning buffer all name their views. A gradient is exact
+optimizer and the ensemble state (a classifier and its students in one
+buffer, stepped like a model) all name their views. A gradient is exact
 reverse-mode and is one fresh float64 array laid out like ``model.flat``; its
 names are those of ``model.layout``. An optimizer step is one finiteness check
 and one vector update; it uses the gradient as scratch, so a stepped gradient

@@ -105,10 +105,9 @@ def test_criterion_1_gradient_correctness():
                 total += dst.soft_cross_entropy(state.classifier.forward(state.rep(xb, k)), t_logits, 1.0)
             return total
 
-        pruning = dst._PruningParams(state)
         step = 1e-5
-        for name, start, stop, _ in pruning.layout:
-            flat, a_flat = pruning.flat[start:stop], grad[start:stop]
+        for name, start, stop, _ in state.layout:
+            flat, a_flat = state.flat[start:stop], grad[start:stop]
             for idx in range(flat.size):
                 orig = flat[idx]
                 flat[idx] = orig + step

@@ -332,6 +332,20 @@ def test_a_deeply_nested_json_input_names_its_file(tmp_path, capsys, mode):
     assert err == f"config error: {path}: JSON nested too deeply to decode\n"
 
 
+# each of these used to exit 2 with the decoder's message alone, naming no file
+@pytest.mark.parametrize("mode", ["perf", "report"])
+def test_a_truncated_json_input_names_its_file(tmp_path, capsys, mode):
+    path = tmp_path / "truncated.json"
+    if mode == "perf":
+        path.write_text(json.dumps(toy_payloads(tmp_path)["perf"])[:17])
+        argv = ["perf", "--config", str(path)]
+    else:
+        path.write_text("[1,")
+        argv = ["report", str(path), "--out", str(tmp_path)]
+    err = assert_config_error(argv, capsys)
+    assert err.startswith(f"config error: {path}: Expecting "), err
+
+
 @pytest.mark.parametrize("name", ["teacher.json", "ensemble.json"])
 def test_prune_deeply_nested_checkpoint_names_the_file(tmp_path, capsys, distilled, name):
     bad = tmp_path / "bad_distill"
@@ -367,6 +381,24 @@ def test_prune_task_width_mismatch_exits_config(tmp_path, capsys, distilled):
     assert cli.main(["prune", "--config", cfg]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "width" in err and "Traceback" not in err
+
+
+# each of these used to exit 0, scoring a 3-class task with a 2-class teacher
+def test_prune_task_class_count_mismatch_exits_config(tmp_path, capsys, distilled):
+    cfg = json.loads(Path(prune_config(tmp_path, distilled)).read_text())
+    cfg["task"]["n_classes"] = 3
+    err = assert_config_error(["prune", "--config", write_config(tmp_path, "prune.json", cfg)], capsys)
+    assert err == f"config error: checkpoint {distilled / 'teacher.json'} scores 2 classes, the task has 3\n"
+    assert not (tmp_path / "prune_out" / "accuracy.csv").exists()
+
+
+def test_distill_teacher_checkpoint_class_count_mismatch_exits_config(tmp_path, capsys, distilled):
+    cfg = json.loads(Path(small_distill_config(tmp_path)).read_text())
+    cfg["task"]["n_classes"] = 3
+    cfg["teacher"] = {"checkpoint": str(distilled / "teacher.json")}
+    err = assert_config_error(["distill", "--config", write_config(tmp_path, "distill.json", cfg)], capsys)
+    assert err == f"config error: checkpoint {distilled / 'teacher.json'} scores 2 classes, the task has 3\n"
+    assert not (tmp_path / "distill_out" / "convergence.json").exists()
 
 
 @pytest.mark.parametrize("corruption", ["teacher-truncated-base64", "teacher-bad-schema",

@@ -550,7 +550,7 @@ def test_alpha_equals_line_search_value_at_fit_time():
 def test_empty_data_is_an_error():
     teacher = tiny_teacher(seed=34)
     empty = dst.Dataset(np.zeros((0, 4)), np.zeros(0, dtype=int))
-    splits = dst.DataSplits(empty, empty, empty)
+    splits = dst.DataSplits(empty, empty, empty, 2)
     with pytest.raises(ValueError):
         dst.sequential_training(teacher, splits, fast_cfg())
 
@@ -589,8 +589,7 @@ def test_accumulated_gradients_match_summed_loss_finite_differences():
     t_logits = teacher.forward(xb)[1]
     grad, _ = dst.accumulate_prefix_gradients(state, xb, t_logits, temperature=1.0)
 
-    pruning = dst._PruningParams(state)
-    params, grads = pruning.parameters(), nn._views(grad, pruning.layout)
+    params, grads = nn._views(state.flat, state.layout), nn._views(grad, state.layout)
 
     def total_loss():
         total = 0.0
@@ -660,7 +659,7 @@ def test_prefix_gradients_match_quadratic_reference(m, temperature):
     assert m == 1 or any(a not in (0.0, 1.0) for a in state.multipliers[1:])
     grad, loss = dst.accumulate_prefix_gradients(state, xb, t_logits, temperature)
     expected, expected_loss = quadratic_prefix_gradients(state, xb, t_logits, temperature)
-    layout = dst._PruningParams(state).layout
+    layout = state.layout
     assert [name for name, *_ in layout] == list(expected) and grad.shape == (layout[-1][2],)
     grads = nn._views(grad, layout)
     for name, ref in expected.items():
@@ -748,29 +747,68 @@ def test_parameter_layouts_are_pinned():
     student = nn.StudentModel.build(3, 4, 3, rng)
     state = dst.EnsembleState([nn.StudentModel.build(3, 4, 2, rng) for _ in range(2)], [1.0, 0.5],
                               nn.DenseLayer.init(2, 4, nn.IDENTITY, rng))
-    pruning = dst._PruningParams(state)
     for got, pinned, names in (
         (teacher.layout, PINNED_TEACHER_LAYOUT, teacher.parameters()),
         (student.layout, PINNED_STUDENT_LAYOUT, student.parameters()),
-        (pruning.layout, PINNED_PRUNING_LAYOUT, pruning.parameters()),
+        (state.layout, PINNED_PRUNING_LAYOUT, nn._views(state.flat, state.layout)),
     ):
         assert [(name, start, stop, tuple(shape)) for name, start, stop, shape in got] == pinned
         assert list(names) == [name for name, *_ in pinned]
 
 
-def test_pruning_params_share_one_buffer_with_the_models():
-    teacher, splits, cfg, state = small_trained_state(seed=2, max_students=2)
-    state.classifier = nn.DenseLayer.init(2, teacher.rep_dim, nn.IDENTITY, make_rng(52))
-    before = state.rep(splits.validation.inputs)
-    params = dst._PruningParams(state)
-    np.testing.assert_array_equal(state.rep(splits.validation.inputs), before)
-    views = params.parameters()
-    np.testing.assert_array_equal(np.concatenate([a.reshape(-1) for a in views.values()]), params.flat)
-    for student in state.students:
-        assert np.shares_memory(student.flat, params.flat)
-        for arr in student.parameters().values():
+def assert_state_is_one_buffer(state):
+    """``state.layout`` tiles ``state.flat`` from 0 to its end, and every student's
+    and the classifier's parameters are views into it."""
+    stops = [0] + [stop for _, _, stop, _ in state.layout]
+    assert [start for _, start, _, _ in state.layout] == stops[:-1] and stops[-1] == state.flat.size
+    views = nn._views(state.flat, state.layout)
+    for j, student in enumerate(state.students):
+        assert np.shares_memory(student.flat, state.flat)
+        for name, arr in student.parameters().items():
             assert np.shares_memory(arr, student.flat)
-    params.flat[...] = 0.0
+            assert arr.ctypes.data == views[f"students.{j}.{name}"].ctypes.data
+    if state.classifier is not None:
+        assert state.classifier.weight.ctypes.data == views["classifier.weight"].ctypes.data
+        assert state.classifier.bias.ctypes.data == views["classifier.bias"].ctypes.data
+
+
+def test_the_state_is_one_buffer_with_its_classifier_and_students():
+    teacher, splits, cfg, state = small_trained_state(seed=2, max_students=2)
+    assert state.classifier is None and state.layout[0][0].startswith("students.0.")
+    assert_state_is_one_buffer(state)
+    before = state.rep(splits.validation.inputs)
+    classifier = nn.DenseLayer.init(2, teacher.rep_dim, nn.IDENTITY, make_rng(52))
+    weight = classifier.weight.copy()
+    state.classifier = classifier
+    np.testing.assert_array_equal(state.rep(splits.validation.inputs), before)
+    assert state.layout[0][0] == "classifier.weight" and np.shares_memory(classifier.weight, state.flat)
+    np.testing.assert_array_equal(classifier.weight, weight)
+    assert_state_is_one_buffer(state)
+    views = nn._views(state.flat, state.layout)
+    np.testing.assert_array_equal(np.concatenate([a.reshape(-1) for a in views.values()]), state.flat)
+
+    state.add(state.students[-1].copy(), 0.5)
+    assert len(state) == 3
+    assert_state_is_one_buffer(state)
+    state.drop_last()
+    assert len(state) == 2
+    assert_state_is_one_buffer(state)
+    np.testing.assert_array_equal(state.rep(splits.validation.inputs), before)
+
+    loaded = dst.ensemble_from_dict(dst.ensemble_to_dict(state))
+    assert_state_is_one_buffer(loaded)
+    np.testing.assert_array_equal(loaded.flat, state.flat)
+    assert loaded.layout == state.layout and np.shares_memory(loaded.classifier.weight, loaded.flat)
+
+    xb = splits.train.inputs[:8]
+    grad, _ = dst.accumulate_prefix_gradients(state, xb, teacher.forward(xb)[1], temperature=1.0)
+    assert grad.shape == state.flat.shape
+    clf_before, student_before = state.classifier.weight.copy(), state.students[1].flat.copy()
+    nn.Optimizer(kind=nn.SGD, learning_rate=0.1).step(state, grad)
+    assert not np.array_equal(state.classifier.weight, clf_before)
+    assert not np.array_equal(state.students[1].flat, student_before)
+
+    state.flat[...] = 0.0
     assert not state.rep(splits.validation.inputs).any()
 
 
@@ -786,7 +824,7 @@ def test_nan_student_gradient_names_the_parameter_and_changes_nothing(kind, name
     t_logits = teacher.forward(xb)[1]
     if kind == "pruning":
         state.classifier = nn.DenseLayer.init(2, teacher.rep_dim, nn.IDENTITY, make_rng(53))
-        model = dst._PruningParams(state)
+        model = state
 
         def gradient():
             return dst.accumulate_prefix_gradients(state, xb, t_logits, temperature=1.0)[0]

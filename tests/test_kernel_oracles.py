@@ -249,8 +249,8 @@ def test_the_state_owns_one_bank_of_its_students():
     assert_rows_of_the_bank_compute_like_the_loop(loaded, rng)
 
     values = state.bank.copy()
-    params = dst._PruningParams(state)
-    assert np.shares_memory(state.bank, params.flat)
+    state.classifier = nn.DenseLayer.init(2, 16, nn.IDENTITY, rng)
+    assert np.shares_memory(state.bank, state.flat)
     np.testing.assert_array_equal(state.bank, values)
     assert_rows_of_the_bank_compute_like_the_loop(state, rng)
 
@@ -435,9 +435,8 @@ def test_student_equals_the_reference_between_batch_sizes(depth, acts, n):
 def test_student_moved_into_the_pruning_buffer_trains_like_its_unmoved_twin():
     state, rng = bank_state(3, 2, seed=50)
     twin = state.students[1].copy()
-    params = dst._PruningParams(state)
     student = state.students[1]
-    assert np.shares_memory(student.flat, params.flat)
+    assert np.shares_memory(student.flat, state.flat)
     opts = [nn.Optimizer(kind=nn.ADAM, learning_rate=1e-2) for _ in range(2)]
     for _ in range(4):
         x = rng.normal(size=(9, 8))
@@ -452,10 +451,9 @@ def test_student_moved_into_the_pruning_buffer_trains_like_its_unmoved_twin():
 
 def test_pruning_bank_views_the_parameter_buffer():
     state, rng = bank_state(4, 3, seed=51)
-    params = dst._PruningParams(state)
     opt = nn.Optimizer(kind=nn.ADAM, learning_rate=1e-2)
     for weight, bias, _ in state.layers:
-        assert np.shares_memory(weight, params.flat) and np.shares_memory(bias, params.flat)
+        assert np.shares_memory(weight, state.flat) and np.shares_memory(bias, state.flat)
     for _ in range(3):  # the views follow the optimizer's in-place updates
         x, t_logits = rng.normal(size=(11, 8)), rng.normal(size=(11, 2))
         grad, loss = dst.accumulate_prefix_gradients(state, x, t_logits, 2.0)
@@ -463,7 +461,7 @@ def test_pruning_bank_views_the_parameter_buffer():
             dst.ensemble_from_dict(dst.ensemble_to_dict(state)), x, t_logits, 2.0)
         np.testing.assert_array_equal(grad, copied)
         assert loss == copied_loss
-        opt.step(params, grad)
+        opt.step(state, grad)
 
 
 @pytest.mark.parametrize("kind", ["teacher", "student"])
